@@ -13,12 +13,12 @@ import random
 import time
 
 
-from _benchutil import write_result
 from repro.core.buffers import TraceControl
 from repro.core.logger import TraceLogger
 from repro.core.majors import Major
 from repro.core.mask import TraceMask
 from repro.core.timestamps import ManualClock
+from repro.perf.report import write_result
 
 N_EVENTS = 30_000
 

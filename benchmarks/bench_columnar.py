@@ -16,10 +16,10 @@ import time
 
 import pytest
 
-from _benchutil import write_result
 from repro.core.columnar import ColumnarTraceReader, as_batch
 from repro.core.registry import default_registry
 from repro.core.stream import TraceReader
+from repro.perf.report import write_result
 from repro.tools.listing import event_listing
 from repro.tools.lockstats import lock_statistics
 from repro.tools.pcprofile import pc_profile

@@ -13,9 +13,9 @@ manifests — while the always-on cheap tracing caught it.
 """
 
 
-from _benchutil import write_result
 from repro.core.facility import TraceFacility
 from repro.ksim import Acquire, Compute, Kernel, KernelConfig, Release
+from repro.perf.report import write_result
 from repro.tools.deadlock import find_deadlocks
 
 PRINTF_COST = 500_000  # cycles: console output is enormous vs tracing

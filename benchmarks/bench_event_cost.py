@@ -15,13 +15,13 @@ Reproduction, two layers:
 """
 
 
-from _benchutil import write_result
 from repro.core.buffers import TraceControl
 from repro.core.logger import NullTraceLogger, TraceLogger
 from repro.core.majors import Major
 from repro.core.mask import TraceMask
 from repro.core.timestamps import WallClock
 from repro.ksim.costs import DEFAULT_COSTS
+from repro.perf.report import write_result
 
 
 def make_logger(enabled=True, buffer_words=16 * 1024, num_buffers=8):

@@ -12,7 +12,7 @@ with the tracing-mode overhead measured deterministically on one CPU.
 
 import pytest
 
-from _benchutil import write_result
+from repro.perf.report import write_result
 from repro.workloads import run_sdet
 
 CPU_POINTS = [1, 2, 4, 8, 16, 24]

@@ -12,7 +12,7 @@ zoom narrows, the click listing returns events.
 
 import pytest
 
-from _benchutil import write_result
+from repro.perf.report import write_result
 from repro.tools.kmon import Timeline
 from repro.tools.listing import CYCLES_PER_SECOND
 from repro.workloads import run_sdet

@@ -15,8 +15,8 @@ import re
 
 import pytest
 
-from _benchutil import write_result
 from repro.core.stream import TraceReader
+from repro.perf.report import write_result
 from repro.tools.listing import format_listing
 from repro.workloads import run_sdet
 

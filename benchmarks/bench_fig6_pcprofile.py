@@ -12,7 +12,7 @@ service functions, with the same vocabulary.
 
 import pytest
 
-from _benchutil import write_result
+from repro.perf.report import write_result
 from repro.tools.pcprofile import format_profile, pc_profile
 from repro.workloads import run_contention
 

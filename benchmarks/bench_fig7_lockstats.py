@@ -13,7 +13,7 @@ numbers matching the simulator's ground truth.
 
 import pytest
 
-from _benchutil import write_result
+from repro.perf.report import write_result
 from repro.tools.lockstats import format_lockstats, lock_statistics
 from repro.workloads import run_contention
 

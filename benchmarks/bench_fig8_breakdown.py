@@ -12,8 +12,8 @@ simulator's ground truth.
 
 import pytest
 
-from _benchutil import write_result
 from repro.ksim.ipc import FS_FUNCTION_NAMES
+from repro.perf.report import write_result
 from repro.tools.breakdown import format_breakdown, process_breakdown
 from repro.workloads import run_sdet
 

@@ -13,8 +13,8 @@ fixed-length space comparison that motivates the design.
 
 import pytest
 
-from _benchutil import write_result
 from repro.core.stream import TraceReader
+from repro.perf.report import write_result
 from repro.workloads import run_sdet
 
 

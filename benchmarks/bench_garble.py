@@ -15,7 +15,6 @@ detection rate and residual stream usability.
 import random
 
 
-from _benchutil import write_result
 from repro.core.buffers import TraceControl
 from repro.core.logger import TraceLogger
 from repro.core.majors import Major
@@ -23,6 +22,7 @@ from repro.core.mask import TraceMask
 from repro.core.registry import default_registry
 from repro.core.stream import TraceReader
 from repro.core.timestamps import ManualClock
+from repro.perf.report import write_result
 from repro.workloads import run_scientific, run_sdet
 
 
@@ -111,7 +111,8 @@ def test_random_garbage_rarely_parses(benchmark):
     rng = np.random.default_rng(7)
     # Strict mode: stop at the first garble, so "events accepted" counts
     # how far random data masquerades as a stream before detection.
-    reader = TraceReader(registry=default_registry(), strict=True)
+    reader = TraceReader(registry=default_registry(), strict=True,
+                         include_fillers=True)
     n_buffers = 200
     bw = 128
     accepted_events = 0
@@ -120,10 +121,9 @@ def test_random_garbage_rarely_parses(benchmark):
         words = rng.integers(0, 2**64, size=bw, dtype=np.uint64)
         rec = BufferRecord(cpu=0, seq=k, words=words, committed=bw,
                            fill_words=bw)
-        anomalies = []
-        events = reader.decode_buffer(rec, anomalies)
-        accepted_events += len(events)
-        flagged += bool(anomalies)
+        trace = reader.decode_one(rec)
+        accepted_events += len(trace.events(0))
+        flagged += bool(trace.anomalies)
     avg = accepted_events / n_buffers
     write_result(
         "garble_random_data",
@@ -135,12 +135,11 @@ def test_random_garbage_rarely_parses(benchmark):
     )
     assert flagged / n_buffers > 0.95
     assert avg < 8
-    benchmark(lambda: reader.decode_buffer(
+    benchmark(lambda: reader.decode_one(
         BufferRecord(cpu=0, seq=0,
                      words=rng.integers(0, 2**64, size=bw, dtype=np.uint64),
                      committed=bw, fill_words=bw),
-        [],
-    ))
+    ).events(0))
 
 
 def test_recovery_salvage_rate(benchmark):
@@ -204,8 +203,9 @@ def hb_random_reject(b):
                        words=rng.integers(0, 2**64, size=bw,
                                           dtype=np.uint64),
                        committed=bw, fill_words=bw)
-    reader = TraceReader(registry=default_registry(), strict=True)
-    b(lambda: reader.decode_buffer(rec, []))
+    reader = TraceReader(registry=default_registry(), strict=True,
+                         include_fillers=True)
+    b(lambda: reader.decode_one(rec).events(0))
 
 
 if __name__ == "__main__":

@@ -17,8 +17,8 @@ behind K42's per-processor design.
 
 import pytest
 
-from _benchutil import write_result
 from repro.ksim.hwcounters import HwCounter
+from repro.perf.report import write_result
 from repro.tools.memprofile import format_memory_report, memory_profile
 from repro.workloads import run_memstress
 

@@ -1,10 +1,9 @@
 """Zero-copy ingest fast path: mmap decode, parallel pack, warm pool.
 
-Three floors, each asserted against the path it replaces:
-
-* reading a >= 100k-event trace through mmap page-cache views
-  (``load_records(use_mmap=True)``, the default) is >= 1.5x faster
-  than the buffered ``read()`` path — and decodes bit-identically;
+* loading a >= 100k-event trace hands out mmap page-cache views
+  (zero payload copies, file provenance stamped for the pool) that
+  decode bit-identically to the in-memory records they were saved from
+  — reported as load time and MB/s;
 * packing a store with 4 workers is >= 2x faster than the sequential
   pack (skipped below 4 cores; byte-identity of the parallel output is
   asserted unconditionally);
@@ -21,16 +20,15 @@ import time
 import numpy as np
 import pytest
 
-from _benchutil import write_result
 from repro.core import pool
 from repro.core.columnar import ColumnarTraceReader, as_batch
 from repro.core.registry import default_registry
 from repro.core.writer import load_records, save_records
+from repro.perf.report import write_result
 from repro.store import pack_records
 from repro.workloads import run_contention
 
 MIN_EVENTS = 100_000
-MIN_MMAP_SPEEDUP = 1.5
 MIN_PACK_SPEEDUP = 2.0
 MIN_POOL_WARMUP = 5.0
 
@@ -56,7 +54,7 @@ def _build(out_dir, ncpus=8, iterations=120, pc_sample_period=500,
     """A >= 100k-event, many-frame contention trace, saved raw.
 
     Small buffers force many frames — the frame payload is the unit
-    the ``read()`` path copies and the mmap path only views, so frame
+    a copying reader pays for and the mmap walk only views, so frame
     count is what the zero-copy claim is actually about.
     """
     _kernel, facility, _ = run_contention(
@@ -80,46 +78,40 @@ def _decode_arrays(records):
     return as_batch(trace).to_arrays()
 
 
-def test_mmap_load_speedup(benchmark, workload):
-    """mmap load >= 1.5x the read() path on a 100k-event trace,
-    bit-identical decode either way."""
+def test_mmap_load(benchmark, workload):
+    """Loading a 100k-event trace is zero-copy and decodes
+    bit-identically to the records it was saved from."""
     trace_path, base_records = workload
     ref = _decode_arrays(base_records)
     events = len(ref["time"])
     assert events >= MIN_EVENTS, \
         f"workload too small for the claim: {events} events"
 
-    via_mmap = load_records(trace_path, use_mmap=True)
-    via_read = load_records(trace_path, use_mmap=False)
-    assert len(via_mmap) == len(via_read) == len(base_records)
-    for a, b in zip(via_mmap, via_read):
+    loaded = load_records(trace_path)
+    assert len(loaded) == len(base_records)
+    for a, b in zip(loaded, base_records):
         assert a.seq == b.seq and a.fill_words == b.fill_words
         assert np.array_equal(a.words, b.words)
     if sys.byteorder == "little":
-        assert any(r._file_ref is not None for r in via_mmap), \
+        assert all(r._file_ref is not None for r in loaded), \
             "mmap loads should stamp file provenance on little-endian"
-    got = _decode_arrays(via_mmap)
+        assert not any(r.words.flags.owndata for r in loaded), \
+            "record words should be views of the mapping, not copies"
+    got = _decode_arrays(loaded)
     assert set(got) == set(ref)
     for k in ref:
         assert np.array_equal(got[k], ref[k]), f"column {k} differs"
 
     load_records(trace_path)  # warm the page cache out of the timing
-    t_mmap, _ = _timeit(lambda: load_records(trace_path, use_mmap=True))
-    t_read, _ = _timeit(lambda: load_records(trace_path, use_mmap=False))
-    speedup = t_read / t_mmap
-    assert speedup >= MIN_MMAP_SPEEDUP, (
-        f"mmap load only {speedup:.2f}x over read() "
-        f"({t_read * 1e3:.1f}ms -> {t_mmap * 1e3:.1f}ms)")
-
+    t_load, _ = _timeit(lambda: load_records(trace_path))
+    size = os.path.getsize(trace_path)
     write_result("ingest_mmap", "\n".join([
         f"zero-copy trace load over {events} events, "
-        f"{len(base_records)} frames",
-        f"{'path':<24} {'time':>10}",
-        f"{'read() (buffered)':<24} {t_read * 1e3:>8.2f}ms",
-        f"{'mmap (zero-copy)':<24} {t_mmap * 1e3:>8.2f}ms",
-        f"speedup: {speedup:.2f}x",
+        f"{len(base_records)} frames, {size / 1e6:.1f} MB",
+        f"mmap load: {t_load * 1e3:.2f}ms "
+        f"({size / 1e6 / t_load:.0f} MB/s)",
     ]))
-    benchmark(lambda: load_records(trace_path, use_mmap=True))
+    benchmark(lambda: load_records(trace_path))
 
 
 def test_parallel_pack_byte_identical(workload, tmp_path):
@@ -216,19 +208,10 @@ def _harness_workload(quick):
 
 @perf_bench("ingest.load_mmap", quick=True, tolerance=0.4)
 def hb_load_mmap(b):
-    """Trace load through mmap page-cache views (the default path)."""
+    """Trace load through mmap page-cache views."""
     trace_path, records = _harness_workload(b.quick)
     load_records(trace_path)  # warm the page cache
-    b(lambda: load_records(trace_path, use_mmap=True))
-    b.note("frames", len(records))
-
-
-@perf_bench("ingest.load_read", quick=True, tolerance=0.4)
-def hb_load_read(b):
-    """Trace load through buffered read() (--no-mmap)."""
-    trace_path, records = _harness_workload(b.quick)
-    load_records(trace_path)
-    b(lambda: load_records(trace_path, use_mmap=False))
+    b(lambda: load_records(trace_path))
     b.note("frames", len(records))
 
 

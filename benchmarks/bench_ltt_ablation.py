@@ -27,10 +27,10 @@ import time
 
 import pytest
 
-from _benchutil import write_result
 from repro.core.majors import Major
 from repro.ksim import Acquire, Compute, Kernel, KernelConfig, Release
 from repro.ltt import LTT_CONFIGS, build_logger_set
+from repro.perf.report import write_result
 
 NCPUS = 4
 

@@ -17,10 +17,10 @@ to a live, running system) demonstrated.
 """
 
 
-from _benchutil import write_result
 from repro.core.facility import TraceFacility
 from repro.core.majors import Major
 from repro.ksim import Compute, Kernel, KernelConfig
+from repro.perf.report import write_result
 
 HITS = 200
 

@@ -17,7 +17,6 @@ import time
 import numpy as np
 import pytest
 
-from _benchutil import write_result
 from repro.core.buffers import TraceControl
 from repro.core.logger import TraceLogger
 from repro.core.majors import Major
@@ -25,6 +24,7 @@ from repro.core.mask import TraceMask
 from repro.core.registry import default_registry
 from repro.core.stream import TraceReader, decode_from_offset, flat_records
 from repro.core.timestamps import ManualClock
+from repro.perf.report import write_result
 
 BW = 256
 

@@ -12,7 +12,7 @@ with exactly these traces:
 
 import pytest
 
-from _benchutil import write_result
+from repro.perf.report import write_result
 from repro.tools.lockstats import lock_statistics
 from repro.workloads.server import run_server
 

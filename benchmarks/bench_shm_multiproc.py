@@ -22,9 +22,9 @@ import time
 
 import pytest
 
-from _benchutil import write_result
 from repro.core.majors import Major
 from repro.core.writer import load_records
+from repro.perf.report import write_result
 from repro.shm import ShmTraceRegion, run_shm_workload
 from repro.shm.procs import expected_payloads
 

@@ -18,10 +18,10 @@ import time
 import numpy as np
 import pytest
 
-from _benchutil import write_result
 from repro.core.columnar import ColumnarTraceReader, as_batch
 from repro.core.registry import default_registry
 from repro.core.writer import load_records, save_records
+from repro.perf.report import write_result
 from repro.store import Predicate, TraceStore, pack_records, select
 from repro.workloads import run_contention
 

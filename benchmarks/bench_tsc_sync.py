@@ -12,9 +12,9 @@ interpolation.
 
 import pytest
 
-from _benchutil import write_result
 from repro.core.timestamps import DriftingTscClock
 from repro.ltt import TscInterpolator, max_pairwise_skew, take_anchors
+from repro.perf.report import write_result
 
 RUN_NS = 2 * 10**9  # a 2-second trace window
 NCPUS = 4

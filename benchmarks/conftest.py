@@ -1,6 +1,8 @@
-"""Make the benchmarks directory importable for its helper module."""
+"""Pin where the benchmarks' narrative result tables land."""
 
-import sys
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).parent))
+from repro.perf.report import set_results_dir
+
+# Next to the benchmarks, wherever this checkout lives.
+set_results_dir(Path(__file__).parent / "results")

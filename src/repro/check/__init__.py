@@ -21,6 +21,7 @@ explore     exhaustive (bounded-DFS) and randomized (PCT) exploration
 shrink      counterexample minimization
 script      JSON schedule scripts (save / load / replay)
 mutants     deliberately broken loggers the checker must catch
+oracle      the word-at-a-time reference decoder the checker trusts
 
 Entry point: ``repro-trace check`` (see :mod:`repro.cli`).
 """

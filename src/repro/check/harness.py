@@ -18,8 +18,9 @@ Invariants are checked at three moments:
   buffer must be one the harness actually issued, in per-writer order
   (the committed count is the validity gate of §3.1: the checker
   verifies it gates *correctly*);
-* **at quiescence** — a clean run must decode with no anomalies on both
-  the scalar and the batched path, in strict and recovering modes, with
+* **at quiescence** — a clean run must decode identically on the
+  production decoder and the reference walk (:mod:`repro.check.oracle`)
+  and with no anomalies in strict and recovering modes, with
   every issued payload present exactly once in per-writer order and
   per-CPU timestamps strictly increasing; a run with killed writers
   must flag every buffer the kill tore (committed-mismatch or garble)
@@ -44,7 +45,9 @@ from repro.check.mutants import make_logger
 from repro.core.buffers import BufferRecord, TraceControl, decode_commit_word
 from repro.core.majors import Major
 from repro.core.mask import TraceMask
-from repro.core.stream import TraceReader, scan_buffer
+from repro.check.oracle import reference_decode
+from repro.core.columnar import decode_records_columnar
+from repro.core.stream import scan_buffer
 
 #: A scheduling choice: ``("run", tid)`` or ``("kill", tid)``.
 Action = Tuple[str, int]
@@ -419,19 +422,16 @@ class CheckedSystem:
             return Violation(exc.invariant, exc.detail)
         return None
 
-    def _decode(self, view: List[BufferRecord], batch: bool, strict: bool):
-        reader = TraceReader(
-            include_fillers=True, check_committed=True,
-            batch=batch, strict=strict,
-        )
-        return reader.decode_records(view)
+    def _decode(self, view: List[BufferRecord], strict: bool):
+        return decode_records_columnar(
+            view, include_fillers=True, check_committed=True, strict=strict)
 
     def _final_clean(self) -> None:
         view = self.ring_view()
-        batched = self._decode(view, batch=True, strict=False)
-        scalar = self._decode(view, batch=False, strict=False)
+        batched = self._decode(view, strict=False)
+        scalar = reference_decode(view, include_fillers=True)
         self._compare_paths(batched, scalar)
-        strict = self._decode(view, batch=True, strict=True)
+        strict = self._decode(view, strict=True)
         for trace, mode in ((batched, "recover"), (strict, "strict")):
             bad = [a for a in trace.anomalies if a.kind != "missing-anchor"]
             if bad:
@@ -482,7 +482,7 @@ class CheckedSystem:
 
     def _final_with_kills(self, killed: List[int]) -> None:
         view = self.ring_view()
-        trace = self._decode(view, batch=True, strict=False)
+        trace = self._decode(view, strict=False)
         torn: set = set()
         allowed: set = set()
         for tid in killed:
@@ -551,7 +551,8 @@ class CheckedSystem:
         if flat(batched) != flat(scalar):
             raise InvariantViolation(
                 "scalar-batch-divergence",
-                "scalar and batched decoders disagree on this schedule",
+                "the reference walk and the batched decoder disagree on "
+                "this schedule",
             )
 
 

@@ -49,6 +49,7 @@ from repro.check.harness import (
 )
 from repro.check.instrument import DoubleWriteError, Probe, StepClock
 from repro.check.mutants import MUTANTS, make_logger
+from repro.check.oracle import reference_decode
 from repro.core.buffers import BufferRecord, TraceControl, decode_commit_word
 from repro.core.majors import Major
 from repro.core.mask import TraceMask
@@ -427,10 +428,10 @@ class ShmCheckedSystem(CheckedSystem):
                 )
 
     def _final_clean_shm(self, drained: List[BufferRecord]) -> None:
-        batched = self._decode(drained, batch=True, strict=False)
-        scalar = self._decode(drained, batch=False, strict=False)
+        batched = self._decode(drained, strict=False)
+        scalar = reference_decode(drained, include_fillers=True)
         self._compare_paths_all(batched, scalar)
-        strict = self._decode(drained, batch=True, strict=True)
+        strict = self._decode(drained, strict=True)
         for trace, mode in ((batched, "recover"), (strict, "strict")):
             bad = [a for a in trace.anomalies if a.kind != "missing-anchor"]
             if bad:
@@ -482,7 +483,7 @@ class ShmCheckedSystem(CheckedSystem):
 
     def _final_with_kills_shm(self, drained: List[BufferRecord],
                               killed: List[int]) -> None:
-        trace = self._decode(drained, batch=True, strict=False)
+        trace = self._decode(drained, strict=False)
         ncpus = self.config.shm_cpus
         torn_by_cpu: Dict[int, Set[int]] = {c: set() for c in range(ncpus)}
         allowed_by_cpu: Dict[int, Set[int]] = {c: set()
@@ -556,7 +557,8 @@ class ShmCheckedSystem(CheckedSystem):
         if flat(batched) != flat(scalar):
             raise InvariantViolation(
                 "scalar-batch-divergence",
-                "scalar and batched decoders disagree on the drained trace",
+                "the reference walk and the batched decoder disagree on "
+                "the drained trace",
             )
 
 

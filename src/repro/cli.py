@@ -43,12 +43,10 @@ file, optionally save the symbol table as JSON, then analyze offline::
 
 Every trace-analysis subcommand accepts ``--strict`` (stop at the first
 damage instead of resynchronizing past it) and ``--workers N``
-(parallel decode).  The analysis subcommands (``info``, ``list``,
-``kmon``, ``locks``, ``profile``, ``breakdown``, ``sched``) default to
-the columnar structure-of-arrays fast path; ``--no-columnar`` forces
-the scalar per-event walk — output is identical either way.  They also
-all accept a packed store directory (``repro-trace pack``) in place of a
-raw trace — auto-detected, or forced with ``--store`` — and produce
+(parallel decode); all of them decode into columnar structure-of-arrays
+event batches.  The analysis subcommands (``info``, ``list``, ``kmon``,
+``locks``, ``profile``, ``breakdown``, ``sched``) also all accept a
+packed store directory (``repro-trace pack``) in place of a raw trace — auto-detected, or forced with ``--store`` — and produce
 byte-identical output from it; ``query`` reads only the shards whose
 min/max statistics overlap the predicate.  ``bench`` runs the unified benchmark harness
 (``repro.perf``) over ``benchmarks/bench_*.py``, writes a consolidated
@@ -62,81 +60,47 @@ import argparse
 import sys
 from typing import List, Optional
 
-from repro.core.parallel import ParallelTraceReader
+from repro.core.parallel import decode_records_columnar_parallel
 from repro.core.registry import default_registry
-from repro.core.stream import TraceReader
 from repro.core.writer import load_records
 from repro.store.query import PROJECTABLE
 from repro.store.writer import DEFAULT_SHARD_EVENTS
 
 
-def _decode(records, include_fillers: bool = False, workers: int = 1,
-            strict: bool = False, columnar: bool = False):
-    """Decode records sequentially or on a worker pool (``--workers``).
+def _decode(records, workers: int = 1, strict: bool = False):
+    """Decode records into a :class:`~repro.core.columnar.ColumnarTrace`.
 
-    ``workers=1`` is the plain in-process reader; ``workers=0`` means
-    "one per CPU"; anything else fans the boundary-sharded scan out over
-    that many processes.  Output is identical either way.  ``strict``
-    stops at the first garbled event per buffer instead of
-    resynchronizing past damage (``--strict``).  ``columnar`` returns a
-    :class:`~repro.core.columnar.ColumnarTrace` (structure-of-arrays
-    event batches) instead of a scalar :class:`Trace`; the event stream
-    and anomalies are identical.
+    ``workers=1`` decodes in-process; ``workers=0`` means "one per
+    CPU"; anything else fans the boundary-sharded scan out over that
+    many processes (``--workers``).  Output is identical either way.
+    ``strict`` stops at the first garbled event per buffer instead of
+    resynchronizing past damage (``--strict``).
     """
-    if columnar:
-        from repro.core.columnar import ColumnarTraceReader
-        from repro.core.parallel import decode_records_columnar_parallel
-
-        if workers != 1:
-            return decode_records_columnar_parallel(
-                records,
-                registry=default_registry(),
-                include_fillers=include_fillers,
-                workers=None if workers == 0 else workers,
-                strict=strict,
-            )
-        return ColumnarTraceReader(
-            registry=default_registry(),
-            include_fillers=include_fillers,
-            strict=strict,
-        ).decode_records(records)
-    if workers != 1:
-        reader = ParallelTraceReader(
-            registry=default_registry(),
-            include_fillers=include_fillers,
-            workers=None if workers == 0 else workers,
-            strict=strict,
-        )
-    else:
-        reader = TraceReader(registry=default_registry(),
-                             include_fillers=include_fillers,
-                             strict=strict)
-    return reader.decode_records(records)
+    return decode_records_columnar_parallel(
+        records,
+        registry=default_registry(),
+        workers=None if workers == 0 else workers,
+        strict=strict,
+    )
 
 
-def _load_trace(path: str, include_fillers: bool = False,
-                workers: int = 1, strict: bool = False,
-                columnar: bool = False, store: bool = False,
-                use_mmap: bool = True):
+def _load_trace(path: str, workers: int = 1, strict: bool = False,
+                store: bool = False):
     """Load a raw ``.k42`` trace — or a packed store directory.
 
     With ``store=True`` (``--store``), or when ``path`` is a store
     directory, the decoded columns come straight from the store's npz
     shards: no word-stream decode happens, and the resulting trace is
-    bit-identical to one.  ``columnar=False`` materializes the scalar
-    ``Trace`` view on top, so even ``--no-columnar`` tool runs work
-    from a store.
+    bit-identical to one.
     """
     from repro.store import is_store
 
     if store or is_store(path):
         from repro.store import TraceStore
 
-        trace = TraceStore(path, registry=default_registry(),
-                           workers=None if workers == 0 else workers).trace()
-        return trace if columnar else trace.to_trace()
-    return _decode(load_records(path, strict=strict, use_mmap=use_mmap),
-                   include_fillers, workers, strict, columnar)
+        return TraceStore(path, registry=default_registry(),
+                          workers=None if workers == 0 else workers).trace()
+    return _decode(load_records(path, strict=strict), workers, strict)
 
 
 def _load_symbols(path: Optional[str]):
@@ -148,72 +112,51 @@ def _load_symbols(path: Optional[str]):
 
 
 def cmd_info(args) -> int:
+    import numpy as np
+
     from repro.store import is_store
 
     if args.store or is_store(args.trace):
         from repro.store import TraceStore
 
         st = TraceStore(args.trace, registry=default_registry())
-        trace = st.trace() if args.columnar else st.trace().to_trace()
+        trace = st.trace()
         frames = st.source.get("frames", 0)
         buffer_words = st.source.get("buffer_words", 0)
     else:
-        records = load_records(args.trace, use_mmap=args.mmap)
-        trace = _decode(records, workers=args.workers, strict=args.strict,
-                        columnar=args.columnar)
+        records = load_records(args.trace)
+        trace = _decode(records, workers=args.workers, strict=args.strict)
         frames = len(records)
         buffer_words = len(records[0].words) if records else 0
     print(f"trace file: {args.trace}")
     print(f"frames: {frames}  buffer words: {buffer_words}")
-    if args.columnar:
-        import numpy as np
-
-        from repro.core.columnar import ColumnarTrace, as_batch
-
-        b = as_batch(trace)
-        cpus = (trace.cpus if isinstance(trace, ColumnarTrace)
-                else sorted(trace.events_by_cpu))
-        print(f"cpus: {cpus}")
-        print(f"events: {len(b)}  anomalies: {len(trace.anomalies)}")
-        t_idx = np.flatnonzero(b.timed)
-        if len(t_idx):
-            tvals = b.time[t_idx]
-            if tvals.dtype == object:
-                tl = tvals.tolist()
-                t_min, t_max = min(tl), max(tl)
-            else:
-                t_min, t_max = int(tvals.min()), int(tvals.max())
-            span = (t_max - t_min) / 1e9
-            print(f"time span: {span:.6f} s "
-                  f"({t_min:,} .. {t_max:,} cycles)")
-        maj, first, cnt = np.unique(b.major, return_index=True,
-                                    return_counts=True)
-        # Match Counter.most_common(): count desc, first-seen on ties.
-        for i in sorted(range(len(maj)), key=lambda i: (-cnt[i], first[i])):
-            print(f"  major {int(maj[i]):>2}: {int(cnt[i]):>8} events")
-        return 0
-    from collections import Counter
-
-    events = trace.all_events()
-    cpus = sorted(trace.events_by_cpu)
-    times = [e.time for e in events if e.time is not None]
-    print(f"cpus: {cpus}")
-    print(f"events: {len(events)}  anomalies: {len(trace.anomalies)}")
-    if times:
-        span = (max(times) - min(times)) / 1e9
+    b = trace.batch()
+    print(f"cpus: {trace.cpus}")
+    print(f"events: {len(b)}  anomalies: {len(trace.anomalies)}")
+    t_idx = np.flatnonzero(b.timed)
+    if len(t_idx):
+        tvals = b.time[t_idx]
+        if tvals.dtype == object:
+            tl = tvals.tolist()
+            t_min, t_max = min(tl), max(tl)
+        else:
+            t_min, t_max = int(tvals.min()), int(tvals.max())
+        span = (t_max - t_min) / 1e9
         print(f"time span: {span:.6f} s "
-              f"({min(times):,} .. {max(times):,} cycles)")
-    majors = Counter(e.major for e in events)
-    for major, count in majors.most_common():
-        print(f"  major {major:>2}: {count:>8} events")
+              f"({t_min:,} .. {t_max:,} cycles)")
+    maj, first, cnt = np.unique(b.major, return_index=True,
+                                return_counts=True)
+    # Most frequent major first; first-seen breaks ties.
+    for i in sorted(range(len(maj)), key=lambda i: (-cnt[i], first[i])):
+        print(f"  major {int(maj[i]):>2}: {int(cnt[i]):>8} events")
     return 0
 
 
 def cmd_verify(args) -> int:
     from repro.tools.anomaly import verify_trace
 
-    report = verify_trace(_load_trace(args.trace, workers=args.workers, strict=args.strict,
-                        use_mmap=args.mmap))
+    report = verify_trace(_load_trace(args.trace, workers=args.workers,
+                                      strict=args.strict))
     print(report.describe())
     return 0 if report.ok else 1
 
@@ -223,15 +166,14 @@ def cmd_list(args) -> int:
 
     text = format_listing(
         _load_trace(args.trace, workers=args.workers, strict=args.strict,
-                    columnar=args.columnar, store=args.store,
-                    use_mmap=args.mmap),
+                    store=args.store),
         names=args.name or None,
         cpu=args.cpu,
         start=args.start,
         end=args.end,
         limit=args.limit,
         include_control=args.control,
-        columnar=args.columnar,
+        columnar=True,
     )
     print(text)
     return 0
@@ -246,15 +188,13 @@ def cmd_kmon(args) -> int:
         sym = _load_symbols(args.symbols)
         session = KmonSession(
             _load_trace(args.trace, workers=args.workers,
-                        strict=args.strict, columnar=args.columnar,
-                        store=args.store, use_mmap=args.mmap),
+                        strict=args.strict, store=args.store),
             sym.process_names)
         session.run(sys.stdin, sys.stdout)
         return 0
     tl = Timeline(_load_trace(args.trace, workers=args.workers,
-                              strict=args.strict, columnar=args.columnar,
-                              store=args.store, use_mmap=args.mmap),
-                  columnar=args.columnar)
+                              strict=args.strict, store=args.store),
+                  columnar=True)
     if args.mark:
         tl.mark(*args.mark)
     if args.zoom:
@@ -272,10 +212,9 @@ def cmd_locks(args) -> int:
 
     sym = _load_symbols(args.symbols)
     trace = _load_trace(args.trace, workers=args.workers, strict=args.strict,
-                        columnar=args.columnar, store=args.store,
-                        use_mmap=args.mmap)
+                        store=args.store)
     stats = lock_statistics(trace, sort_by=args.sort,
-                            columnar=args.columnar)
+                            columnar=True)
     print(format_lockstats(stats, sym.lock_names, sym.chains,
                            top=args.top, sort_label=args.sort))
     return 0
@@ -286,10 +225,9 @@ def cmd_profile(args) -> int:
 
     sym = _load_symbols(args.symbols)
     trace = _load_trace(args.trace, workers=args.workers, strict=args.strict,
-                        columnar=args.columnar, store=args.store,
-                        use_mmap=args.mmap)
+                        store=args.store)
     hist = pc_profile(trace, sym.pc_names, pid=args.pid,
-                      columnar=args.columnar)
+                      columnar=True)
     print(format_profile(hist, pid=args.pid, top=args.top))
     return 0
 
@@ -301,11 +239,10 @@ def cmd_breakdown(args) -> int:
     sym = _load_symbols(args.symbols)
     bds = process_breakdown(
         _load_trace(args.trace, workers=args.workers, strict=args.strict,
-                    columnar=args.columnar, store=args.store,
-                    use_mmap=args.mmap),
+                    store=args.store),
         sym.syscall_names, sym.process_names,
         FS_FUNCTION_NAMES,
-        columnar=args.columnar,
+        columnar=True,
     )
     pids = [args.pid] if args.pid is not None else sorted(bds)
     for pid in pids:
@@ -320,8 +257,7 @@ def cmd_breakdown(args) -> int:
 def cmd_histogram(args) -> int:
     from repro.tools.pathstats import event_histogram
 
-    trace = _load_trace(args.trace, workers=args.workers, strict=args.strict,
-                        use_mmap=args.mmap)
+    trace = _load_trace(args.trace, workers=args.workers, strict=args.strict)
     for count, name in event_histogram(trace)[: args.top]:
         print(f"{count:>8} {name}")
     return 0
@@ -331,8 +267,7 @@ def cmd_memprofile(args) -> int:
     from repro.tools.memprofile import format_memory_report, memory_profile
 
     sym = _load_symbols(args.symbols)
-    trace = _load_trace(args.trace, workers=args.workers, strict=args.strict,
-                        use_mmap=args.mmap)
+    trace = _load_trace(args.trace, workers=args.workers, strict=args.strict)
     report = memory_profile(trace, sym.process_names)
     print(format_memory_report(report, top=args.top))
     return 0
@@ -342,8 +277,8 @@ def cmd_holds(args) -> int:
     from repro.tools.holdtimes import format_hold_report, hold_times
 
     sym = _load_symbols(args.symbols)
-    report = hold_times(_load_trace(args.trace, workers=args.workers, strict=args.strict,
-                        use_mmap=args.mmap))
+    report = hold_times(_load_trace(args.trace, workers=args.workers,
+                                    strict=args.strict))
     print(format_hold_report(report, sym.lock_names, top=args.top))
     return 0
 
@@ -354,9 +289,8 @@ def cmd_sched(args) -> int:
     sym = _load_symbols(args.symbols)
     report = sched_statistics(
         _load_trace(args.trace, workers=args.workers, strict=args.strict,
-                    columnar=args.columnar, store=args.store,
-                    use_mmap=args.mmap),
-        columnar=args.columnar)
+                    store=args.store),
+        columnar=True)
     print(format_sched_report(report, sym.process_names, top=args.top))
     return 0
 
@@ -447,10 +381,8 @@ def cmd_compare(args) -> int:
 
     sym = _load_symbols(args.symbols)
     comparison = compare_traces(
-        _load_trace(args.before, workers=args.workers, strict=args.strict,
-                    use_mmap=args.mmap),
-        _load_trace(args.after, workers=args.workers, strict=args.strict,
-                    use_mmap=args.mmap),
+        _load_trace(args.before, workers=args.workers, strict=args.strict),
+        _load_trace(args.after, workers=args.workers, strict=args.strict),
         sym.pc_names,
     )
     print(format_comparison(comparison, sym.lock_names, top=args.top))
@@ -460,8 +392,7 @@ def cmd_compare(args) -> int:
 def cmd_iostats(args) -> int:
     from repro.tools.iostats import format_io_report, io_statistics
 
-    trace = _load_trace(args.trace, workers=args.workers, strict=args.strict,
-                        use_mmap=args.mmap)
+    trace = _load_trace(args.trace, workers=args.workers, strict=args.strict)
     print(format_io_report(io_statistics(trace), top=args.top))
     return 0
 
@@ -491,8 +422,7 @@ def cmd_doctor(args) -> int:
     from repro.tools.anomaly import verify_trace
 
     with open(args.trace, "rb") as fh:
-        reader = TraceFileReader(fh, strict=args.strict,
-                                 use_mmap=args.mmap)
+        reader = TraceFileReader(fh, strict=args.strict)
         records = reader.read_all()
     print(f"trace file: {args.trace}")
     print("read path: " + ("mmap (zero-copy)" if reader.read_path == "mmap"
@@ -562,10 +492,8 @@ def cmd_pack(args) -> int:
 
     from repro.store.writer import pack_trace
 
-    records = load_records(args.trace, strict=args.strict,
-                           use_mmap=args.mmap)
-    trace = _decode(records, workers=args.workers, strict=args.strict,
-                    columnar=True)
+    records = load_records(args.trace, strict=args.strict)
+    trace = _decode(records, workers=args.workers, strict=args.strict)
     try:
         res = pack_trace(
             trace, args.output,
@@ -716,20 +644,15 @@ def cmd_fleet_run(args) -> int:
     """Launch K node workloads end to end and merge their traces."""
     from repro.fleet.launch import fleet_run
 
-    try:
-        result = fleet_run(
-            args.out_dir,
-            nodes=args.nodes,
-            backend=args.backend,
-            start_method=args.start_method,
-            seed=args.seed,
-            ncpus=args.ncpus,
-            workers_per_cpu=args.workers_per_cpu,
-            iterations=args.iterations,
-        )
-    except NotImplementedError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
+    result = fleet_run(
+        args.out_dir,
+        nodes=args.nodes,
+        start_method=args.start_method,
+        seed=args.seed,
+        ncpus=args.ncpus,
+        workers_per_cpu=args.workers_per_cpu,
+        iterations=args.iterations,
+    )
     for nr in result.node_results:
         print(f"node {nr.node}: {nr.trace_path}")
     _print_fleet_summary(result.view)
@@ -1009,8 +932,7 @@ def cmd_shm_demo(args) -> int:
 def cmd_export_ltt(args) -> int:
     from repro.ltt.export import export_ltt
 
-    trace = _load_trace(args.trace, workers=args.workers, strict=args.strict,
-                        use_mmap=args.mmap)
+    trace = _load_trace(args.trace, workers=args.workers, strict=args.strict)
     with open(args.output, "wb") as fh:
         written = export_ltt(trace, cpu=args.cpu, fh=fh)
     print(f"{written} events exported to {args.output} (cpu {args.cpu})")
@@ -1024,7 +946,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, columnar=False, **kw):
+    def add(name, fn, store=False, **kw):
         sp = sub.add_parser(name, **kw)
         sp.set_defaults(fn=fn)
         sp.add_argument(
@@ -1037,20 +959,7 @@ def build_parser() -> argparse.ArgumentParser:
             help="stop at the first damage (garbled event, bad frame) "
                  "instead of resynchronizing past it",
         )
-        sp.add_argument(
-            "--mmap", action=argparse.BooleanOptionalAction, default=True,
-            help="read the trace via mmap page-cache views (zero-copy; "
-                 "default); --no-mmap forces buffered reads — output is "
-                 "identical",
-        )
-        if columnar:
-            sp.add_argument(
-                "--columnar", action=argparse.BooleanOptionalAction,
-                default=True,
-                help="analyze via structure-of-arrays event batches "
-                     "(default); --no-columnar forces the scalar "
-                     "per-event path — output is identical",
-            )
+        if store:
             sp.add_argument(
                 "--store", action="store_true",
                 help="treat TRACE as a packed store directory "
@@ -1059,13 +968,13 @@ def build_parser() -> argparse.ArgumentParser:
             )
         return sp
 
-    sp = add("info", cmd_info, columnar=True, help="trace file summary")
+    sp = add("info", cmd_info, store=True, help="trace file summary")
     sp.add_argument("trace")
 
     sp = add("verify", cmd_verify, help="check trace integrity (§3.1)")
     sp.add_argument("trace")
 
-    sp = add("list", cmd_list, columnar=True,
+    sp = add("list", cmd_list, store=True,
              help="event listing (Figure 5)")
     sp.add_argument("trace")
     sp.add_argument("--name", action="append")
@@ -1076,7 +985,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--control", action="store_true",
                     help="include infrastructure events")
 
-    sp = add("kmon", cmd_kmon, columnar=True,
+    sp = add("kmon", cmd_kmon, store=True,
              help="timeline view (Figure 4)")
     sp.add_argument("trace")
     sp.add_argument("--width", type=int, default=96)
@@ -1088,7 +997,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="command-driven session (zoom/mark/click/...)")
     sp.add_argument("--symbols")
 
-    sp = add("locks", cmd_locks, columnar=True,
+    sp = add("locks", cmd_locks, store=True,
              help="lock contention (Figure 7)")
     sp.add_argument("trace")
     sp.add_argument("--symbols")
@@ -1096,14 +1005,14 @@ def build_parser() -> argparse.ArgumentParser:
                     choices=["time", "count", "spin", "max"])
     sp.add_argument("--top", type=int, default=10)
 
-    sp = add("profile", cmd_profile, columnar=True,
+    sp = add("profile", cmd_profile, store=True,
              help="PC-sample histogram (Figure 6)")
     sp.add_argument("trace")
     sp.add_argument("--symbols")
     sp.add_argument("--pid", type=int)
     sp.add_argument("--top", type=int, default=20)
 
-    sp = add("breakdown", cmd_breakdown, columnar=True,
+    sp = add("breakdown", cmd_breakdown, store=True,
              help="per-process syscall/IPC breakdown (Figure 8)")
     sp.add_argument("trace")
     sp.add_argument("--symbols")
@@ -1126,7 +1035,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--symbols")
     sp.add_argument("--top", type=int, default=10)
 
-    sp = add("sched", cmd_sched, columnar=True,
+    sp = add("sched", cmd_sched, store=True,
              help="scheduler stats + CPU time by process (§4.5)")
     sp.add_argument("trace")
     sp.add_argument("--symbols")
@@ -1227,7 +1136,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser(
         "fleet-run",
-        help="launch K node workloads (pluggable backend), then merge "
+        help="launch K node workloads as local processes, then merge "
              "their per-node traces into one fleet view")
     sp.set_defaults(fn=cmd_fleet_run)
     sp.add_argument("-o", "--out-dir", required=True, dest="out_dir",
@@ -1235,14 +1144,10 @@ def build_parser() -> argparse.ArgumentParser:
                          "sidecars")
     sp.add_argument("--nodes", type=int, default=2, metavar="K",
                     help="node count (default 2)")
-    sp.add_argument("--backend", default="local",
-                    choices=("local", "docker", "mpi"),
-                    help="launch substrate; docker/mpi are declared "
-                         "slots, only local is implemented")
     sp.add_argument("--start-method", choices=("fork", "spawn"),
                     default=None, dest="start_method",
-                    help="local backend: multiprocessing start method "
-                         "(default: platform default)")
+                    help="multiprocessing start method of the node "
+                         "processes (default: platform default)")
     sp.add_argument("--seed", type=int, default=2003,
                     help="master seed; per-node workload seeds and "
                          "clock offsets/rates derive from it")

@@ -44,9 +44,7 @@ from repro.core.packing import (
     unpack_values,
 )
 from repro.core.parallel import (
-    ParallelTraceReader,
     decode_records_columnar_parallel,
-    decode_records_parallel,
     shard_records,
 )
 from repro.core.registry import EventRegistry, EventSpec, default_registry
@@ -91,7 +89,6 @@ __all__ = [
     "Anomaly", "Trace", "TraceEvent", "TraceReader",
     "EventBatch", "ColumnarTrace", "ColumnarTraceReader",
     "decode_records_columnar", "as_batch",
-    "ParallelTraceReader", "decode_records_parallel",
     "decode_records_columnar_parallel", "shard_records",
     "decode_from_offset", "flat_records", "sdelta32", "seek_boundary",
     "ClockSource", "WallClock", "ExpensiveWallClock", "ManualClock",

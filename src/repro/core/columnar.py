@@ -18,15 +18,16 @@ width)`` positions, so a fixed-layout group like ``"64 64"`` decodes
 with one gather and shift/mask per field instead of N
 :func:`~repro.core.packing.unpack_values` calls.
 
-Equivalence contract: the columnar path is bit-identical to the scalar
-reference reader on clean *and* corrupted input.  Scan decisions
-(accept/garble/resync) are shared — the assembler consumes the very
-:class:`~repro.core.stream.BufferScan` objects the batched reader
-produces — and garble/committed/anchor verdicts surface in the same
-order as per-batch anomaly columns.  ``ColumnarTrace`` also offers the
-full ``Trace`` reading surface (``all_events``, ``events_by_cpu``,
-``filter``) by materializing lazily, so unported consumers keep
-working unchanged.
+This is the one decoder: every reader — sequential, parallel, live,
+and the event-object :class:`~repro.core.stream.TraceReader` view —
+folds :class:`~repro.core.stream.BufferScan` objects through
+:class:`ColumnarAssembler`.  Equivalence contract: the output is
+bit-identical to the reference walk (:mod:`repro.check.oracle`) on
+clean *and* corrupted input, with garble/committed/anchor verdicts
+surfacing in the same order as per-batch anomaly columns.
+``ColumnarTrace`` also offers the full ``Trace`` reading surface
+(``all_events``, ``events_by_cpu``, ``filter``) by materializing
+lazily, so unported consumers keep working unchanged.
 """
 
 from __future__ import annotations
@@ -77,6 +78,29 @@ def _int_column(values: Sequence[int]) -> np.ndarray:
         return np.array(values, dtype=np.int64)
     except OverflowError:
         return np.array(values, dtype=object)
+
+
+def _compact_payloads(
+    words: np.ndarray, base: np.ndarray, dlen: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Gather just the payload words the given rows reference.
+
+    Returns ``(pool, starts)``: row ``j``'s data is
+    ``pool[starts[j] : starts[j] + dlen[j]]`` — one fancy-index gather
+    for all rows instead of a slice per row.
+    """
+    n = len(dlen)
+    starts = np.zeros(n, dtype=np.int64)
+    if n:
+        np.cumsum(dlen[:-1], out=starts[1:])
+    total = int(dlen.sum()) if n else 0
+    if total and len(words):
+        src = (np.repeat(base + 1, dlen)
+               + np.arange(total, dtype=np.int64)
+               - np.repeat(starts, dlen))
+        np.clip(src, 0, len(words) - 1, out=src)
+        return words[src], starts
+    return np.zeros(total, dtype=np.uint64), starts
 
 
 class EventBatch:
@@ -271,20 +295,8 @@ class EventBatch:
         stays numeric, so the dict round-trips through ``np.savez``
         with ``allow_pickle=False``.
         """
-        n = len(self)
         dlen = self.dlen
-        starts = np.zeros(n, dtype=np.int64)
-        if n:
-            np.cumsum(dlen[:-1], out=starts[1:])
-        total = int(dlen.sum()) if n else 0
-        if total and len(self.words):
-            src = (np.repeat(self.base + 1, dlen)
-                   + np.arange(total, dtype=np.int64)
-                   - np.repeat(starts, dlen))
-            np.clip(src, 0, len(self.words) - 1, out=src)
-            pool = self.words[src]
-        else:
-            pool = np.zeros(total, dtype=np.uint64)
+        pool, starts = _compact_payloads(self.words, self.base, dlen)
         out: Dict[str, np.ndarray] = {
             "words": pool,
             "base": starts - 1,
@@ -574,40 +586,28 @@ class EventBatch:
         the same rows: Python-int data lists, ``None`` time where no
         timestamp was reconstructed, specs resolved from the registry.
         """
-        if sel is None:
-            idx = np.arange(len(self), dtype=np.int64)
-        else:
-            idx = np.asarray(sel)
-            if idx.dtype == np.bool_:
-                idx = np.flatnonzero(idx)
-        n = len(idx)
-        if n == 0:
+        b = self if sel is None else self.select(sel)
+        if len(b) == 0:
             return []
-        wl = self.words
-        cpu_l = self.cpu[idx].tolist()
-        seq_l = self.seq[idx].tolist()
-        off_l = self.offset[idx].tolist()
-        ts_l = self.ts32[idx].tolist()
-        maj_l = self.major[idx].tolist()
-        min_l = self.minor[idx].tolist()
-        dlen_l = self.dlen[idx].tolist()
-        base_l = self.base[idx].tolist()
-        time_l = self.time[idx].tolist()
-        timed_l = self.timed[idx].tolist()
-        out: List[TraceEvent] = []
-        append = out.append
-        spec_for = self.spec_for
-        for j in range(n):
-            b = base_l[j]
-            dl = dlen_l[j]
-            data = wl[b + 1 : b + 1 + dl].tolist() if dl else []
-            append(TraceEvent(
-                cpu_l[j], seq_l[j], off_l[j], ts_l[j],
-                maj_l[j], min_l[j], data,
-                time_l[j] if timed_l[j] else None,
-                spec_for(maj_l[j], min_l[j]),
-            ))
-        return out
+        # Column-wise: one tolist() per column and one gather for all
+        # payloads, so the per-event work is a list slice and a
+        # constructor call.
+        dlen = b.dlen
+        pool, starts = _compact_payloads(b.words, b.base, dlen)
+        pl = pool.tolist()
+        data = [pl[s:s + d] for s, d in zip(starts.tolist(), dlen.tolist())]
+        times = b.time.tolist()
+        if not b.timed.all():
+            times = [t if f else None
+                     for t, f in zip(times, b.timed.tolist())]
+        keys = b.keys().tolist()
+        spec_of = {k: b.spec_for(k >> 16, k & 0xFFFF) for k in set(keys)}
+        return list(map(
+            TraceEvent,
+            b.cpu.tolist(), b.seq.tolist(), b.offset.tolist(),
+            b.ts32.tolist(), b.major.tolist(), b.minor.tolist(),
+            data, times, map(spec_of.__getitem__, keys),
+        ))
 
 
 class AnomalyColumns:
@@ -649,35 +649,37 @@ class AnomalyColumns:
 
 
 class _CpuAccumulator:
-    """Per-CPU column chunks while a trace is being assembled."""
+    """One CPU's accepted buffers while a trace is being assembled.
 
-    __slots__ = ("words", "base", "offset", "seq", "ts32", "major", "minor",
-                 "length", "dlen", "time_vals", "timed", "word_total", "n")
+    Only what the walk decided is kept per buffer — the word array, the
+    accepted header offsets and a few scalars; ``finish`` unpacks the
+    header fields of all of a CPU's events at once.
+    """
+
+    __slots__ = ("words", "offsets", "counts", "seqs", "shifts", "timed",
+                 "time_vals", "word_total")
 
     def __init__(self) -> None:
         self.words: List[np.ndarray] = []
-        self.base: List[np.ndarray] = []
-        self.offset: List[np.ndarray] = []
-        self.seq: List[np.ndarray] = []
-        self.ts32: List[np.ndarray] = []
-        self.major: List[np.ndarray] = []
-        self.minor: List[np.ndarray] = []
-        self.length: List[np.ndarray] = []
-        self.dlen: List[np.ndarray] = []
-        self.time_vals: List[int] = []
+        self.offsets: List[np.ndarray] = []
+        #: Per buffer: event count, sequence number, position of its
+        #: first word in the concatenated pool, whether times exist.
+        self.counts: List[int] = []
+        self.seqs: List[int] = []
+        self.shifts: List[int] = []
         self.timed: List[bool] = []
+        self.time_vals: List[int] = []
         self.word_total = 0
-        self.n = 0
 
 
 class ColumnarAssembler:
     """Accumulates per-buffer scans into per-CPU event columns.
 
-    The columnar analogue of ``TraceReader.assemble_scan``: same
-    timestamp stitching (carried ``(last_full, last_ts32)`` state per
-    CPU), same filler filtering, same anomaly order — but the output is
-    columns, never ``TraceEvent`` objects.  Buffers must be added in
-    (cpu, seq) order, the order the sequential reader visits them.
+    Timestamps are stitched across buffers through a carried
+    ``(last_full, last_ts32)`` state per CPU, fillers are filtered and
+    anomalies reported per buffer; the output is columns, never
+    ``TraceEvent`` objects.  Buffers must be added in (cpu, seq) order,
+    the order the sequential reader visits them.
     """
 
     def __init__(
@@ -711,11 +713,20 @@ class ColumnarAssembler:
         acc = self._acc.get(cpu)
         if acc is None:
             acc = self._acc[cpu] = _CpuAccumulator()
+        if not 0 <= rec.seq < 1 << 63:
+            # Only a damaged frame/dump header yields such a sequence
+            # number; it cannot be ordered (or held in the int64 ``seq``
+            # column), so the buffer is distrusted whole.
+            self.anomaly_columns.append(
+                cpu, rec.seq, 0, "garbled",
+                f"implausible buffer sequence number {rec.seq}; "
+                f"buffer skipped")
+            return
         last_full, last_ts32 = self._state.get(cpu, (None, None))
         if times is None:
             anchors = find_anchors(scan)
-            times = unwrap_times(scan.event_ts32(), None, None,
-                                 last_full, last_ts32, anchors=anchors)
+            times = unwrap_times(scan.event_ts32(), last_full, last_ts32,
+                                 anchors)
             anchored = bool(anchors)
 
         cols = scan.cols
@@ -724,52 +735,18 @@ class ColumnarAssembler:
             arr = cols.arr
             if arr is None:
                 arr = np.asarray(cols.words, dtype=np.uint64)
-            offs = np.asarray(scan.offsets, dtype=np.int64)
-            hdr = arr[offs]
-            ts32 = (hdr >> np.uint64(TIMESTAMP_SHIFT)).astype(np.int64)
-            length = ((hdr >> np.uint64(LENGTH_SHIFT))
-                      & np.uint64(LENGTH_MASK)).astype(np.int64)
-            major = ((hdr >> np.uint64(MAJOR_SHIFT))
-                     & np.uint64(MAJOR_MASK)).astype(np.int64)
-            minor = (hdr & np.uint64(MINOR_MASK)).astype(np.int64)
-            dlen = length - 1
-            is_ctrl = major == _CTRL
-            f_plain = is_ctrl & (minor == _FILLER)
-            f_ext = is_ctrl & (minor == _FILLER_EXT)
-            # Plain fillers carry no data; a real extended filler
-            # (header length 0) carries exactly its span word.
-            dlen[f_plain] = 0
-            dlen[f_ext & (length == 0)] = 1
-            timed = times is not None
-            tv: List[int] = times if timed else [0] * n  # type: ignore[assignment]
-            if not self.include_fillers:
-                keep = ~(f_plain | f_ext)
-                if not keep.all():
-                    offs = offs[keep]
-                    ts32 = ts32[keep]
-                    length = length[keep]
-                    major = major[keep]
-                    minor = minor[keep]
-                    dlen = dlen[keep]
-                    tv = [t for t, k in zip(tv, keep.tolist()) if k]
-            kept = len(offs)
-            if kept:
-                acc.words.append(arr)
-                acc.base.append(acc.word_total + offs)
-                acc.offset.append(offs)
-                acc.seq.append(np.full(kept, rec.seq, dtype=np.int64))
-                acc.ts32.append(ts32)
-                acc.major.append(major)
-                acc.minor.append(minor)
-                acc.length.append(length)
-                acc.dlen.append(dlen)
-                acc.time_vals.extend(tv)
-                acc.timed.extend([timed] * kept)
-                acc.word_total += len(arr)
-                acc.n += kept
+            acc.words.append(arr)
+            acc.offsets.append(np.asarray(scan.offsets, dtype=np.int64))
+            acc.counts.append(n)
+            acc.seqs.append(rec.seq)
+            acc.shifts.append(acc.word_total)
+            acc.timed.append(times is not None)
+            acc.time_vals.extend(times if times is not None else [0] * n)
+            acc.word_total += len(arr)
 
-        # Anomalies, in exactly the scalar per-buffer order:
-        # garbles/recoveries, committed mismatch, missing anchor.
+        # Anomalies, in exactly the reference decoder's per-buffer
+        # order: garbles/recoveries, committed mismatch (the §3.1
+        # ``traceCommit`` consistency check), missing anchor.
         an = self.anomaly_columns
         for (off, detail), resume in zip(scan.garbles, scan.resumes):
             an.append(cpu, rec.seq, off, "garbled", detail)
@@ -806,30 +783,58 @@ class ColumnarAssembler:
         return chunk
 
     def finish(self) -> "ColumnarTrace":
-        """Concatenate the per-CPU chunks into final batches."""
-        batches: Dict[int, EventBatch] = {}
-        for cpu in sorted(self._acc):
-            acc = self._acc[cpu]
-            if acc.n == 0:
-                batches[cpu] = EventBatch.empty(self.registry)
-                continue
-            n = acc.n
-            batches[cpu] = EventBatch(
-                words=np.concatenate(acc.words),
-                base=np.concatenate(acc.base),
-                cpu=np.full(n, cpu, dtype=np.int64),
-                seq=np.concatenate(acc.seq),
-                offset=np.concatenate(acc.offset),
-                ts32=np.concatenate(acc.ts32),
-                major=np.concatenate(acc.major),
-                minor=np.concatenate(acc.minor),
-                length=np.concatenate(acc.length),
-                dlen=np.concatenate(acc.dlen),
-                time=_int_column(acc.time_vals),
-                timed=np.array(acc.timed, dtype=bool),
-                registry=self.registry,
-            )
+        """Build each CPU's final batch from its accepted buffers."""
+        batches = {cpu: self._cpu_batch(cpu, self._acc[cpu])
+                   for cpu in sorted(self._acc)}
         return ColumnarTrace(batches, self.anomaly_columns, self.registry)
+
+    def _cpu_batch(self, cpu: int, acc: _CpuAccumulator) -> EventBatch:
+        """Unpack the header fields of all of one CPU's events at once."""
+        if not acc.counts:
+            return EventBatch.empty(self.registry)
+        counts = np.array(acc.counts, dtype=np.int64)
+
+        def per_event(per_buffer: List, dtype: type) -> np.ndarray:
+            return np.repeat(np.array(per_buffer, dtype=dtype), counts)
+
+        words = np.concatenate(acc.words)
+        offset = np.concatenate(acc.offsets)
+        base = offset + per_event(acc.shifts, np.int64)
+        hdr = words[base]
+        ts32 = (hdr >> np.uint64(TIMESTAMP_SHIFT)).astype(np.int64)
+        length = ((hdr >> np.uint64(LENGTH_SHIFT))
+                  & np.uint64(LENGTH_MASK)).astype(np.int64)
+        major = ((hdr >> np.uint64(MAJOR_SHIFT))
+                 & np.uint64(MAJOR_MASK)).astype(np.int64)
+        minor = (hdr & np.uint64(MINOR_MASK)).astype(np.int64)
+        dlen = length - 1
+        is_ctrl = major == _CTRL
+        f_plain = is_ctrl & (minor == _FILLER)
+        f_ext = is_ctrl & (minor == _FILLER_EXT)
+        # Plain fillers carry no data; a real extended filler
+        # (header length 0) carries exactly its span word.
+        dlen[f_plain] = 0
+        dlen[f_ext & (length == 0)] = 1
+        columns = [
+            base, offset, per_event(acc.seqs, np.int64), ts32, major, minor,
+            length, dlen, _int_column(acc.time_vals),
+            per_event(acc.timed, bool),
+        ]
+        if not self.include_fillers:
+            keep = ~(f_plain | f_ext)
+            if not keep.all():
+                columns = [c[keep] for c in columns]
+        base, offset, seq, ts32, major, minor, length, dlen, time, timed = \
+            columns
+        if not len(base):
+            return EventBatch.empty(self.registry)
+        return EventBatch(
+            words=words, base=base,
+            cpu=np.full(len(base), cpu, dtype=np.int64),
+            seq=seq, offset=offset, ts32=ts32, major=major, minor=minor,
+            length=length, dlen=dlen, time=time, timed=timed,
+            registry=self.registry,
+        )
 
 
 class ColumnarTrace:
@@ -1042,8 +1047,7 @@ def decode_records_columnar(
     check_committed: bool = True,
     strict: bool = False,
 ) -> ColumnarTrace:
-    """Sequential columnar decode; scan decisions and anomaly verdicts
-    identical to ``TraceReader(...).decode_records(records)``."""
+    """Sequential decode of buffer records (any CPUs, any order)."""
     by_cpu: Dict[int, List[BufferRecord]] = {}
     for rec in records:
         by_cpu.setdefault(rec.cpu, []).append(rec)
@@ -1059,12 +1063,11 @@ def decode_records_columnar(
 
 
 class ColumnarTraceReader:
-    """Columnar counterpart of :class:`~repro.core.stream.TraceReader`.
+    """Reader object over :func:`decode_records_columnar`.
 
-    Same constructor surface; ``decode_records`` returns a
-    :class:`ColumnarTrace` whose events, ordering, and anomaly verdicts
-    are bit-identical to the scalar reader's output (``to_trace()``
-    materializes the proof).
+    ``decode_records`` returns a :class:`ColumnarTrace`; its
+    ``to_trace()`` materializes the event-object view
+    :class:`~repro.core.stream.TraceReader` hands out.
     """
 
     def __init__(
@@ -1097,7 +1100,7 @@ class ColumnarTraceReader:
         """Load a ``.k42`` trace file and decode it columnar."""
         from repro.core.writer import load_records
 
-        return self.decode_records(load_records(path))
+        return self.decode_records(load_records(path, strict=self.strict))
 
 
 def as_batch(

@@ -61,7 +61,8 @@ from repro.core.constants import LENGTH_MASK
 from repro.core.crashdump import _IMG_HEADER, _SEC_HEADER, DUMP_MAGIC
 from repro.core.header import pack_header, unpack_header
 from repro.core.majors import Major
-from repro.core.stream import TraceReader, scan_buffer
+from repro.core.columnar import decode_records_columnar
+from repro.core.stream import scan_buffer
 from repro.core.writer import FRAME_MAGIC, TraceFileReader
 
 RECORD_KINDS = ("header-bitflip", "torn-event", "killed-writer")
@@ -202,7 +203,7 @@ class FaultInjector:
 
     @staticmethod
     def _anomaly_count(records: Sequence[BufferRecord]) -> int:
-        return len(TraceReader().decode_records(records).anomalies)
+        return len(decode_records_columnar(records).anomaly_columns)
 
     # --------------------------------------------------------------- file
     def inject_trace_bytes(

@@ -21,25 +21,20 @@ Pipeline
    per buffer is tiny: the accepted event offsets, the full times, and
    the garble verdict — every other event attribute is a pure function
    of the words, which the parent already holds.
-3. **Stitch + materialize** (parent): per-CPU shard results are
-   stitched back in sequence order through the same
-   :meth:`~repro.core.stream.TraceReader.assemble_scan` pipeline the
-   sequential batched reader uses.  A shard whose head buffers lack a
-   timestamp anchor could not be timestamped by its worker (the anchor
-   state lives in the *previous* shard); ``assemble_scan`` replays
-   exactly the sequential fallback for those buffers with the carried
-   state, so the output — events, times, anomalies, ordering — is
-   bit-identical to sequential decode.  Garble detection and
-   committed-count checks behave identically per shard because they
-   are per-buffer properties.
-
-The merged :class:`~repro.core.stream.Trace` then merges per-CPU
-streams into one time-ordered stream lazily via ``Trace.all_events``
-(a ``heapq``-based k-way merge), same as the sequential path.
+3. **Stitch** (parent): per-CPU shard results are folded, in sequence
+   order, into the same
+   :class:`~repro.core.columnar.ColumnarAssembler` the sequential
+   decoder uses.  A shard whose head buffers lack a timestamp anchor
+   could not be timestamped by its worker (the anchor state lives in
+   the *previous* shard); ``add_buffer`` replays exactly the sequential
+   fallback for those buffers with the carried state, so the output —
+   columns, times, anomalies, ordering — is bit-identical to sequential
+   decode.  Garble detection and committed-count checks behave
+   identically per shard because they are per-buffer properties.
 
 Worker processes are a real cost on small traces; ``workers<=1`` (or a
 trace with fewer buffers than workers) falls back to the in-process
-batched reader.  Shard scans run on the shared persistent pool
+sequential decoder.  Shard scans run on the shared persistent pool
 (:mod:`repro.core.pool` — fork-preferred, spawn where fork is
 unavailable), so repeated decodes pay pool startup once.  Payloads of
 records loaded from an mmap'd trace file never cross the pipe at all:
@@ -63,8 +58,6 @@ from repro.core.buffers import BufferRecord
 from repro.core.registry import EventRegistry
 from repro.core.stream import (
     BufferScan,
-    Trace,
-    TraceReader,
     buffer_columns,
     find_anchors,
     scan_buffer,
@@ -159,8 +152,7 @@ def _scan_shard(task: _ShardTask) -> Tuple[int, List[_ScanResult]]:
         scan = scan_buffer(words, fill_words, recover=recover)
         anchors = find_anchors(scan)
         ts32 = scan.event_ts32()
-        times = unwrap_times(ts32, None, None, last_full, last_ts32,
-                             anchors=anchors)
+        times = unwrap_times(ts32, last_full, last_ts32, anchors)
         if times:
             last_full, last_ts32 = times[-1], ts32[-1]
         out.append((seq, scan.offsets, times, bool(anchors),
@@ -188,9 +180,8 @@ def _sharded_scan(
 ]:
     """Shard ``records`` and scan the shards on the worker pool.
 
-    The shared fan-out stage of both parallel decoders (event-object and
-    columnar): shards are built in (cpu, seq) order and the per-buffer
-    scan results come back aligned with the shard list for stitching.
+    Shards are built in (cpu, seq) order and the per-buffer scan
+    results come back aligned with the shard list for stitching.
     Records loaded from an mmap'd trace file travel as ``(path, offset,
     nwords)`` descriptors — validated against the file's current
     size/mtime so a rewritten file degrades to byte shipping instead of
@@ -226,109 +217,6 @@ def _sharded_scan(
     return shards, _run_tasks(tasks, workers)
 
 
-def decode_records_parallel(
-    records: Iterable[BufferRecord],
-    registry: Optional[EventRegistry] = None,
-    include_fillers: bool = False,
-    check_committed: bool = True,
-    workers: Optional[int] = None,
-    shards_per_worker: int = 2,
-    strict: bool = False,
-) -> Trace:
-    """Decode buffer records on ``workers`` processes; bit-identical to
-    ``TraceReader(...).decode_records(records)``.
-
-    ``workers=None`` uses ``os.cpu_count()``; ``workers<=1`` (or a trace
-    too small to be worth sharding) decodes in-process on the batched
-    fast path.  ``shards_per_worker`` oversubscribes the pool slightly
-    so an unlucky shard full of dense buffers cannot straggle the run.
-    ``strict`` selects stop-at-first-garble decoding exactly as on
-    :class:`~repro.core.stream.TraceReader`.
-    """
-    records = list(records)
-    if workers is None:
-        workers = pool.pool_workers()
-    reader = TraceReader(
-        registry=registry,
-        include_fillers=include_fillers,
-        check_committed=check_committed,
-        strict=strict,
-    )
-    if workers <= 1 or len(records) <= workers:
-        return reader.decode_records(records)
-
-    shards, results = _sharded_scan(records, workers, strict,
-                                    shards_per_worker)
-
-    # Stitch: walk shards per CPU in sequence order, exactly the order
-    # (and with exactly the state) the sequential reader would have —
-    # shard_records yields shards in (cpu, seq) order, so events and
-    # anomalies are appended in the sequential reader's visit order.
-    trace = Trace()
-    state: Dict[int, Tuple[Optional[int], Optional[int]]] = {}
-    for (cpu, recs), (res_cpu, scans) in zip(shards, results):
-        assert cpu == res_cpu
-        events_out = trace.events_by_cpu.setdefault(cpu, [])
-        last_full, last_ts32 = state.get(cpu, (None, None))
-        for rec, (seq, offsets, times, anchored, garbles, resumes) in zip(
-                recs, scans):
-            assert rec.seq == seq
-            scan = BufferScan(
-                buffer_columns(rec.words, rec.fill_words), offsets,
-                garbles, resumes,
-            )
-            events, last_full, last_ts32 = reader.assemble_scan(
-                rec, scan, trace.anomalies, last_full, last_ts32,
-                times=times, anchored=anchored,
-            )
-            events_out.extend(events)
-        state[cpu] = (last_full, last_ts32)
-    return trace
-
-
-class ParallelTraceReader:
-    """Drop-in parallel counterpart of :class:`~repro.core.stream.TraceReader`.
-
-    Same constructor surface plus ``workers``; ``decode_records`` output
-    is guaranteed event-for-event identical to the sequential reader,
-    including anomaly reports for garbled buffers and committed-count
-    mismatches.
-    """
-
-    def __init__(
-        self,
-        registry: Optional[EventRegistry] = None,
-        include_fillers: bool = False,
-        check_committed: bool = True,
-        workers: Optional[int] = None,
-        shards_per_worker: int = 2,
-        strict: bool = False,
-    ) -> None:
-        self.registry = registry
-        self.include_fillers = include_fillers
-        self.check_committed = check_committed
-        self.workers = workers
-        self.shards_per_worker = shards_per_worker
-        self.strict = strict
-
-    def decode_records(self, records: Iterable[BufferRecord]) -> Trace:
-        return decode_records_parallel(
-            records,
-            registry=self.registry,
-            include_fillers=self.include_fillers,
-            check_committed=self.check_committed,
-            workers=self.workers,
-            shards_per_worker=self.shards_per_worker,
-            strict=self.strict,
-        )
-
-    def decode_file(self, path) -> Trace:
-        """Load a ``.k42`` trace file and decode it in parallel."""
-        from repro.core.writer import load_records
-
-        return self.decode_records(load_records(path))
-
-
 def decode_records_columnar_parallel(
     records: Iterable[BufferRecord],
     registry: Optional[EventRegistry] = None,
@@ -338,15 +226,21 @@ def decode_records_columnar_parallel(
     shards_per_worker: int = 2,
     strict: bool = False,
 ):
-    """Parallel decode straight into columns: the shard scans fan out
-    exactly as :func:`decode_records_parallel`, but the parent folds the
-    returned offsets/times into a
-    :class:`~repro.core.columnar.ColumnarTrace` — per-CPU shard columns
-    concatenate without ever materializing ``TraceEvent`` objects.
+    """Decode buffer records on ``workers`` processes, straight into
+    columns: the parent folds the offsets/times the shard scans return
+    into a :class:`~repro.core.columnar.ColumnarTrace` — per-CPU shard
+    columns concatenate without ever materializing ``TraceEvent``
+    objects (call ``.to_trace()`` on the result for those).
 
     Output is column-for-column identical to
-    ``ColumnarTraceReader(...).decode_records(records)`` (and therefore
-    bit-identical to the sequential scalar reader once materialized).
+    ``ColumnarTraceReader(...).decode_records(records)``.
+
+    ``workers=None`` uses ``os.cpu_count()``; ``workers<=1`` (or a trace
+    too small to be worth sharding) decodes in-process.
+    ``shards_per_worker`` oversubscribes the pool slightly so an unlucky
+    shard full of dense buffers cannot straggle the run.  ``strict``
+    selects stop-at-first-garble decoding exactly as on
+    :class:`~repro.core.columnar.ColumnarTraceReader`.
     """
     from repro.core.columnar import ColumnarAssembler, ColumnarTraceReader
 
@@ -370,6 +264,9 @@ def decode_records_columnar_parallel(
         include_fillers=include_fillers,
         check_committed=check_committed,
     )
+    # shard_records yields shards in (cpu, seq) order — the order the
+    # sequential decoder visits buffers — so folding them in turn
+    # reproduces its timestamp state and anomaly order exactly.
     for (cpu, recs), (res_cpu, scans) in zip(shards, results):
         assert cpu == res_cpu
         for rec, (seq, offsets, times, anchored, garbles, resumes) in zip(

@@ -14,25 +14,20 @@ This module implements:
   the rest of the buffer and resuming at the next alignment boundary;
 * reconstruction of full 64-bit timestamps from the 32-bit header field
   plus the per-buffer timestamp-anchor events;
-* checking of the per-buffer committed counts against buffer size (the
-  ``traceCommit`` anomaly detection);
 * merging per-CPU streams into one time-ordered stream;
 * flat-array random access (seek to an arbitrary word offset, snap to
   the preceding boundary, decode from there).
 
-Two decode implementations share this logic:
-
-* the **scalar** path walks word by word with Python integers — the
-  reference implementation, kept as ground truth;
-* the **batched** path (:func:`scan_buffer`) unpacks every header field
-  of a buffer in one set of numpy operations and walks precomputed
-  columns, with timestamp unwrapping vectorized as a cumulative sum of
-  exact 32-bit deltas.  It is bit-identical to the scalar path (the
-  test suite fuzzes both against each other) and is the default.
-
-:mod:`repro.core.parallel` builds on :func:`scan_buffer` to fan the
-scan out over worker processes — the §3.2 boundary guarantee is what
-makes each buffer independently parsable.
+One scan serves every consumer: :func:`scan_buffer` unpacks every
+header field of a buffer in one set of numpy operations and walks the
+precomputed columns, and :func:`unwrap_times` reconstructs timestamps as
+a cumulative sum of exact 32-bit deltas.
+:func:`repro.core.columnar.decode_records_columnar` folds those scans
+into columns and is *the* decoder; :class:`TraceReader` is its
+event-object view.  :mod:`repro.core.parallel` fans the same scan out
+over worker processes — the §3.2 boundary guarantee is what makes each
+buffer independently parsable.  The word-at-a-time reference walk the
+scan is checked against lives in :mod:`repro.check.oracle`.
 """
 
 from __future__ import annotations
@@ -53,12 +48,13 @@ from repro.core.constants import (
     MINOR_MASK,
     TIMESTAMP_SHIFT,
 )
-from repro.core.header import unpack_header
 from repro.core.majors import ControlMinor, Major
 from repro.core.registry import EventRegistry, EventSpec
 
 _U32 = 1 << 32
 _HALF32 = 1 << 31
+_CTRL = int(Major.CONTROL)
+_ANCHOR = int(ControlMinor.TIMESTAMP_ANCHOR)
 
 #: Minor IDs a CONTROL-class header may legitimately carry; anything else
 #: in the CONTROL major is junk and disqualifies a resync candidate.
@@ -98,9 +94,7 @@ def _plausible_header(fields, o: int, limit: int,
 
 def _is_anchor_header(major: int, minor: int, length: int) -> bool:
     """Whether a header is a usable full-width timestamp anchor."""
-    return (major == Major.CONTROL
-            and minor == ControlMinor.TIMESTAMP_ANCHOR
-            and length >= 2)
+    return major == _CTRL and minor == _ANCHOR and length >= 2
 
 
 def find_resync(fields, start: int, limit: int,
@@ -139,8 +133,8 @@ def find_resync(fields, start: int, limit: int,
 class BufferColumns:
     """Per-word header fields of one buffer, unpacked in one batch.
 
-    Four vectorized shift/mask operations plus ``tolist`` replace the
-    per-word Python arithmetic of the scalar walk.  Every list has
+    Four vectorized shift/mask operations plus ``tolist`` replace
+    per-word Python arithmetic.  Every list has
     ``limit`` entries (the words actually reserved); entries at non-header
     offsets are meaningless and simply never consulted.
     """
@@ -199,11 +193,6 @@ class BufferScan:
     def __len__(self) -> int:
         return len(self.offsets)
 
-    @property
-    def garble(self) -> Optional[Tuple[int, str]]:
-        """The first garble verdict, if any (compatibility accessor)."""
-        return self.garbles[0] if self.garbles else None
-
     def event_ts32(self) -> List[int]:
         """The accepted events' 32-bit timestamps, in stream order."""
         ts = self.cols.ts32
@@ -216,9 +205,9 @@ def scan_buffer(words: Union[np.ndarray, Sequence[int]],
                 recover: bool = False) -> BufferScan:
     """Batched buffer walk: unpack all header fields at once, then parse.
 
-    Semantically identical to the scalar walk in
-    :meth:`TraceReader.decode_buffer` — same validity checks, same
-    garble details, same recovery.  With ``recover=False`` parsing stops
+    Semantically identical to the reference walk in
+    :mod:`repro.check.oracle` — same validity checks, same garble
+    details, same recovery.  With ``recover=False`` parsing stops
     at the first bad header (the next alignment boundary is the next
     buffer); with ``recover=True`` each garble triggers a
     :func:`find_resync` rescan and parsing resumes at the next plausible
@@ -302,36 +291,25 @@ def find_anchors(scan: BufferScan) -> List[Tuple[int, int]]:
 
     An anchor must carry its full-width value as data (length >= 2) — a
     truncated anchor is useless, exactly the ``e.data`` guard of the
-    scalar path.  A buffer can legitimately hold several: the creator
+    reference walk.  A buffer can legitimately hold several: the creator
     anchors sequence 0, and every late-attaching writer logs a fresh
     anchor so its stream carries its own absolute base (§3.2).
     """
-    out: List[Tuple[int, int]] = []
     cols = scan.cols
-    for i, off in enumerate(scan.offsets):
-        if (
-            cols.major[off] == Major.CONTROL
-            and cols.minor[off] == ControlMinor.TIMESTAMP_ANCHOR
-            and cols.length[off] >= 2
-        ):
-            out.append((i, cols.words[off + 1]))
-    return out
-
-
-def find_anchor(scan: BufferScan) -> Tuple[Optional[int], Optional[int]]:
-    """The buffer's first anchor, or ``(None, None)`` — see
-    :func:`find_anchors`."""
-    anchors = find_anchors(scan)
-    return anchors[0] if anchors else (None, None)
+    major, minor, length, words = (cols.major, cols.minor, cols.length,
+                                   cols.words)
+    return [
+        (i, words[off + 1])
+        for i, off in enumerate(scan.offsets)
+        if major[off] == _CTRL and minor[off] == _ANCHOR and length[off] >= 2
+    ]
 
 
 def unwrap_times(
     ts32: Sequence[int],
-    anchor_i: Optional[int],
-    anchor_time: Optional[int],
     last_full: Optional[int],
     last_ts32: Optional[int],
-    anchors: Optional[Sequence[Tuple[int, int]]] = None,
+    anchors: Sequence[Tuple[int, int]] = (),
 ) -> Optional[List[int]]:
     """Vectorized full-timestamp reconstruction for one buffer.
 
@@ -340,13 +318,11 @@ def unwrap_times(
     Integer addition is associative, so a cumulative sum of the deltas
     (exact in int64: each delta is in [-2^31, 2^31) and a buffer holds
     far fewer than 2^31 events) anchored at the base reproduces the
-    scalar event-by-event accumulation bit for bit.  The base itself
-    stays a Python int, so arbitrarily large anchor values cannot
-    overflow.
+    event-by-event accumulation bit for bit.  The base itself stays a
+    Python int, so arbitrarily large anchor values cannot overflow.
 
-    ``anchors`` (from :func:`find_anchors`) supersedes the legacy
-    ``anchor_i``/``anchor_time`` pair and may list several anchors: the
-    reconstruction then re-bases at each one, because the 32-bit deltas
+    ``anchors`` (from :func:`find_anchors`) may list several anchors:
+    the reconstruction then re-bases at each one, because the 32-bit deltas
     *between* two anchors are not trustworthy — the gap they bridge can
     exceed what 32 bits can represent (a writer attaching seconds after
     the segment was created).  Events before the first anchor chain
@@ -354,11 +330,8 @@ def unwrap_times(
     forward from anchor ``k``.
 
     Returns the full times, or ``None`` when there is no basis (no
-    anchor and no prior state) — the caller keeps times unset, exactly
-    like the scalar path.
+    anchor and no prior state) — the caller keeps times unset.
     """
-    if anchors is None:
-        anchors = [] if anchor_i is None else [(anchor_i, anchor_time)]
     n = len(ts32)
     if n == 0:
         return None
@@ -392,9 +365,6 @@ def unwrap_times(
         for j in range(i_k, end):
             times[j] = base + cl[j]
     return times
-
-
-_MISSING = object()   # sentinel for the per-buffer spec memo
 
 
 @dataclass(slots=True)
@@ -504,10 +474,9 @@ class Trace:
 class TraceReader:
     """Decodes :class:`BufferRecord` streams into :class:`Trace` objects.
 
-    ``batch=True`` (the default) uses the vectorized numpy scan and
-    cumulative-sum timestamp unwrapping; ``batch=False`` selects the
-    original word-at-a-time reference path.  Both produce bit-identical
-    traces — the flag exists for benchmarking and cross-checking.
+    The event-object view of the one decoder: records go through
+    :func:`repro.core.columnar.decode_records_columnar` and the columns
+    are materialized as :class:`TraceEvent` lists.
 
     ``strict=False`` (the default) resynchronizes after a garble verdict
     — rescanning forward for the next plausible header and salvaging the
@@ -523,45 +492,24 @@ class TraceReader:
         registry: Optional[EventRegistry] = None,
         include_fillers: bool = False,
         check_committed: bool = True,
-        batch: bool = True,
         strict: bool = False,
     ) -> None:
         self.registry = registry
         self.include_fillers = include_fillers
         self.check_committed = check_committed
-        self.batch = batch
         self.strict = strict
 
-    # ------------------------------------------------------------------
     def decode_records(self, records: Iterable[BufferRecord]) -> Trace:
         """Decode a collection of buffer records (any CPUs, any order)."""
-        by_cpu: Dict[int, List[BufferRecord]] = {}
-        for rec in records:
-            by_cpu.setdefault(rec.cpu, []).append(rec)
-        trace = Trace()
-        batch = self.batch
-        for cpu, recs in sorted(by_cpu.items()):
-            recs.sort(key=lambda r: r.seq)
-            events: List[TraceEvent] = []
-            last_full: Optional[int] = None
-            last_ts32: Optional[int] = None
-            for rec in recs:
-                if batch:
-                    scan = scan_buffer(rec.words, rec.fill_words,
-                                       recover=not self.strict)
-                    evs, last_full, last_ts32 = self.assemble_scan(
-                        rec, scan, trace.anomalies, last_full, last_ts32
-                    )
-                else:
-                    evs = self.decode_buffer(rec, trace.anomalies)
-                    last_full, last_ts32 = self._reconstruct_times(
-                        evs, rec, trace.anomalies, last_full, last_ts32
-                    )
-                    if not self.include_fillers:
-                        evs = [e for e in evs if not e.is_filler]
-                events.extend(evs)
-            trace.events_by_cpu[cpu] = events
-        return trace
+        from repro.core.columnar import decode_records_columnar
+
+        return decode_records_columnar(
+            records,
+            registry=self.registry,
+            include_fillers=self.include_fillers,
+            check_committed=self.check_committed,
+            strict=self.strict,
+        ).to_trace()
 
     def decode_one(self, record: BufferRecord) -> Trace:
         """Random access: decode a single buffer independently.
@@ -570,383 +518,6 @@ class TraceReader:
         own timestamp anchor — the §3.2 property.
         """
         return self.decode_records([record])
-
-    # ------------------------------------------------------------------
-    def decode_buffer(
-        self, rec: BufferRecord, anomalies: List[Anomaly]
-    ) -> List[TraceEvent]:
-        """Walk one buffer, validating headers.
-
-        In strict mode a garble verdict stops the walk — recovery is
-        exactly what the paper prescribes: skip to the next alignment
-        boundary, i.e. abandon the rest of this buffer.  In the default
-        recovering mode the walk rescans forward for the next plausible
-        header and salvages the remainder.
-        """
-        if self.batch:
-            return self._decode_buffer_batch(rec, anomalies)
-        return self._decode_buffer_scalar(rec, anomalies)
-
-    def _decode_buffer_batch(
-        self, rec: BufferRecord, anomalies: List[Anomaly]
-    ) -> List[TraceEvent]:
-        """Batched walk: scan columns first, then materialize events."""
-        scan = scan_buffer(rec.words, rec.fill_words,
-                           recover=not self.strict)
-        events = self.materialize_scan(rec, scan, anomalies)
-        self._check_committed(rec, anomalies)
-        return events
-
-    def materialize_scan(
-        self,
-        rec: BufferRecord,
-        scan: BufferScan,
-        anomalies: List[Anomaly],
-        times: Optional[List[int]] = None,
-        include_fillers: bool = True,
-    ) -> List[TraceEvent]:
-        """Turn a :class:`BufferScan` into :class:`TraceEvent` objects.
-
-        Data words are sliced from the scan's own word column, so a scan
-        whose offsets came back from a worker process needs no payload of
-        its own.  ``times`` (when given) supplies the reconstructed full
-        timestamps, indexed like the scan's events.  The garble (if any)
-        is reported after the events so it lands in the same per-buffer
-        position as the scalar path's report.
-        """
-        lookup = self.registry.lookup if self.registry is not None else None
-        cols = scan.cols
-        wl = cols.words
-        ts_l = cols.ts32
-        len_l = cols.length
-        maj_l = cols.major
-        min_l = cols.minor
-        offs = scan.offsets
-        if times is None:
-            times = [None] * len(offs)
-        cpu = rec.cpu
-        seq = rec.seq
-        ctrl = int(Major.CONTROL)
-        filler = int(ControlMinor.FILLER)
-        filler_ext = int(ControlMinor.FILLER_EXT)
-        # Specs repeat heavily within a buffer; memoize the registry
-        # lookup per (major, minor) so the hot loop pays a dict probe.
-        specs: Dict[int, Optional[EventSpec]] = {}
-        miss = _MISSING
-        events: List[TraceEvent] = []
-        append = events.append
-        for i, off in enumerate(offs):
-            major = maj_l[off]
-            minor = min_l[off]
-            if major == ctrl and (minor == filler or minor == filler_ext):
-                if not include_fillers:
-                    continue
-                if minor == filler:
-                    dl = 0          # filler payload words are not data
-                else:
-                    length = len_l[off]
-                    # A real extended filler has header length 0 and its
-                    # span word as payload; a FILLER_EXT minor with a
-                    # nonzero length is an ordinary-shaped event.
-                    dl = 1 if length == 0 else length - 1
-            else:
-                dl = len_l[off] - 1
-            key = major << 16 | minor
-            spec = specs.get(key, miss)
-            if spec is miss:
-                spec = specs[key] = (
-                    lookup(major, minor) if lookup is not None else None
-                )
-            append(
-                TraceEvent(
-                    cpu, seq, off, ts_l[off], major, minor,
-                    wl[off + 1 : off + 1 + dl], times[i], spec,
-                )
-            )
-        self._emit_garbles(anomalies, rec, scan.garbles, scan.resumes)
-        return events
-
-    def assemble_scan(
-        self,
-        rec: BufferRecord,
-        scan: BufferScan,
-        anomalies: List[Anomaly],
-        last_full: Optional[int],
-        last_ts32: Optional[int],
-        times: Optional[List[int]] = None,
-        anchored: bool = False,
-    ) -> Tuple[List[TraceEvent], Optional[int], Optional[int]]:
-        """Full per-buffer batch pipeline: times, events, anomalies, state.
-
-        ``times``/``anchored`` may be precomputed (by a decode worker);
-        when ``times`` is ``None`` they are reconstructed here from the
-        buffer's anchor or the carried ``(last_full, last_ts32)`` state —
-        which is also how a worker's head-of-shard buffer (whose state
-        lives in the previous shard) gets stitched by the parent.
-        Returns the (filler-filtered, per ``include_fillers``) events and
-        the updated timestamp state.
-        """
-        if times is None:
-            anchors = find_anchors(scan)
-            times = unwrap_times(
-                scan.event_ts32(), None, None, last_full, last_ts32,
-                anchors=anchors,
-            )
-            anchored = bool(anchors)
-        events = self.materialize_scan(
-            rec, scan, anomalies,
-            times=times, include_fillers=self.include_fillers,
-        )
-        self._check_committed(rec, anomalies)
-        if times is not None:
-            if not anchored:
-                anomalies.append(
-                    Anomaly(rec.cpu, rec.seq, 0, "missing-anchor",
-                            "no timestamp anchor; times unwrapped "
-                            "from previous buffer")
-                )
-            last_full = times[-1]
-            last_ts32 = scan.cols.ts32[scan.offsets[-1]]
-        return events, last_full, last_ts32
-
-    def _decode_buffer_scalar(
-        self, rec: BufferRecord, anomalies: List[Anomaly]
-    ) -> List[TraceEvent]:
-        """The reference word-at-a-time walk (the seed implementation).
-
-        Makes exactly the same accept/garble/resync decisions as
-        :func:`scan_buffer` — the test suite fuzzes the two against each
-        other on corrupted streams.
-        """
-        words = rec.words
-        limit = min(rec.fill_words, len(words))
-        recover = not self.strict
-        events: List[TraceEvent] = []
-        garbles: List[Tuple[int, str]] = []
-        resumes: List[Optional[int]] = []
-
-        def fields(o: int) -> Tuple[int, int, int, int]:
-            h = unpack_header(int(words[o]))
-            return h.timestamp, h.length, h.major, h.minor
-
-        off = 0
-        prev_ts32: Optional[int] = None
-        while off < limit:
-            word = int(words[off])
-            hdr = unpack_header(word)
-            length = hdr.length
-            span = length
-            verdict: Optional[str] = None
-            if (
-                length == EXTENDED_FILLER_LENGTH
-                and hdr.major == Major.CONTROL
-                and hdr.minor == ControlMinor.FILLER_EXT
-            ):
-                if off + 1 >= limit:
-                    verdict = "truncated extended filler"
-                else:
-                    span = int(words[off + 1])
-                    length = 2  # header + span word are the real payload
-                    if span < 2 or off + span > limit:
-                        verdict = f"bad extended filler span {span}"
-            elif length == 0 or off + length > limit:
-                verdict = f"invalid header {word:#018x} (length {length})"
-            if verdict is None and prev_ts32 is not None \
-                    and sdelta32(hdr.timestamp, prev_ts32) < 0 \
-                    and not _is_anchor_header(hdr.major, hdr.minor,
-                                              hdr.length):
-                # A large backwards jump cannot come from a healthy stream:
-                # per-CPU timestamps are monotonic by construction (§3.1).
-                # Anchors are exempt — they carry the full value and exist
-                # to bridge exactly such gaps (§3.2).
-                verdict = f"timestamp regression {prev_ts32}->{hdr.timestamp}"
-            if verdict is not None:
-                garbles.append((off, verdict))
-                if not recover:
-                    resumes.append(None)
-                    break
-                resume = find_resync(fields, off + 1, limit, prev_ts32)
-                resumes.append(resume)
-                if resume is None:
-                    break
-                if prev_ts32 is not None \
-                        and sdelta32(fields(resume)[0], prev_ts32) < 0:
-                    # Shape-only (relaxed) resync: restart the chain.
-                    prev_ts32 = None
-                off = resume
-                continue
-            if hdr.major == Major.CONTROL and hdr.minor == ControlMinor.FILLER:
-                # A plain filler is just a header spanning the remainder;
-                # the words underneath it are not event data.
-                data = []
-            else:
-                data = [int(w) for w in words[off + 1 : off + length]]
-            spec = (
-                self.registry.lookup(hdr.major, hdr.minor)
-                if self.registry is not None
-                else None
-            )
-            events.append(
-                TraceEvent(
-                    cpu=rec.cpu,
-                    seq=rec.seq,
-                    offset=off,
-                    ts32=hdr.timestamp,
-                    major=hdr.major,
-                    minor=hdr.minor,
-                    data=data,
-                    spec=spec,
-                )
-            )
-            prev_ts32 = hdr.timestamp
-            off += span
-        self._emit_garbles(anomalies, rec, garbles, resumes)
-        self._check_committed(rec, anomalies)
-        return events
-
-    def _check_committed(
-        self, rec: BufferRecord, anomalies: List[Anomaly]
-    ) -> None:
-        """The per-buffer ``traceCommit`` consistency check (§3.1)."""
-        if (
-            self.check_committed
-            and not rec.partial
-            and rec.committed != rec.fill_words
-        ):
-            anomalies.append(
-                Anomaly(
-                    rec.cpu,
-                    rec.seq,
-                    0,
-                    "committed-mismatch",
-                    f"committed {rec.committed} words, buffer holds {rec.fill_words}",
-                )
-            )
-
-    def _emit_garbles(
-        self,
-        anomalies: List[Anomaly],
-        rec: BufferRecord,
-        garbles: List[Tuple[int, str]],
-        resumes: List[Optional[int]],
-    ) -> None:
-        """Report each garble verdict, and the salvage that followed it."""
-        for (off, detail), resume in zip(garbles, resumes):
-            anomalies.append(Anomaly(rec.cpu, rec.seq, off, "garbled", detail))
-            if resume is not None:
-                anomalies.append(
-                    Anomaly(
-                        rec.cpu, rec.seq, off, "recovered-region",
-                        f"skipped {resume - off} words; resynchronized at "
-                        f"offset {resume}",
-                    )
-                )
-
-    # ------------------------------------------------------------------
-    def _reconstruct_times(
-        self,
-        events: List[TraceEvent],
-        rec: BufferRecord,
-        anomalies: List[Anomaly],
-        last_full: Optional[int],
-        last_ts32: Optional[int],
-    ) -> Tuple[Optional[int], Optional[int]]:
-        """Assign full 64-bit times using the buffer's anchor event.
-
-        Falls back to unwrapping from the previous buffer's last event
-        when a buffer has no anchor (possible after garbling).
-        """
-        if self.batch:
-            return self._reconstruct_times_vector(
-                events, rec, anomalies, last_full, last_ts32
-            )
-        return self._reconstruct_times_scalar(
-            events, rec, anomalies, last_full, last_ts32
-        )
-
-    def _reconstruct_times_vector(
-        self,
-        events: List[TraceEvent],
-        rec: BufferRecord,
-        anomalies: List[Anomaly],
-        last_full: Optional[int],
-        last_ts32: Optional[int],
-    ) -> Tuple[Optional[int], Optional[int]]:
-        """Vectorized time reconstruction via :func:`unwrap_times`."""
-        if not events:
-            return (last_full, last_ts32)
-        anchors = [
-            (i, e.data[0])
-            for i, e in enumerate(events)
-            if e.major == Major.CONTROL
-            and e.minor == ControlMinor.TIMESTAMP_ANCHOR
-            and e.data
-        ]
-        times = unwrap_times(
-            [e.ts32 for e in events], None, None,
-            last_full, last_ts32, anchors=anchors,
-        )
-        if times is None:
-            return (last_full, last_ts32)
-        if not anchors:
-            anomalies.append(
-                Anomaly(rec.cpu, rec.seq, 0, "missing-anchor",
-                        "no timestamp anchor; times unwrapped from previous buffer")
-            )
-        for e, t in zip(events, times):
-            e.time = t
-        return (events[-1].time, events[-1].ts32)
-
-    def _reconstruct_times_scalar(
-        self,
-        events: List[TraceEvent],
-        rec: BufferRecord,
-        anomalies: List[Anomaly],
-        last_full: Optional[int],
-        last_ts32: Optional[int],
-    ) -> Tuple[Optional[int], Optional[int]]:
-        """The reference event-by-event accumulation (the seed path)."""
-        if not events:
-            return (last_full, last_ts32)
-        def is_anchor(e: TraceEvent) -> bool:
-            return (e.major == Major.CONTROL
-                    and e.minor == ControlMinor.TIMESTAMP_ANCHOR
-                    and bool(e.data))
-
-        anchor_i = next(
-            (i for i, e in enumerate(events) if is_anchor(e)), None)
-        # Unwrapping is sequential: each consecutive 32-bit delta is small
-        # (decode_buffer rejects regressions, and a healthy stream never
-        # goes 2**31 ticks between adjacent events *except* across a
-        # later anchor, which restates the full value), so full times
-        # follow by accumulation in both directions from the anchor,
-        # re-basing whenever another anchor appears.
-        if anchor_i is not None:
-            anchor = events[anchor_i]
-            anchor.time = anchor.data[0]
-            for i in range(anchor_i + 1, len(events)):
-                if is_anchor(events[i]):
-                    events[i].time = events[i].data[0]
-                    continue
-                events[i].time = events[i - 1].time + sdelta32(
-                    events[i].ts32, events[i - 1].ts32
-                )
-            for i in range(anchor_i - 1, -1, -1):
-                events[i].time = events[i + 1].time - sdelta32(
-                    events[i + 1].ts32, events[i].ts32
-                )
-        elif last_full is not None and last_ts32 is not None:
-            anomalies.append(
-                Anomaly(rec.cpu, rec.seq, 0, "missing-anchor",
-                        "no timestamp anchor; times unwrapped from previous buffer")
-            )
-            prev_full, prev32 = last_full, last_ts32
-            for e in events:
-                e.time = prev_full + sdelta32(e.ts32, prev32)
-                prev_full, prev32 = e.time, e.ts32
-        else:
-            return (last_full, last_ts32)
-        return (events[-1].time, events[-1].ts32)
 
 
 # ----------------------------------------------------------------------

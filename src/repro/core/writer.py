@@ -21,13 +21,14 @@ in-buffer resynchronization — and the skip is reported on
 :attr:`TraceFileReader.issues`.  ``strict=True`` restores the
 raise-on-first-damage behavior.
 
-Reading is also zero-copy by default: a seekable file is mmap'd and
-record words are read-only ``np.frombuffer`` views of the page cache
-(payloads are 8-byte aligned by construction), with identical output —
-frames, issue reports, tail verdicts — to the buffered read() path,
-which remains for pipes/streams and as the ``use_mmap=False`` escape
-hatch.  On little-endian hosts the historical per-frame
-``.astype(np.uint64)`` copy is gone from both paths.
+Reading is also zero-copy where the file allows it: one frame walk runs
+over a bytes-like image of the file — the ``mmap`` when the file maps
+(record words are then read-only ``np.frombuffer`` views of the page
+cache; payloads are 8-byte aligned by construction), otherwise one
+``read()`` of it (in-memory streams, a file that grew past its mapping).
+The choice is made from what the file object can do, never by the
+caller, and the output — frames, issue reports, tail verdicts — does
+not depend on it.
 """
 
 from __future__ import annotations
@@ -162,8 +163,7 @@ class TraceFileReader:
     ``anomaly`` report salvage only for the truncated verdict.
     """
 
-    def __init__(self, fh: BinaryIO, strict: bool = False,
-                 use_mmap: bool = True) -> None:
+    def __init__(self, fh: BinaryIO, strict: bool = False) -> None:
         self.fh = fh
         self.strict = strict
         #: Human-readable descriptions of damage seen (and survived).
@@ -187,16 +187,15 @@ class TraceFileReader:
         self._data_start = _FILE_HEADER.size
         self._mm: Optional[mmap.mmap] = None
         self._file_sig: Optional[Tuple[str, int, int]] = None
-        #: Which ingest path backs this reader: ``"mmap"`` (zero-copy
-        #: page-cache views) or ``"read"`` (buffered reads).
+        #: Which image :meth:`read_all` walks: ``"mmap"`` (zero-copy
+        #: page-cache views) or ``"read"`` (one buffered read).
         self.read_path = "read"
-        if use_mmap:
-            self._try_mmap()
+        self._try_mmap()
 
     def _try_mmap(self) -> None:
         """Map the file read-only; silently keep the read() path if not.
 
-        Pipes, sockets and in-memory streams have no ``fileno``; an
+        Sockets and in-memory streams have no mappable ``fileno``; an
         empty or unmappable file raises — all of those simply stay on
         the buffered path.  Frame payloads start at byte ``16 + 32 +
         k*frame_size``, always 8-byte aligned, so word views over the
@@ -214,19 +213,6 @@ class TraceFileReader:
             st = os.fstat(fileno)
             self._file_sig = (os.path.abspath(name), st.st_size,
                               st.st_mtime_ns)
-
-    def _tag_provenance(self, rec: BufferRecord, payload_off: int) -> None:
-        """Stamp a view-backed record with its on-disk location.
-
-        ``(path, byte_offset, file_size, file_mtime_ns)`` lets the
-        parallel decoder ship a tiny descriptor to pool workers — which
-        map the same file themselves — instead of pushing the payload
-        through a pipe.  The size/mtime pair lets the consumer detect a
-        rewritten file and fall back to shipping bytes.
-        """
-        if self._file_sig is not None and _LITTLE_ENDIAN:
-            path, size, mtime_ns = self._file_sig
-            rec._file_ref = (path, payload_off, size, mtime_ns)
 
     def frame_count(self) -> int:
         """Number of whole frames; judges any partial trailing frame.
@@ -261,87 +247,78 @@ class TraceFileReader:
             raise IndexError(f"frame {k} out of range: file holds {n} frames")
         pos = self._data_start + k * self.frame_size
         # A mapping snapshots the file at open time; frames appended
-        # since (a growing trace) fall back to buffered reads.
+        # since (a growing trace) are read from the file.
         if self._mm is not None and pos + self.frame_size <= len(self._mm):
-            return self._read_frame_mmap(pos)
+            return self._parse_frame(self._mm, pos)
         self.fh.seek(pos)
-        return self._read_one()
+        return self._parse_frame(self.fh.read(self.frame_size), 0)
 
-    def _frame_words(self, payload_off: int) -> np.ndarray:
-        """Zero-copy word view of the payload at ``payload_off``."""
-        mm = self._mm
-        assert mm is not None
-        if _LITTLE_ENDIAN:
-            return np.frombuffer(mm, dtype="<u8", count=self.buffer_words,
-                                 offset=payload_off)
-        return np.frombuffer(  # pragma: no cover - big-endian fallback
-            mm[payload_off:payload_off + self.buffer_words * 8], dtype="<u8"
-        ).astype(np.uint64)
+    def _parse_frame(self, buf, pos: int) -> BufferRecord:
+        """The frame at byte ``pos`` of the bytes-like ``buf``.
 
-    def _read_frame_mmap(self, pos: int) -> BufferRecord:
-        mm = self._mm
-        assert mm is not None
-        magic, cpu, seq, committed, fill_words, partial = \
-            _FRAME_HEADER.unpack_from(mm, pos)
-        if magic != FRAME_MAGIC:
-            raise ValueError(f"bad frame magic {magic:#x}")
-        off = pos + _FRAME_HEADER.size
-        rec = BufferRecord(
-            cpu=cpu, seq=seq, words=self._frame_words(off),
-            committed=committed, fill_words=fill_words,
-            partial=bool(partial),
-        )
-        self._tag_provenance(rec, off)
-        return rec
-
-    def _read_one(self) -> BufferRecord:
-        raw = self.fh.read(_FRAME_HEADER.size)
-        if len(raw) != _FRAME_HEADER.size:
+        Raises ``EOFError`` when ``buf`` ends inside the frame and
+        ``ValueError`` when the frame header is damaged.  Record words
+        are a read-only view of ``buf``; a view of the file mapping is
+        also stamped with its on-disk location ``(path, byte_offset,
+        file_size, file_mtime_ns)``, which lets the parallel decoder
+        ship a tiny descriptor to pool workers — which map the same
+        file themselves — instead of pushing the payload through a
+        pipe.  The size/mtime pair lets the consumer detect a rewritten
+        file and fall back to shipping bytes.
+        """
+        avail = len(buf) - pos
+        if avail < _FRAME_HEADER.size:
             raise EOFError("truncated frame header")
-        magic, cpu, seq, committed, fill_words, partial = _FRAME_HEADER.unpack(raw)
+        magic, cpu, seq, committed, fill_words, partial = \
+            _FRAME_HEADER.unpack_from(buf, pos)
         if magic != FRAME_MAGIC:
             raise ValueError(f"bad frame magic {magic:#x}")
-        payload = self.fh.read(self.buffer_words * 8)
-        if len(payload) != self.buffer_words * 8:
+        if fill_words > self.buffer_words or partial > 1:
+            raise ValueError(
+                f"implausible frame header "
+                f"(fill_words {fill_words}, partial {partial})"
+            )
+        if avail < self.frame_size:
             raise EOFError("truncated frame payload")
-        words = words_from_bytes(payload)
-        return BufferRecord(
+        off = pos + _FRAME_HEADER.size
+        words = np.frombuffer(buf, dtype="<u8", count=self.buffer_words,
+                              offset=off)
+        if not _LITTLE_ENDIAN:  # pragma: no cover - big-endian fallback
+            words = words.astype(np.uint64)
+        rec = BufferRecord(
             cpu=cpu, seq=seq, words=words, committed=committed,
             fill_words=fill_words, partial=bool(partial),
         )
+        if buf is self._mm and self._file_sig is not None and _LITTLE_ENDIAN:
+            path, size, mtime_ns = self._file_sig
+            rec._file_ref = (path, off, size, mtime_ns)
+        return rec
 
-    def _read_all_mmap(self) -> List[BufferRecord]:
-        """The :meth:`read_all` walk over the mapping — same damage
-        handling, same issue reports, zero payload copies."""
-        mm = self._mm
-        assert mm is not None
-        end = len(mm)
-        payload_len = self.buffer_words * 8
+    def read_all(self) -> List[BufferRecord]:
+        """Read every readable frame, resynchronizing past damage."""
+        self.frame_count()   # flag a truncated tail up front
+        buf = self._mm
+        self.fh.seek(0, io.SEEK_END)
+        if buf is None or self.fh.tell() > len(buf):
+            self.read_path = "read"
+            self.fh.seek(0)
+            buf = self.fh.read()
+        end = len(buf)
         records: List[BufferRecord] = []
         pos = self._data_start
         while pos < end:
-            if end - pos < _FRAME_HEADER.size:
+            try:
+                records.append(self._parse_frame(buf, pos))
+            except EOFError as exc:
                 if self.strict:
-                    raise EOFError("truncated frame header")
+                    raise
                 if not self.trailing_bytes:
-                    self.issues.append(
-                        f"truncated frame header at byte {pos}; dropped"
-                    )
+                    self.issues.append(f"{exc} at byte {pos}; dropped")
                 break
-            (magic, cpu, seq, committed,
-             fill_words, partial) = _FRAME_HEADER.unpack_from(mm, pos)
-            plausible = (magic == FRAME_MAGIC
-                         and fill_words <= self.buffer_words
-                         and partial <= 1)
-            if not plausible:
+            except ValueError:
                 if self.strict:
-                    if magic != FRAME_MAGIC:
-                        raise ValueError(f"bad frame magic {magic:#x}")
-                    raise ValueError(
-                        f"implausible frame header at byte {pos} "
-                        f"(fill_words {fill_words}, partial {partial})"
-                    )
-                nxt = mm.find(_FRAME_MAGIC_BYTES, pos + 1)
+                    raise
+                nxt = buf.find(_FRAME_MAGIC_BYTES, pos + 1)
                 if nxt < 0:
                     self.issues.append(
                         f"damaged frame at byte {pos}; no later frame "
@@ -353,91 +330,8 @@ class TraceFileReader:
                     f"bytes to the next frame magic"
                 )
                 pos = nxt
-                continue
-            if end - pos - _FRAME_HEADER.size < payload_len:
-                if self.strict:
-                    raise EOFError("truncated frame payload")
-                if not self.trailing_bytes:
-                    self.issues.append(
-                        f"truncated frame payload at byte {pos}; dropped"
-                    )
-                break
-            off = pos + _FRAME_HEADER.size
-            rec = BufferRecord(
-                cpu=cpu, seq=seq, words=self._frame_words(off),
-                committed=committed, fill_words=fill_words,
-                partial=bool(partial),
-            )
-            self._tag_provenance(rec, off)
-            records.append(rec)
-            pos += self.frame_size
-        return records
-
-    def read_all(self) -> List[BufferRecord]:
-        """Read every readable frame, resynchronizing past damage."""
-        self.frame_count()   # flag a truncated tail up front
-        if self._mm is not None:
-            self.fh.seek(0, io.SEEK_END)
-            if self.fh.tell() <= len(self._mm):
-                return self._read_all_mmap()
-        self.fh.seek(self._data_start)
-        records: List[BufferRecord] = []
-        while True:
-            pos = self.fh.tell()
-            raw = self.fh.read(_FRAME_HEADER.size)
-            if not raw:
-                break
-            if len(raw) < _FRAME_HEADER.size:
-                if self.strict:
-                    raise EOFError("truncated frame header")
-                if not self.trailing_bytes:
-                    self.issues.append(
-                        f"truncated frame header at byte {pos}; dropped"
-                    )
-                break
-            (magic, cpu, seq, committed,
-             fill_words, partial) = _FRAME_HEADER.unpack(raw)
-            plausible = (magic == FRAME_MAGIC
-                         and fill_words <= self.buffer_words
-                         and partial <= 1)
-            if not plausible:
-                if self.strict:
-                    if magic != FRAME_MAGIC:
-                        raise ValueError(f"bad frame magic {magic:#x}")
-                    raise ValueError(
-                        f"implausible frame header at byte {pos} "
-                        f"(fill_words {fill_words}, partial {partial})"
-                    )
-                nxt = scan_for_magic(self.fh, _FRAME_MAGIC_BYTES, pos + 1)
-                if nxt is None:
-                    self.fh.seek(0, io.SEEK_END)
-                    self.issues.append(
-                        f"damaged frame at byte {pos}; no later frame "
-                        f"magic — {self.fh.tell() - pos} bytes dropped"
-                    )
-                    break
-                self.issues.append(
-                    f"damaged frame at byte {pos}; skipped {nxt - pos} "
-                    f"bytes to the next frame magic"
-                )
-                self.fh.seek(nxt)
-                continue
-            payload = self.fh.read(self.buffer_words * 8)
-            if len(payload) < self.buffer_words * 8:
-                if self.strict:
-                    raise EOFError("truncated frame payload")
-                if not self.trailing_bytes:
-                    self.issues.append(
-                        f"truncated frame payload at byte {pos}; dropped"
-                    )
-                break
-            words = words_from_bytes(payload)
-            records.append(
-                BufferRecord(
-                    cpu=cpu, seq=seq, words=words, committed=committed,
-                    fill_words=fill_words, partial=bool(partial),
-                )
-            )
+            else:
+                pos += self.frame_size
         return records
 
 
@@ -467,19 +361,16 @@ def save_records(path: PathOrFile, records: List[BufferRecord],
     return _write(path)
 
 
-def load_records(path: PathOrFile, strict: bool = False,
-                 use_mmap: bool = True) -> List[BufferRecord]:
+def load_records(path: PathOrFile, strict: bool = False
+                 ) -> List[BufferRecord]:
     """Read every readable frame of a trace file.
 
     With the default ``strict=False``, damaged frames are skipped (see
     :class:`TraceFileReader`); use :class:`TraceFileReader` directly
-    when the skip reports are needed.  ``use_mmap=True`` (the default)
-    returns zero-copy views of the page cache on little-endian hosts —
-    record words are then read-only; pass ``use_mmap=False`` for the
-    buffered read() path (output is bit-identical either way).
+    when the skip reports are needed.  Record words are read-only views
+    — of the page cache when the file maps — so copy before mutating.
     """
     if isinstance(path, str):
         with open(path, "rb") as fh:
-            return TraceFileReader(fh, strict=strict,
-                                   use_mmap=use_mmap).read_all()
-    return TraceFileReader(path, strict=strict, use_mmap=use_mmap).read_all()
+            return TraceFileReader(fh, strict=strict).read_all()
+    return TraceFileReader(path, strict=strict).read_all()

@@ -1,9 +1,8 @@
 """Pluggable fleet launchers: run K node workloads, get K traces.
 
-Modeled on the SHARP launcher pattern (ROADMAP item 3): one
-``launch()`` entry point behind a backend ABC, with a local-subprocess
-backend implemented now and docker/mpi slots declared so they can be
-filled without touching callers.  Each launched node runs the standard
+Modeled on the SHARP launcher pattern: one ``launch()`` entry point
+behind a backend ABC, with the local-subprocess backend as its one
+implementation.  Each launched node runs the standard
 deterministic contention workload (:func:`repro.workloads.run_contention`)
 but logs timestamps through a :class:`NodeLocalClock` — its own skewed
 offset/rate view of true time, the fleet analogue of a drifting tsc —
@@ -203,35 +202,8 @@ class LocalProcessBackend(LaunchBackend):
         return results
 
 
-class DockerBackend(LaunchBackend):
-    """Slot: one container per node (not implemented yet)."""
-
-    name = "docker"
-
-    def __init__(self, image: str = "repro-trace:latest") -> None:
-        self.image = image
-
-    def launch(self, specs: Sequence[NodeSpec],
-               out_dir: str) -> List[NodeRunResult]:
-        raise NotImplementedError(
-            "docker backend is a declared slot; use --backend local")
-
-
-class MpiBackend(LaunchBackend):
-    """Slot: one rank per node over MPI (not implemented yet)."""
-
-    name = "mpi"
-
-    def launch(self, specs: Sequence[NodeSpec],
-               out_dir: str) -> List[NodeRunResult]:
-        raise NotImplementedError(
-            "mpi backend is a declared slot; use --backend local")
-
-
 BACKENDS: Dict[str, type] = {
     LocalProcessBackend.name: LocalProcessBackend,
-    DockerBackend.name: DockerBackend,
-    MpiBackend.name: MpiBackend,
 }
 
 

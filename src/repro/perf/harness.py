@@ -282,8 +282,7 @@ def discover_benchmarks(bench_dir: Path,
     ``@benchmark`` registrations land in the global registry.
 
     Returns the imported module names.  The directory itself is put on
-    ``sys.path`` so the modules' ``from _benchutil import ...`` and
-    sibling imports keep working, exactly as under pytest's conftest.
+    ``sys.path`` so the modules stay importable by name.
     """
     bench_dir = Path(bench_dir)
     if not bench_dir.is_dir():
@@ -329,6 +328,11 @@ def module_main(module_name: str,
                              "(default: ./BENCH_<timestamp>.json)")
     args = parser.parse_args(argv)
 
+    # Narrative tables land next to the benchmark module, wherever the
+    # checkout lives and whatever the working directory is.
+    module_file = getattr(sys.modules.get(module_name), "__file__", None)
+    if module_file:
+        report_mod.set_results_dir(Path(module_file).parent / "results")
     doc = run_benchmarks(quick=args.quick, filter_pattern=args.filter,
                          module=module_name)
     out = Path(args.output) if args.output else \

@@ -6,7 +6,7 @@ code produces narrative text through :func:`write_result`; when a
 harness run is active the text is captured into the run's report (and
 written to disk when the report is saved), otherwise — e.g. under a
 plain pytest invocation — it is written straight to the results
-directory exactly as the pre-harness ``_benchutil.write_result`` did.
+directory.
 """
 
 from __future__ import annotations
@@ -19,7 +19,8 @@ from typing import Any, Dict, List, Optional
 from repro.perf.schema import REPORT_KIND, SCHEMA_VERSION, validate_report
 
 #: Default directory for the human-readable .txt renderings; callers
-#: (the CLI, _benchutil) may point this at a checkout's benchmarks/results.
+#: (the CLI, benchmarks/conftest.py) point this at a checkout's
+#: benchmarks/results.
 RESULTS_DIR = Path("benchmarks") / "results"
 
 #: When a harness run is active, narratives are captured here instead of
@@ -45,11 +46,9 @@ def end_capture() -> None:
 
 
 def write_result(name: str, text: str) -> Path:
-    """Record a narrative table and write its .txt rendering.
-
-    Drop-in replacement for the old ``_benchutil.write_result``: same
-    path, same printed echo — plus capture into the active harness run.
-    """
+    """Record a narrative table and write its .txt rendering: captured
+    into the active harness run (if any), written under
+    :data:`RESULTS_DIR`, and echoed to stdout."""
     if _ACTIVE_NARRATIVES is not None:
         _ACTIVE_NARRATIVES[name] = text
     RESULTS_DIR.mkdir(parents=True, exist_ok=True)

@@ -4,13 +4,15 @@ Contract under test (the decode-equivalence contract of the columnar
 reader): every view the columnar layer offers — ``EventBatch`` columns,
 vectorized payload decoding via compiled layout plans, the merged
 ``ColumnarTrace`` — must be bit-identical to what the scalar reference
-reader produces for the same input, on clean and on damaged streams.
+walk (``repro.check.oracle``) produces for the same input, on clean and
+on damaged streams.
 """
 
 import random
 
 import numpy as np
 
+from repro.check.oracle import reference_decode
 from repro.core.columnar import (
     ColumnarTrace,
     ColumnarTraceReader,
@@ -27,7 +29,7 @@ from tests.core.test_parallel import as_comparable, build_records
 
 def _decode_both(records, **kw):
     reg = default_registry()
-    scalar = TraceReader(registry=reg, **kw).decode_records(records)
+    scalar = reference_decode(records, registry=reg, **kw)
     columnar = ColumnarTraceReader(registry=reg, **kw).decode_records(records)
     return scalar, columnar
 
@@ -272,8 +274,8 @@ class TestColumnarTrace:
         records = build_records()
         path = str(tmp_path / "t.k42")
         save_records(path, records, buffer_words=len(records[0].words))
-        scalar = TraceReader(registry=default_registry()).decode_records(
-            load_records(path))
+        scalar = reference_decode(load_records(path),
+                                  registry=default_registry())
         columnar = ColumnarTraceReader(
             registry=default_registry()).decode_file(path)
         assert as_comparable(columnar) == as_comparable(scalar)

@@ -167,6 +167,20 @@ class TestFileFaults:
         with pytest.raises((ValueError, EOFError)):
             TraceFileReader(io.BytesIO(data), strict=True).read_all()
 
+    def test_strict_decode_file_raises_on_frame_damage(self, records,
+                                                       tmp_path):
+        """A strict reader is strict about the file too: a stomped
+        frame magic raises instead of being resynchronized past."""
+        from repro.core.columnar import ColumnarTraceReader
+
+        data, _report = FaultInjector(0).inject_trace_bytes(
+            trace_bytes(records), "frame-magic")
+        path = tmp_path / "stomped.k42"
+        path.write_bytes(data)
+        assert ColumnarTraceReader().decode_file(str(path)).ncpus
+        with pytest.raises(ValueError, match="bad frame magic"):
+            ColumnarTraceReader(strict=True).decode_file(str(path))
+
 
 class TestDumpFaults:
     @pytest.mark.parametrize("seed", SEEDS)

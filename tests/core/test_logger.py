@@ -175,7 +175,7 @@ class TestBufferBoundaries:
         records = control.flush()
         reader = TraceReader(registry=default_registry())
         for rec in records:
-            evs = reader.decode_buffer(rec, [])
+            evs = reader.decode_one(rec).events(rec.cpu)
             anchors = [
                 e for e in evs
                 if e.major == Major.CONTROL and e.minor == ControlMinor.TIMESTAMP_ANCHOR

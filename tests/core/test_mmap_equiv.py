@@ -1,9 +1,10 @@
-"""mmap zero-copy reads vs buffered read(): bit-identical, always.
+"""A mapped file vs an in-memory stream of the same bytes: identical.
 
-The zero-copy fast path (``TraceFileReader(use_mmap=True)``, the
-default for real files) must be indistinguishable from the historical
-``read()`` path in every observable way — records, recovery issues,
-strict-mode exceptions — across the whole file-fault damage matrix.
+``TraceFileReader`` walks one bytes-like image of the file — the mmap
+when the file maps, one ``read()`` otherwise.  Which image it got must
+be unobservable: a path input and a ``BytesIO`` of the same bytes yield
+the same records, recovery issues and strict-mode exceptions across the
+whole file-fault damage matrix.
 Seeds come from ``FAULT_FUZZ_SEEDS`` (comma-separated, default
 ``0,1,2``) so CI can sweep fresh seeds every run; every assertion
 message echoes the seed for local reproduction.
@@ -17,11 +18,8 @@ import numpy as np
 import pytest
 
 from repro.core.faults import FILE_KINDS, FaultInjector
-from repro.core.parallel import (
-    decode_records_columnar_parallel,
-    decode_records_parallel,
-)
-from repro.core.stream import TraceReader
+from repro.check.oracle import reference_decode
+from repro.core.parallel import decode_records_columnar_parallel
 from repro.core.writer import TraceFileReader, load_records, save_records
 from tests.core.test_parallel import as_comparable, build_records
 
@@ -41,10 +39,12 @@ def clean_path(records, tmp_path_factory):
     return path
 
 
-def _read_with(path, use_mmap, strict):
-    """(records, issues, read_path, exception) for one reader config."""
+def _read_with(path, mapped, strict):
+    """(records, issues, read_path, exception) for one input form: the
+    file itself (``mapped``) or a ``BytesIO`` of its bytes."""
     with open(path, "rb") as fh:
-        reader = TraceFileReader(fh, strict=strict, use_mmap=use_mmap)
+        src = fh if mapped else io.BytesIO(fh.read())
+        reader = TraceFileReader(src, strict=strict)
         try:
             recs = reader.read_all()
         except (ValueError, EOFError) as exc:
@@ -103,24 +103,37 @@ def test_bytesio_falls_back_to_read(records):
     buf = io.BytesIO()
     save_records(buf, records)
     buf.seek(0)
-    reader = TraceFileReader(buf, use_mmap=True)
+    reader = TraceFileReader(buf)
     assert reader.read_path == "read"
     got = reader.read_all()
     _assert_same_records(got, records, "BytesIO fallback")
 
 
-def test_no_mmap_flag_respected(clean_path):
-    with open(clean_path, "rb") as fh:
-        assert TraceFileReader(fh, use_mmap=False).read_path == "read"
-    with open(clean_path, "rb") as fh:
-        assert TraceFileReader(fh, use_mmap=True).read_path == "mmap"
+def test_file_grown_past_mapping_is_reread(records, tmp_path):
+    """A mapping snapshots the file at open; frames appended since make
+    ``read_all`` fall back to reading the file, losing nothing."""
+    path = str(tmp_path / "grow.k42")
+    half = len(records) // 2
+    save_records(path, records[:half])
+    with open(path, "rb") as fh:
+        reader = TraceFileReader(fh)
+        assert reader.read_path == "mmap"
+        buf = io.BytesIO()
+        save_records(buf, records[half:])
+        with open(path, "ab") as out:
+            out.write(buf.getvalue()[16:])      # frames only, no header
+        got = reader.read_all()
+        assert reader.read_path == "read"
+        _assert_same_records(got, records, "grown file")
+        last = reader.read_frame(len(records) - 1)
+        assert np.array_equal(last.words, records[-1].words)
 
 
 @pytest.mark.skipif(sys.byteorder != "little",
                     reason="zero-copy provenance is little-endian only")
 def test_mmap_words_are_readonly_views(clean_path):
     """Zero-copy words must refuse in-place mutation (shared pages)."""
-    recs = load_records(clean_path, use_mmap=True)
+    recs = load_records(clean_path)
     assert any(r._file_ref is not None for r in recs)
     stamped = next(r for r in recs if r._file_ref is not None)
     assert not stamped.words.flags.writeable
@@ -130,11 +143,11 @@ def test_mmap_words_are_readonly_views(clean_path):
 
 def test_mmap_records_decode_parallel_identical(clean_path):
     """File-backed records ride the descriptor path through the pool
-    and still decode exactly like a sequential scalar walk."""
-    recs = load_records(clean_path, use_mmap=True)
-    seq = TraceReader().decode_records(load_records(clean_path,
-                                                    use_mmap=False))
-    par = decode_records_parallel(recs, workers=2)
-    assert as_comparable(par) == as_comparable(seq)
+    and still decode exactly like the reference walk over the same
+    bytes read into memory."""
+    recs = load_records(clean_path)
+    assert all(r._file_ref is not None for r in recs)
+    with open(clean_path, "rb") as fh:
+        seq = reference_decode(load_records(io.BytesIO(fh.read())))
     col = decode_records_columnar_parallel(recs, workers=2)
     assert as_comparable(col) == as_comparable(seq)

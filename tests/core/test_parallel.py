@@ -1,19 +1,20 @@
-"""Parallel/batched decode equivalence: every path must be bit-identical.
+"""Decode equivalence: the decoder must match the reference oracle.
 
-The contract under test: ``TraceReader(batch=True)`` (vectorized scan),
-``decode_records_parallel`` (boundary-sharded worker pool), the
-columnar readers (``ColumnarTraceReader`` and
-``decode_records_columnar_parallel``), and the scalar reference reader
-produce event-for-event, anomaly-for-anomaly identical traces — on
-clean streams, on every garble class the format can exhibit, with and
-without fillers, and across shard cuts that separate a buffer from its
-timestamp anchor state.
+The contract under test: ``ColumnarTraceReader`` (the one decoder),
+``decode_records_columnar_parallel`` (the same scan fanned out over a
+boundary-sharded worker pool) and the word-at-a-time reference walk
+(``repro.check.oracle.reference_decode``) produce event-for-event,
+anomaly-for-anomaly identical traces — on clean streams, on every
+garble class the format can exhibit, with and without fillers, and
+across shard cuts that separate a buffer from its timestamp anchor
+state.
 """
 
 import random
 
 import numpy as np
 
+from repro.check.oracle import reference_decode
 from repro.core.buffers import TraceControl
 from repro.core.facility import TraceFacility
 from repro.core.header import pack_header
@@ -22,13 +23,11 @@ from repro.core.majors import ControlMinor, Major
 from repro.core.mask import TraceMask
 from repro.core.columnar import ColumnarTraceReader
 from repro.core.parallel import (
-    ParallelTraceReader,
     decode_records_columnar_parallel,
-    decode_records_parallel,
     shard_records,
 )
 from repro.core.registry import default_registry
-from repro.core.stream import TraceReader, scan_buffer, unwrap_times
+from repro.core.stream import scan_buffer, unwrap_times
 from repro.core.timestamps import ManualClock
 
 
@@ -64,25 +63,20 @@ def as_comparable(trace):
 
 def assert_all_paths_identical(records, include_fillers=False, workers=3,
                                strict=False):
+    """Oracle vs the decoder vs the decoder on a pool; returns the
+    oracle's ``Trace``."""
     reg = default_registry()
-    scalar = TraceReader(registry=reg, include_fillers=include_fillers,
-                         batch=False, strict=strict).decode_records(records)
-    batched = TraceReader(registry=reg, include_fillers=include_fillers,
-                          batch=True, strict=strict).decode_records(records)
-    par = decode_records_parallel(records, registry=reg,
-                                  include_fillers=include_fillers,
-                                  workers=workers, strict=strict)
+    oracle = reference_decode(records, registry=reg,
+                              include_fillers=include_fillers, strict=strict)
     col = ColumnarTraceReader(registry=reg, include_fillers=include_fillers,
                               strict=strict).decode_records(records)
     col_par = decode_records_columnar_parallel(
         records, registry=reg, include_fillers=include_fillers,
         workers=workers, strict=strict)
-    ref = as_comparable(scalar)
-    assert as_comparable(batched) == ref
-    assert as_comparable(par) == ref
+    ref = as_comparable(oracle)
     assert as_comparable(col) == ref
     assert as_comparable(col_par) == ref
-    return scalar
+    return oracle
 
 
 class TestCleanEquivalence:
@@ -108,21 +102,10 @@ class TestCleanEquivalence:
     def test_workers_one_is_sequential(self):
         records = build_records()
         reg = default_registry()
-        seq = TraceReader(registry=reg).decode_records(records)
-        one = decode_records_parallel(records, registry=reg, workers=1)
+        seq = ColumnarTraceReader(registry=reg).decode_records(records)
+        one = decode_records_columnar_parallel(records, registry=reg,
+                                               workers=1)
         assert as_comparable(one) == as_comparable(seq)
-
-    def test_parallel_reader_decode_file(self, tmp_path):
-        from repro.core.writer import save_records
-
-        records = build_records()
-        path = tmp_path / "t.k42"
-        save_records(str(path), records)
-        reg = default_registry()
-        seq = TraceReader(registry=reg).decode_records(records)
-        par = ParallelTraceReader(registry=reg, workers=3).decode_file(
-            str(path))
-        assert as_comparable(par) == as_comparable(seq)
 
 
 class TestGarbledEquivalence:
@@ -189,6 +172,19 @@ class TestGarbledEquivalence:
 
         records = self._corrupt(mutate)
         self._assert_identical_with_anomaly(records, "committed-mismatch")
+
+    def test_unrepresentable_sequence_number(self):
+        """A damaged frame header can carry any u64 as its sequence
+        number; every side distrusts such a buffer whole, the same way."""
+        records = build_records()
+        victim = records[len(records) // 2]
+        victim.seq += 1 << 63
+        trace = assert_all_paths_identical(records)
+        assert [(a.cpu, a.seq, a.kind) for a in trace.anomalies] == \
+            [(victim.cpu, victim.seq, "garbled")]
+        assert "implausible buffer sequence" in trace.anomalies[0].detail
+        assert {(e.cpu, e.seq) for e in trace.all_events()} == \
+            {(r.cpu, r.seq) for r in records if r is not victim}
 
     def test_random_garbage_fuzz(self):
         """Deterministic adversarial sweep over corruption modes."""
@@ -270,9 +266,10 @@ class TestShardStitching:
         """Force one shard per buffer — the worst stitching case."""
         records = self._anchorless_chain()
         reg = default_registry()
-        seq = TraceReader(registry=reg).decode_records(records)
-        par = decode_records_parallel(records, registry=reg, workers=2,
-                                      shards_per_worker=len(records))
+        seq = reference_decode(records, registry=reg)
+        par = decode_records_columnar_parallel(
+            records, registry=reg, workers=2,
+            shards_per_worker=len(records))
         assert as_comparable(par) == as_comparable(seq)
 
 
@@ -289,8 +286,9 @@ class TestStartMethods:
         try:
             records = build_records()
             reg = default_registry()
-            seq = TraceReader(registry=reg).decode_records(records)
-            par = decode_records_parallel(records, registry=reg, workers=2)
+            seq = reference_decode(records, registry=reg)
+            par = decode_records_columnar_parallel(records, registry=reg,
+                                                   workers=2)
             assert pool.pool_kind() == "spawn"
             assert as_comparable(par) == as_comparable(seq)
         finally:
@@ -303,9 +301,9 @@ class TestStartMethods:
         pool.shutdown()
         records = build_records()
         reg = default_registry()
-        seq = TraceReader(registry=reg, strict=True).decode_records(records)
-        par = decode_records_parallel(records, registry=reg, workers=3,
-                                      strict=True)
+        seq = reference_decode(records, registry=reg, strict=True)
+        par = decode_records_columnar_parallel(records, registry=reg,
+                                               workers=3, strict=True)
         assert pool.pool_kind() is None
         assert as_comparable(par) == as_comparable(seq)
 
@@ -315,10 +313,9 @@ class TestEmptyTrace:
     per-call executor raised ``ValueError: max_workers`` on 0 shards)."""
 
     def test_empty_records_parallel(self):
-        trace = decode_records_parallel([], workers=4)
-        assert trace.events_by_cpu == {}
         cols = decode_records_columnar_parallel([], workers=4)
         assert cols.cpus == []
+        assert cols.to_trace().events_by_cpu == {}
 
     def test_run_tasks_empty_guard(self):
         from repro.core.parallel import _run_tasks
@@ -369,25 +366,25 @@ class TestShardRecords:
 
 class TestUnwrapTimes:
     def test_no_events(self):
-        assert unwrap_times([], None, None, None, None) is None
+        assert unwrap_times([], None, None) is None
 
     def test_no_basis(self):
-        assert unwrap_times([5, 6], None, None, None, None) is None
+        assert unwrap_times([5, 6], None, None) is None
 
     def test_anchor_based(self):
         ts = [10, 20, 15, 30]
-        times = unwrap_times(ts, 1, 1_000_020, None, None)
+        times = unwrap_times(ts, None, None, anchors=[(1, 1_000_020)])
         assert times == [1_000_010, 1_000_020, 1_000_015, 1_000_030]
 
     def test_state_based_wraps(self):
         wrap = 1 << 32
         ts = [wrap - 2 & 0xFFFFFFFF, 3]
-        times = unwrap_times(ts, None, None, 5_000_000_000, wrap - 10)
+        times = unwrap_times(ts, 5_000_000_000, wrap - 10)
         assert times[0] == 5_000_000_008
         assert times[1] == 5_000_000_013
 
     def test_single_event(self):
-        assert unwrap_times([7], 0, 99, None, None) == [99]
+        assert unwrap_times([7], None, None, anchors=[(0, 99)]) == [99]
 
     def test_rebases_at_each_anchor(self):
         """Two anchors bridging a gap > 2^31: the deltas between them
@@ -395,13 +392,12 @@ class TestUnwrapTimes:
         gap = 3_000_000_000  # > 2^31, unrepresentable as a 32-bit delta
         ts = [100, 110, (100 + gap) & 0xFFFFFFFF, (100 + gap + 5) & 0xFFFFFFFF]
         anchors = [(0, 100), (2, 100 + gap)]
-        times = unwrap_times(ts, None, None, None, None, anchors=anchors)
+        times = unwrap_times(ts, None, None, anchors=anchors)
         assert times == [100, 110, 100 + gap, 100 + gap + 5]
 
     def test_events_before_first_anchor_chain_backward(self):
         ts = [10, 20, 30]
-        times = unwrap_times(ts, None, None, None, None,
-                             anchors=[(1, 1_000_020)])
+        times = unwrap_times(ts, None, None, anchors=[(1, 1_000_020)])
         assert times == [1_000_010, 1_000_020, 1_000_030]
 
 

@@ -23,6 +23,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.check.oracle import reference_decode
 from repro.core.buffers import BufferRecord, TraceControl
 from repro.core.faults import RECORD_KINDS, FaultInjector
 from repro.core.logger import TraceLogger
@@ -82,7 +83,7 @@ def test_no_event_crosses_boundary(events):
     reader = TraceReader(registry=default_registry(), include_fillers=True)
     records = control.flush()
     for rec in records:
-        evs = reader.decode_buffer(rec, [])
+        evs = reader.decode_one(rec).events(rec.cpu)
         for e in evs:
             if e.is_filler:
                 continue
@@ -192,12 +193,11 @@ def test_serialization_roundtrip(events):
 
 # --- reader-path equivalence -------------------------------------------
 #
-# Invariant 8: the scalar reference reader, the batched (vectorized)
-# reader, the boundary-sharded parallel reader, and the columnar
-# readers (sequential and parallel structure-of-arrays) are
-# bit-identical on the same input — event for event, anomaly for
-# anomaly — in both resynchronizing and strict (stop-at-first-garble)
-# modes.  The helpers come from the exhaustive equivalence suite in
+# Invariant 8: the word-at-a-time reference walk
+# (repro.check.oracle), the columnar decoder and the same decoder on a
+# boundary-sharded worker pool are bit-identical on the same input —
+# event for event, anomaly for anomaly — in both resynchronizing and
+# strict (stop-at-first-garble) modes.  The helpers come from the exhaustive equivalence suite in
 # test_parallel.py.
 
 from tests.core.test_parallel import (  # noqa: E402
@@ -232,8 +232,8 @@ def _random_stream(seed):
 @pytest.mark.parametrize("strict", [False, True],
                          ids=["resync", "strict"])
 def test_seeded_roundtrip_identical_across_readers(seed, strict):
-    """Invariant 8 on clean seeded streams: scalar == batched == parallel,
-    and the decoded stream is anomaly-free."""
+    """Invariant 8 on clean seeded streams: oracle == decoder ==
+    parallel, and the decoded stream is anomaly-free."""
     records = _random_stream(seed)
     try:
         trace = assert_all_paths_identical(records, workers=2,
@@ -294,14 +294,15 @@ def test_seeded_fault_injection_identical_across_readers(seed, kind):
 @settings(max_examples=8, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 def test_reader_paths_identical_on_arbitrary_streams(seed):
-    """Invariant 8, hypothesis-driven: low example count because the
-    parallel path forks worker processes per example."""
+    """Invariant 8, hypothesis-driven: the event-object view of the
+    decoder against the reference walk."""
     records = _random_stream(seed)
     reg = default_registry()
-    scalar = TraceReader(registry=reg).decode_records(records)
-    batched = TraceReader(registry=reg, batch=True).decode_records(records)
+    scalar = reference_decode(records, registry=reg)
+    batched = TraceReader(registry=reg).decode_records(records)
     assert as_comparable(batched) == as_comparable(scalar), (
-        "batched reader diverged; " + _rerun(seed, "arbitrary_streams"))
+        "TraceReader diverged from the oracle; "
+        + _rerun(seed, "arbitrary_streams"))
 
 
 @given(sequence_strategy)

@@ -73,7 +73,7 @@ class TestGarbleDetection:
         victim = records[1]
         reader = TraceReader(registry=default_registry())
         # Zero a genuine event *header* (not a data word) mid-buffer.
-        probe = reader.decode_buffer(victim, [])
+        probe = reader.decode_one(victim).events(victim.cpu)
         target = next(e.offset for e in probe if e.offset > 0)
         victim.words[target] = 0  # simulate the unwritten hole
         trace = reader.decode_records(records)

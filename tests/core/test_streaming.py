@@ -38,7 +38,8 @@ def test_stream_trace_over_socket():
             records = []
             try:
                 while True:
-                    records.append(reader._read_one())
+                    records.append(reader._parse_frame(
+                        fh.read(reader.frame_size), 0))
             except (EOFError, ValueError):
                 pass
             received["records"] = records

@@ -31,7 +31,7 @@ from repro.fleet import (
     read_anchor_sidecar,
     write_anchor_sidecar,
 )
-from repro.fleet.launch import BACKENDS, NodeSpec, fleet_run
+from repro.fleet.launch import BACKENDS, fleet_run
 from repro.store import Predicate, TraceStore
 from repro.store.query import select
 
@@ -91,16 +91,16 @@ class TestLauncher:
         with pytest.raises(ValueError, match="unknown backend"):
             get_backend("slurm")
 
-    def test_declared_slots_raise(self, tmp_path):
-        spec = NodeSpec(node=0, seed=1, clock_offset=0, clock_rate=1.0,
-                        start_base=0)
+    def test_declared_slots_raise(self):
+        """Only implemented backends are registered; the former
+        docker/mpi slots are unknown names like any other."""
         for name in ("docker", "mpi"):
-            with pytest.raises(NotImplementedError, match="declared slot"):
-                get_backend(name).launch([spec], str(tmp_path))
-        assert sorted(BACKENDS) == ["docker", "local", "mpi"]
+            with pytest.raises(ValueError, match="unknown backend"):
+                get_backend(name)
+        assert sorted(BACKENDS) == ["local"]
 
     def test_fleet_run_rejects_unimplemented_backend(self, tmp_path):
-        with pytest.raises(NotImplementedError):
+        with pytest.raises(ValueError, match="unknown backend"):
             fleet_run(str(tmp_path / "d"), nodes=1, backend="docker")
 
 

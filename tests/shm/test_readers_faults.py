@@ -1,8 +1,8 @@
 """Every reader path, and the whole fault matrix, over *drained* traces.
 
 The collector's output claims to be an ordinary trace: records that any
-of the readers — scalar, batched, parallel, columnar, columnar-parallel
-— decode bit-identically, and that survive the same damage matrix the
+of the readers — the reference oracle, the decoder, the decoder on a
+worker pool — decode bit-identically, and that survive the same damage matrix the
 in-process traces survive.  This file holds that claim to the same
 standard ``tests/core/test_faults.py`` applies to facility-produced
 records: injected corruption surfaces as typed anomalies or file

@@ -298,27 +298,28 @@ _COLUMNAR_COMMANDS = ("info", "list", "kmon", "locks", "profile",
 
 @pytest.mark.parametrize("command", _COLUMNAR_COMMANDS)
 def test_columnar_flag_in_help(command, capsys):
-    """Every ported subcommand advertises --columnar/--no-columnar."""
+    """The decoder is columnar-only: no ported subcommand still offers
+    a switch between decoders (``--store`` is what remains)."""
     with pytest.raises(SystemExit) as exc:
         main([command, "--help"])
     assert exc.value.code == 0
     out = capsys.readouterr().out
-    assert "--columnar" in out and "--no-columnar" in out
+    assert "columnar" not in out and "mmap" not in out
+    assert "--store" in out
 
 
 @pytest.mark.parametrize("command", _COLUMNAR_COMMANDS)
 def test_columnar_output_identical(command, artifacts, capsys):
-    """--columnar (default) and --no-columnar print the same report."""
+    """The columnar decoder prints the same report in-process and
+    fanned out over a worker pool."""
     argv = [command, artifacts["trace"]]
     if command == "breakdown":
         argv += ["--symbols", artifacts["syms"]]
-    assert main(argv + ["--columnar"]) == 0
-    columnar = capsys.readouterr().out
-    assert main(argv + ["--no-columnar"]) == 0
-    scalar = capsys.readouterr().out
-    assert main(argv) == 0                      # columnar is the default
-    default = capsys.readouterr().out
-    assert columnar == scalar == default
+    assert main(argv) == 0
+    sequential = capsys.readouterr().out
+    assert main(argv + ["--workers", "2"]) == 0
+    pooled = capsys.readouterr().out
+    assert sequential.strip() and pooled == sequential
 
 
 class TestFleetCli:
@@ -355,6 +356,9 @@ class TestFleetCli:
         assert "node 1: read" in cap.err
 
     def test_fleet_run_unimplemented_backend(self, tmp_path, capsys):
-        assert main(["fleet-run", "-o", str(tmp_path / "x"),
-                     "--backend", "docker"]) == 2
-        assert "declared slot" in capsys.readouterr().err
+        """The stub backends went, and ``--backend`` with them."""
+        with pytest.raises(SystemExit) as exc:
+            main(["fleet-run", "-o", str(tmp_path / "x"),
+                  "--backend", "docker"])
+        assert exc.value.code == 2
+        assert "--backend" in capsys.readouterr().err

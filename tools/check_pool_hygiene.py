@@ -27,8 +27,8 @@ import warnings
 warnings.simplefilter("error")  # stray warnings fail the probe
 
 from repro.core import pool
-from repro.core.parallel import decode_records_parallel
-from repro.core.stream import TraceReader
+from repro.core.columnar import ColumnarTraceReader
+from repro.core.parallel import decode_records_columnar_parallel
 from repro.core.writer import load_records, save_records
 from repro.store import Predicate, TraceStore, pack_records
 from repro.workloads import run_contention
@@ -46,8 +46,8 @@ save_records(trace_path, records)
 
 # 1. parallel decode, over mmap-backed records (descriptor shipping).
 loaded = load_records(trace_path)
-par = decode_records_parallel(loaded, workers=2)
-seq = TraceReader().decode_records(loaded)
+par = decode_records_columnar_parallel(loaded, workers=2)
+seq = ColumnarTraceReader().decode_records(loaded)
 assert as_comparable(par) == as_comparable(seq), "parallel decode differs"
 
 # 2. parallel store pack + parallel query on the same pool.
