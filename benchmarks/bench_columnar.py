@@ -1,14 +1,18 @@
-"""Columnar analytics: structure-of-arrays batches vs the scalar walk.
+"""Columnar analytics: what the column tools cost on a contended trace.
 
-The tentpole claim under test: porting the analysis tools from
-per-event Python loops to mask-selects over ``EventBatch`` columns
-speeds the tool-aggregation paths up by >= 3x on a contended
-multiprocessor trace — while staying bit-identical to the scalar
-reference, which every timed comparison below asserts.
+Four aggregation paths are timed, mirroring the paper's figures: the
+Figure 6 PC-sample histogram, the Figure 7 lock-contention table, the
+Figure 5 listing selection, and the §4.5 scheduler statistics — plus the
+records -> ``ColumnarTrace`` decode they all start from.
 
-Four aggregation paths are measured, mirroring the paper's figures:
-the Figure 6 PC-sample histogram, the Figure 7 lock-contention table,
-the Figure 5 listing selection, and the §4.5 scheduler statistics.
+This file used to time each tool against a per-event scalar twin and
+assert ">= 3x"; the twins are gone from ``src/`` (one implementation per
+tool), so there is no ratio left to measure here.  Identity is asserted
+where the references live: ``tests/tools/test_columnar_tools.py`` holds
+each tool to its per-event walk in ``tests/tools/reference.py``, and
+``tests/core/test_columnar.py`` / ``repro.check`` hold the decoder to
+``repro.check.oracle.reference_decode``.  The four ``columnar.*`` harness
+entries below are what ``BENCH_baseline.json`` gates.
 """
 
 import gc
@@ -18,7 +22,6 @@ import pytest
 
 from repro.core.columnar import ColumnarTraceReader, as_batch
 from repro.core.registry import default_registry
-from repro.core.stream import TraceReader
 from repro.perf.report import write_result
 from repro.tools.listing import event_listing
 from repro.tools.lockstats import lock_statistics
@@ -26,7 +29,7 @@ from repro.tools.pcprofile import pc_profile
 from repro.tools.schedstats import sched_statistics
 from repro.workloads import run_contention
 
-MIN_SPEEDUP = 3.0
+LISTING_NAMES = ["TRC_LOCK_CONTEND_START", "TRC_PROC_CTX_SWITCH"]
 
 
 def _timeit(fn, repeats=3):
@@ -49,12 +52,10 @@ def _build(ncpus=8, iterations=120, pc_sample_period=500):
     kernel, facility, _ = run_contention(
         ncpus=ncpus, workers_per_cpu=2, iterations=iterations,
         pc_sample_period=pc_sample_period)
-    records = facility.snapshot()
-    reg = default_registry()
-    scalar = TraceReader(registry=reg).decode_records(records)
-    columnar = ColumnarTraceReader(registry=reg).decode_records(records)
-    as_batch(columnar)  # build the SoA columns outside the timed regions
-    return kernel, scalar, columnar
+    trace = ColumnarTraceReader(registry=default_registry()) \
+        .decode_records(facility.snapshot())
+    as_batch(trace)  # build the SoA columns outside the timed regions
+    return kernel, trace
 
 
 @pytest.fixture(scope="module")
@@ -62,84 +63,41 @@ def workload():
     return _build()
 
 
-def _listing_key(events):
-    return [(e.cpu, e.seq, e.offset, tuple(e.data), e.time) for e in events]
-
-
-def _cases(kernel, scalar, columnar):
+def test_columnar_tool_timings(benchmark, workload):
+    """Every aggregation path produces a report; the table records what
+    each costs."""
+    kernel, trace = workload
     sym = kernel.symbols()
-    names = ["TRC_LOCK_CONTEND_START", "TRC_PROC_CTX_SWITCH"]
-    return [
-        ("pcprofile (fig 6)",
-         lambda: pc_profile(scalar, sym.pc_names, columnar=False),
-         lambda: pc_profile(columnar, sym.pc_names, columnar=True),
-         lambda a, b: a == b),
-        ("lockstats (fig 7)",
-         lambda: lock_statistics(scalar, columnar=False),
-         lambda: lock_statistics(columnar, columnar=True),
-         lambda a, b: a == b),
-        ("listing select (fig 5)",
-         lambda: event_listing(scalar, names=names, columnar=False),
-         lambda: event_listing(columnar, names=names, columnar=True),
-         lambda a, b: _listing_key(a) == _listing_key(b)),
-        ("schedstats (§4.5)",
-         lambda: sched_statistics(scalar, columnar=False),
-         lambda: sched_statistics(columnar, columnar=True),
-         lambda a, b: a == b),
-    ]
-
-
-def test_columnar_tool_speedups(benchmark, workload):
-    """Every ported aggregation path: >= 3x over the scalar walk, with
-    bit-identical output."""
-    kernel, scalar, columnar = workload
-    n = len(as_batch(columnar))
     rows = []
-    for label, scalar_fn, columnar_fn, same in _cases(kernel, scalar,
-                                                      columnar):
-        t_s, ref = _timeit(scalar_fn)
-        t_c, got = _timeit(columnar_fn)
-        assert same(ref, got), f"{label}: columnar output differs"
-        speedup = t_s / t_c
-        rows.append((label, t_s, t_c, speedup))
-        assert speedup >= MIN_SPEEDUP, (
-            f"{label}: columnar only {speedup:.1f}x over scalar "
-            f"({t_s * 1e3:.1f}ms -> {t_c * 1e3:.1f}ms)")
+    for label, fn in [
+        ("pcprofile (fig 6)", lambda: pc_profile(trace, sym.pc_names)),
+        ("lockstats (fig 7)", lambda: lock_statistics(trace)),
+        ("listing select (fig 5)",
+         lambda: event_listing(trace, names=LISTING_NAMES)),
+        ("schedstats (§4.5)", lambda: sched_statistics(trace).per_cpu),
+    ]:
+        seconds, report = _timeit(fn)
+        assert report, f"{label}: empty report"
+        rows.append((label, seconds))
 
-    lines = [f"columnar tool aggregation over {n} events",
-             f"{'path':<24} {'scalar':>10} {'columnar':>10} {'speedup':>8}"]
-    for label, t_s, t_c, speedup in rows:
-        lines.append(f"{label:<24} {t_s * 1e3:>8.1f}ms {t_c * 1e3:>8.1f}ms "
-                     f"{speedup:>7.1f}x")
-    write_result("columnar_speedup", "\n".join(lines))
+    lines = [f"columnar tool aggregation over {len(as_batch(trace))} events",
+             f"{'path':<24} {'time':>10}"]
+    for label, seconds in rows:
+        lines.append(f"{label:<24} {seconds * 1e3:>8.1f}ms")
+    write_result("columnar_tools", "\n".join(lines))
 
-    sym = kernel.symbols()
-    benchmark(lambda: pc_profile(columnar, sym.pc_names, columnar=True))
+    benchmark(lambda: pc_profile(trace, sym.pc_names))
 
 
-def test_columnar_decode_matches_and_keeps_pace(benchmark, workload):
-    """The columnar reader itself must not regress decode: same events
-    and anomalies, and no worse than 2x the batched scalar decode."""
-    _, scalar, columnar = workload
-    assert len(as_batch(columnar)) == len(scalar.all_events())
-    kernel, facility, _ = run_contention(
+def test_columnar_decode(benchmark):
+    """Records -> ``ColumnarTrace`` on the quick harness workload."""
+    _, facility, _ = run_contention(
         ncpus=4, workers_per_cpu=2, iterations=60, pc_sample_period=1_000)
     records = facility.snapshot()
     reg = default_registry()
-    t_scalar, ref = _timeit(
-        lambda: TraceReader(registry=reg).decode_records(records))
-    t_col, got = _timeit(
-        lambda: ColumnarTraceReader(registry=reg).decode_records(records))
-    assert [(e.cpu, e.seq, e.offset, tuple(e.data), e.time)
-            for e in ref.all_events()] == \
-        [(e.cpu, e.seq, e.offset, tuple(e.data), e.time)
-         for e in got.all_events()]
-    assert got.anomalies == ref.anomalies
-    assert t_col <= 2.0 * t_scalar, (
-        f"columnar decode {t_col * 1e3:.1f}ms vs scalar "
-        f"{t_scalar * 1e3:.1f}ms")
-    benchmark(lambda: ColumnarTraceReader(registry=reg)
-              .decode_records(records))
+    trace = benchmark(lambda: ColumnarTraceReader(registry=reg)
+                      .decode_records(records))
+    assert len(as_batch(trace))
 
 
 # ---------------------------------------------------------------------------
@@ -160,9 +118,9 @@ def _harness_workload(quick):
 @perf_bench("columnar.pcprofile", quick=True, tolerance=0.4)
 def hb_pcprofile(b):
     """Figure 6 histogram on the columnar path (mask + np.unique)."""
-    kernel, _, columnar = _harness_workload(b.quick)
+    kernel, columnar = _harness_workload(b.quick)
     sym = kernel.symbols()
-    hist = b(lambda: pc_profile(columnar, sym.pc_names, columnar=True))
+    hist = b(lambda: pc_profile(columnar, sym.pc_names))
     assert hist
     b.note("samples", sum(c for c, _ in hist))
 
@@ -170,8 +128,8 @@ def hb_pcprofile(b):
 @perf_bench("columnar.lockstats", quick=True, tolerance=0.4)
 def hb_lockstats(b):
     """Figure 7 contention table: columnar context + CONTEND-only replay."""
-    _, _, columnar = _harness_workload(b.quick)
-    stats = b(lambda: lock_statistics(columnar, columnar=True))
+    _, columnar = _harness_workload(b.quick)
+    stats = b(lambda: lock_statistics(columnar))
     assert stats
     b.note("groups", len(stats))
 
@@ -179,10 +137,8 @@ def hb_lockstats(b):
 @perf_bench("columnar.listing", quick=True, tolerance=0.4)
 def hb_listing(b):
     """Figure 5 selection as boolean masks over the merged batch."""
-    _, _, columnar = _harness_workload(b.quick)
-    events = b(lambda: event_listing(
-        columnar, names=["TRC_LOCK_CONTEND_START", "TRC_PROC_CTX_SWITCH"],
-        columnar=True))
+    _, columnar = _harness_workload(b.quick)
+    events = b(lambda: event_listing(columnar, names=LISTING_NAMES))
     assert events
     b.note("selected", len(events))
 

@@ -124,7 +124,7 @@ def cmd_info(args) -> int:
         frames = st.source.get("frames", 0)
         buffer_words = st.source.get("buffer_words", 0)
     else:
-        records = load_records(args.trace)
+        records = load_records(args.trace, strict=args.strict)
         trace = _decode(records, workers=args.workers, strict=args.strict)
         frames = len(records)
         buffer_words = len(records[0].words) if records else 0
@@ -173,7 +173,6 @@ def cmd_list(args) -> int:
         end=args.end,
         limit=args.limit,
         include_control=args.control,
-        columnar=True,
     )
     print(text)
     return 0
@@ -193,8 +192,7 @@ def cmd_kmon(args) -> int:
         session.run(sys.stdin, sys.stdout)
         return 0
     tl = Timeline(_load_trace(args.trace, workers=args.workers,
-                              strict=args.strict, store=args.store),
-                  columnar=True)
+                              strict=args.strict, store=args.store))
     if args.mark:
         tl.mark(*args.mark)
     if args.zoom:
@@ -213,8 +211,7 @@ def cmd_locks(args) -> int:
     sym = _load_symbols(args.symbols)
     trace = _load_trace(args.trace, workers=args.workers, strict=args.strict,
                         store=args.store)
-    stats = lock_statistics(trace, sort_by=args.sort,
-                            columnar=True)
+    stats = lock_statistics(trace, sort_by=args.sort)
     print(format_lockstats(stats, sym.lock_names, sym.chains,
                            top=args.top, sort_label=args.sort))
     return 0
@@ -226,8 +223,7 @@ def cmd_profile(args) -> int:
     sym = _load_symbols(args.symbols)
     trace = _load_trace(args.trace, workers=args.workers, strict=args.strict,
                         store=args.store)
-    hist = pc_profile(trace, sym.pc_names, pid=args.pid,
-                      columnar=True)
+    hist = pc_profile(trace, sym.pc_names, pid=args.pid)
     print(format_profile(hist, pid=args.pid, top=args.top))
     return 0
 
@@ -242,7 +238,6 @@ def cmd_breakdown(args) -> int:
                     store=args.store),
         sym.syscall_names, sym.process_names,
         FS_FUNCTION_NAMES,
-        columnar=True,
     )
     pids = [args.pid] if args.pid is not None else sorted(bds)
     for pid in pids:
@@ -289,38 +284,35 @@ def cmd_sched(args) -> int:
     sym = _load_symbols(args.symbols)
     report = sched_statistics(
         _load_trace(args.trace, workers=args.workers, strict=args.strict,
-                    store=args.store),
-        columnar=True)
+                    store=args.store))
     print(format_sched_report(report, sym.process_names, top=args.top))
     return 0
 
 
-def _render_live_tool(args, sym, monitor) -> str:
-    """Render ``--tool`` over the monitor's current window.
+def _render_tool(args, sym, target, renderer: str) -> str:
+    """Render ``--tool`` over ``target`` with its module's ``renderer``.
 
-    Defaults mirror the post-mortem subcommands exactly, so a replay at
-    instant speed prints byte-identical output to them.
+    ``live_render`` takes a trace (a live monitor's window),
+    ``fleet_render`` a merged fleet view (per-node sections plus a
+    rollup).  Defaults mirror the post-mortem subcommands exactly, so a
+    replay at instant speed prints byte-identical output to them.
     """
-    trace = monitor.trace()
+    from repro.tools import kmon, lockstats, pcprofile, schedstats
+
+    def top(default: int) -> int:
+        return args.top if args.top is not None else default
+
     if args.tool == "kmon":
-        from repro.tools.kmon import live_render
-
-        return live_render(trace, width=args.width)
+        return getattr(kmon, renderer)(target, width=args.width)
     if args.tool == "locks":
-        from repro.tools.lockstats import live_render
-
-        return live_render(trace, sym.lock_names, sym.chains,
-                           sort_by=args.sort,
-                           top=args.top if args.top is not None else 10)
+        return getattr(lockstats, renderer)(
+            target, sym.lock_names, sym.chains, sort_by=args.sort,
+            top=top(10))
     if args.tool == "profile":
-        from repro.tools.pcprofile import live_render
-
-        return live_render(trace, sym.pc_names, pid=args.pid,
-                           top=args.top if args.top is not None else 20)
-    from repro.tools.schedstats import live_render
-
-    return live_render(trace, sym.process_names,
-                       top=args.top if args.top is not None else 10)
+        return getattr(pcprofile, renderer)(
+            target, sym.pc_names, pid=args.pid, top=top(20))
+    return getattr(schedstats, renderer)(
+        target, sym.process_names, top=top(10))
 
 
 def cmd_follow(args) -> int:
@@ -356,7 +348,8 @@ def cmd_follow(args) -> int:
     on_update = None
     if args.refresh:
         def on_update(m):
-            print(_render_live_tool(args, sym, m), file=sys.stderr)
+            print(_render_tool(args, sym, m.trace(), "live_render"),
+                  file=sys.stderr)
             print(m.describe(), file=sys.stderr)
     try:
         monitor.drain(source,
@@ -369,7 +362,7 @@ def cmd_follow(args) -> int:
             region.close()
         if follower is not None:
             follower.close()
-    print(_render_live_tool(args, sym, monitor))
+    print(_render_tool(args, sym, monitor.trace(), "live_render"))
     print(monitor.describe(), file=sys.stderr)
     for issue in getattr(source, "issues", []):
         print(f"file issue: {issue}", file=sys.stderr)
@@ -422,8 +415,11 @@ def cmd_doctor(args) -> int:
     from repro.tools.anomaly import verify_trace
 
     with open(args.trace, "rb") as fh:
-        reader = TraceFileReader(fh, strict=args.strict)
-        records = reader.read_all()
+        try:
+            reader = TraceFileReader(fh, strict=args.strict)
+            records = reader.read_all()
+        except (ValueError, EOFError) as exc:
+            raise type(exc)(f"{args.trace}: {exc}") from None
     print(f"trace file: {args.trace}")
     print("read path: " + ("mmap (zero-copy)" if reader.read_path == "mmap"
                            else "read() (buffered)"))
@@ -573,29 +569,6 @@ def cmd_query(args) -> int:
     return 0
 
 
-def _render_fleet_tool(args, sym, view) -> str:
-    """Render ``--tool`` as per-node sections plus a fleet rollup."""
-    if args.tool == "kmon":
-        from repro.tools.kmon import fleet_render
-
-        return fleet_render(view, width=args.width)
-    if args.tool == "locks":
-        from repro.tools.lockstats import fleet_render
-
-        return fleet_render(view, sym.lock_names, sym.chains,
-                            sort_by=args.sort,
-                            top=args.top if args.top is not None else 10)
-    if args.tool == "profile":
-        from repro.tools.pcprofile import fleet_render
-
-        return fleet_render(view, sym.pc_names, pid=args.pid,
-                            top=args.top if args.top is not None else 20)
-    from repro.tools.schedstats import fleet_render
-
-    return fleet_render(view, sym.process_names,
-                        top=args.top if args.top is not None else 10)
-
-
 def _print_fleet_summary(view) -> None:
     s = view.summary()
     print(f"fleet: {len(s['nodes'])} nodes, {s['events']} events, "
@@ -617,7 +590,8 @@ def cmd_merge(args) -> int:
     view = merge_paths(args.traces, registry=default_registry(),
                        strict=args.strict)
     if args.tool:
-        print(_render_fleet_tool(args, _load_symbols(args.symbols), view))
+        print(_render_tool(args, _load_symbols(args.symbols), view,
+                           "fleet_render"))
     else:
         _print_fleet_summary(view)
     if args.output:
@@ -657,8 +631,8 @@ def cmd_fleet_run(args) -> int:
         print(f"node {nr.node}: {nr.trace_path}")
     _print_fleet_summary(result.view)
     if args.tool:
-        print(_render_fleet_tool(args, _load_symbols(args.symbols),
-                                 result.view))
+        print(_render_tool(args, _load_symbols(args.symbols), result.view,
+                           "fleet_render"))
     return 0
 
 
@@ -968,6 +942,22 @@ def build_parser() -> argparse.ArgumentParser:
             )
         return sp
 
+    def add_tool(sp, help, default=None):
+        sp.add_argument("--tool", default=default, help=help,
+                        choices=("kmon", "locks", "profile", "sched"))
+
+    def add_tool_options(sp):
+        """What ``_render_tool`` reads besides ``--tool`` itself."""
+        sp.add_argument("--symbols")
+        sp.add_argument("--sort", default="time",
+                        choices=["time", "count", "spin", "max"],
+                        help="locks: sort column")
+        sp.add_argument("--pid", type=int, help="profile: restrict to a pid")
+        sp.add_argument("--top", type=int, default=None,
+                        help="table rows (default: the tool's own default)")
+        sp.add_argument("--width", type=int, default=96,
+                        help="kmon: columns")
+
     sp = add("info", cmd_info, store=True, help="trace file summary")
     sp.add_argument("trace")
 
@@ -1119,17 +1109,9 @@ def build_parser() -> argparse.ArgumentParser:
                     help="write uncompressed npz shards")
     sp.add_argument("--force", action="store_true",
                     help="overwrite an existing store directory")
-    sp.add_argument("--tool", choices=("kmon", "locks", "profile", "sched"),
-                    help="render this tool's per-node + fleet-rollup "
-                         "report instead of the merge summary")
-    sp.add_argument("--symbols")
-    sp.add_argument("--sort", default="time",
-                    choices=["time", "count", "spin", "max"],
-                    help="locks: sort column")
-    sp.add_argument("--pid", type=int, help="profile: restrict to a pid")
-    sp.add_argument("--top", type=int, default=None,
-                    help="table rows (default: the tool's own default)")
-    sp.add_argument("--width", type=int, default=96, help="kmon: columns")
+    add_tool(sp, help="render this tool's per-node + fleet-rollup "
+                      "report instead of the merge summary")
+    add_tool_options(sp)
     sp.add_argument("--strict", action="store_true",
                     help="stop at the first damage instead of "
                          "resynchronizing past it")
@@ -1158,16 +1140,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="workload threads per CPU (default 2)")
     sp.add_argument("--iterations", type=int, default=30,
                     help="workload iterations per thread (default 30)")
-    sp.add_argument("--tool", choices=("kmon", "locks", "profile", "sched"),
-                    help="also render this tool over the merged view")
-    sp.add_argument("--symbols")
-    sp.add_argument("--sort", default="time",
-                    choices=["time", "count", "spin", "max"],
-                    help="locks: sort column")
-    sp.add_argument("--pid", type=int, help="profile: restrict to a pid")
-    sp.add_argument("--top", type=int, default=None,
-                    help="table rows (default: the tool's own default)")
-    sp.add_argument("--width", type=int, default=96, help="kmon: columns")
+    add_tool(sp, help="also render this tool over the merged view")
+    add_tool_options(sp)
 
     sp = sub.add_parser(
         "follow",
@@ -1179,9 +1153,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--shm", metavar="NAME",
                     help="follow a live shared-memory region instead of "
                          "a file (attach by segment name)")
-    sp.add_argument("--tool", choices=("kmon", "locks", "profile", "sched"),
-                    default="kmon",
-                    help="which analysis to render over the live window")
+    add_tool(sp, default="kmon",
+             help="which analysis to render over the live window")
     sp.add_argument("--replay", metavar="SPEED",
                     help="treat the (complete) trace as a live source "
                          "replayed at SPEED: instant, realtime, or Nx")
@@ -1205,14 +1178,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--refresh", action="store_true",
                     help="print a snapshot to stderr after every poll "
                          "that brought data")
-    sp.add_argument("--symbols")
-    sp.add_argument("--sort", default="time",
-                    choices=["time", "count", "spin", "max"],
-                    help="locks: sort column")
-    sp.add_argument("--pid", type=int, help="profile: restrict to a pid")
-    sp.add_argument("--top", type=int, default=None,
-                    help="table rows (default: the tool's own default)")
-    sp.add_argument("--width", type=int, default=96, help="kmon: columns")
+    add_tool_options(sp)
     sp.add_argument("--strict", action="store_true",
                     help="stop at the first damage instead of "
                          "resynchronizing past it")
@@ -1399,8 +1365,26 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    """Run one subcommand; exit status 2 for an unreadable input.
+
+    The readers' refusals — ``ValueError``/``EOFError`` for a trace
+    file they will not parse (a bad file header always, frame damage
+    under ``--strict``), ``StoreFormatError`` for a directory that is
+    no store — and ``OSError`` (missing path, permissions) end the run
+    with one ``repro-trace: error: <file>: <verdict>`` line instead of
+    a traceback.
+    """
+    from repro.store.format import StoreFormatError
+
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except (OSError, ValueError, EOFError, StoreFormatError) as exc:
+        verdict = str(exc)
+        if isinstance(exc, OSError) and exc.filename is not None:
+            verdict = f"{exc.filename}: {exc.strerror}"
+        print(f"repro-trace: error: {verdict}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

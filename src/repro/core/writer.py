@@ -369,8 +369,13 @@ def load_records(path: PathOrFile, strict: bool = False
     :class:`TraceFileReader`); use :class:`TraceFileReader` directly
     when the skip reports are needed.  Record words are read-only views
     — of the page cache when the file maps — so copy before mutating.
+    A refusal (``ValueError``/``EOFError``) of a file given by path
+    names that path, so a caller reading several knows which one.
     """
     if isinstance(path, str):
         with open(path, "rb") as fh:
-            return TraceFileReader(fh, strict=strict).read_all()
+            try:
+                return TraceFileReader(fh, strict=strict).read_all()
+            except (ValueError, EOFError) as exc:
+                raise type(exc)(f"{path}: {exc}") from None
     return TraceFileReader(path, strict=strict).read_all()

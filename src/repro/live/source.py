@@ -24,8 +24,6 @@ import io
 import time
 from typing import BinaryIO, Callable, Dict, Iterable, List, Optional, Tuple, Union
 
-import numpy as np
-
 from repro.core.buffers import BufferRecord
 from repro.core.constants import (
     LENGTH_MASK,
@@ -40,7 +38,6 @@ from repro.core.writer import (
     _FILE_HEADER,
     _FRAME_HEADER,
     _FRAME_MAGIC_BYTES,
-    FRAME_MAGIC,
     TraceFileReader,
     classify_tail,
     scan_for_magic,
@@ -76,6 +73,8 @@ class TraceFileFollower:
         self.frames_read = 0
         self.buffer_words: Optional[int] = None
         self.frame_size = 0
+        #: Owns the frame format; built from the file header once whole.
+        self._reader: Optional[TraceFileReader] = None
         #: Verdict on the bytes past the cursor after :meth:`finish`.
         self.tail_state = "complete"
         self._cursor = 0
@@ -92,9 +91,13 @@ class TraceFileFollower:
         if self.fh.tell() < _FILE_HEADER.size:
             return False
         self.fh.seek(0)
-        reader = TraceFileReader(self.fh)   # strict header validation
-        self.buffer_words = reader.buffer_words
-        self.frame_size = reader.frame_size
+        # Strict header validation.  Over a copy of the header bytes:
+        # the reader is kept for its frame parser only, and must not
+        # map (or move the cursor of) the file being followed.
+        self._reader = TraceFileReader(
+            io.BytesIO(self.fh.read(_FILE_HEADER.size)))
+        self.buffer_words = self._reader.buffer_words
+        self.frame_size = self._reader.frame_size
         self._cursor = _FILE_HEADER.size
         return True
 
@@ -113,20 +116,19 @@ class TraceFileFollower:
         """Every frame that became whole since the last poll."""
         if not self._ensure_header():
             return []
-        assert self.buffer_words is not None
+        assert self._reader is not None
         self.fh.seek(0, io.SEEK_END)
         size = self.fh.tell()
         out: List[BufferRecord] = []
-        while self._cursor + self.frame_size <= size:
+        while True:
             pos = self._cursor
             self.fh.seek(pos)
-            raw = self.fh.read(_FRAME_HEADER.size)
-            (magic, cpu, seq, committed,
-             fill_words, partial) = _FRAME_HEADER.unpack(raw)
-            plausible = (magic == FRAME_MAGIC
-                         and fill_words <= self.buffer_words
-                         and partial <= 1)
-            if not plausible:
+            try:
+                rec = self._reader._parse_frame(
+                    self.fh.read(self.frame_size), 0)
+            except EOFError:
+                break      # the trailing frame is not whole yet
+            except ValueError:
                 nxt = scan_for_magic(self.fh, _FRAME_MAGIC_BYTES, pos + 1)
                 if nxt is None or nxt + self.frame_size > size:
                     # No whole frame after the damage *yet*.  More data
@@ -139,12 +141,7 @@ class TraceFileFollower:
                 )
                 self._cursor = nxt
                 continue
-            payload = self.fh.read(self.buffer_words * 8)
-            words = np.frombuffer(payload, dtype="<u8").astype(np.uint64)
-            out.append(BufferRecord(
-                cpu=cpu, seq=seq, words=words, committed=committed,
-                fill_words=fill_words, partial=bool(partial),
-            ))
+            out.append(rec)
             self.frames_read += 1
             self._cursor += self.frame_size
         return out

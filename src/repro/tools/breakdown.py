@@ -24,7 +24,7 @@ from repro.core.columnar import as_batch
 from repro.core.majors import ExcMinor, Major, SyscallMinor
 from repro.core.stream import Trace
 from repro.store.query import Predicate, select
-from repro.tools.context import ColumnarContext, ContextTracker
+from repro.tools.context import ColumnarContext, _columnar_only
 
 CYCLES_PER_US = 1_000  # 1 GHz reference machine
 
@@ -85,108 +85,12 @@ def process_breakdown(
 ) -> Dict[int, ProcessBreakdown]:
     """Build per-process breakdowns from the unified trace.
 
-    The columnar path (default) replays only the syscall/IPC/fault
-    boundary events and computes the per-call event counts and
-    per-process totals by binary search over position columns; results
-    are identical to the scalar event walk.
+    Only the syscall/IPC/fault boundary events are replayed; the
+    per-call event counts and per-process totals come from binary search
+    over position columns.  ``columnar`` selects nothing; ``False``
+    raises.
     """
-    if columnar:
-        return _process_breakdown_columnar(
-            trace, syscall_names, process_names, fs_function_names
-        )
-    ctx = ContextTracker(trace)
-    out: Dict[int, ProcessBreakdown] = {}
-
-    def bd(pid: int) -> ProcessBreakdown:
-        b = out.get(pid)
-        if b is None:
-            b = ProcessBreakdown(pid, (process_names or {}).get(pid, ""))
-            out[pid] = b
-        return b
-
-    # Per-pid open syscall: (name, enter_time, row-accumulators)
-    open_call: Dict[int, Tuple[str, int, SyscallRow]] = {}
-    # Per-pid open PPC: (comm_id, call_time)
-    open_ppc: Dict[int, Tuple[int, int]] = {}
-    # Per-thread open page fault: fault start time
-    open_fault: Dict[int, int] = {}
-
-    for e in trace.all_events():
-        if e.is_control:
-            continue
-        pid = ctx.pid_of(e)
-        if pid is not None:
-            bd(pid).total_events += 1
-            oc = open_call.get(pid)
-            if oc is not None:
-                oc[2].events += 1
-
-        if e.major == Major.SYSCALL and len(e.data) >= 2:
-            sc_pid, num = e.data[0], e.data[1]
-            name = (syscall_names or {}).get(num, f"SC{num}")
-            if e.minor == SyscallMinor.ENTER:
-                b = bd(sc_pid)
-                row = b.syscalls.get(name)
-                if row is None:
-                    row = SyscallRow(name)
-                    b.syscalls[name] = row
-                open_call[sc_pid] = (name, e.time or 0, row)
-            elif e.minor == SyscallMinor.EXIT:
-                oc = open_call.pop(sc_pid, None)
-                if oc is not None:
-                    name_, t0, row = oc
-                    elapsed = e.data[2] if len(e.data) >= 3 else max(
-                        0, (e.time or 0) - t0
-                    )
-                    row.total_cycles += elapsed
-                    row.calls += 1
-                    bd(sc_pid).total_syscall_cycles += elapsed
-
-        elif e.major == Major.EXC and len(e.data) >= 1:
-            if e.minor == ExcMinor.PPC_CALL and pid is not None:
-                open_ppc[pid] = (e.data[0], e.time or 0)
-            elif e.minor == ExcMinor.PPC_RETURN and pid is not None:
-                op = open_ppc.pop(pid, None)
-                if op is not None:
-                    comm_id, t0 = op
-                    cycles = max(0, (e.time or 0) - t0)
-                    b = bd(pid)
-                    b.total_ipc_cycles += cycles
-                    b.total_ipc_calls += 1
-                    oc = open_call.get(pid)
-                    if oc is not None:
-                        oc[2].ipc_cycles += cycles
-                        oc[2].ipc_calls += 1
-                    # Attribute the service to the server process too.
-                    server_pid = comm_id >> 32
-                    fn_id = comm_id & 0xFFFF_FFFF
-                    fn = (fs_function_names or {}).get(fn_id, f"fn{fn_id}")
-                    sb = bd(server_pid)
-                    calls, cyc = sb.server_functions.get(fn, (0, 0))
-                    sb.server_functions[fn] = (calls + 1, cyc + cycles)
-            elif e.minor == ExcMinor.PGFLT and len(e.data) >= 2:
-                open_fault[e.data[0]] = e.time or 0
-            elif e.minor == ExcMinor.PGFLT_DONE and len(e.data) >= 2:
-                t0 = open_fault.pop(e.data[0], None)
-                if t0 is not None and pid is not None:
-                    cycles = max(0, (e.time or 0) - t0)
-                    b = bd(pid)
-                    b.total_fault_cycles += cycles
-                    b.total_faults += 1
-                    oc = open_call.get(pid)
-                    if oc is not None:
-                        oc[2].fault_cycles += cycles
-                        oc[2].faults += 1
-
-    return out
-
-
-def _process_breakdown_columnar(
-    trace: Trace,
-    syscall_names: Optional[Dict[int, str]],
-    process_names: Optional[Dict[int, str]],
-    fs_function_names: Optional[Dict[int, str]],
-) -> Dict[int, ProcessBreakdown]:
+    _columnar_only("process_breakdown", columnar)
     b = as_batch(trace)
     ctx = ColumnarContext(b)
     out: Dict[int, ProcessBreakdown] = {}
@@ -198,8 +102,9 @@ def _process_breakdown_columnar(
             out[pid] = r
         return r
 
-    # Countable rows: the scalar walk's "generic step" applies to every
-    # non-control event whose executing pid is known.
+    # Countable rows: every non-control event whose executing pid is
+    # known counts toward its process and, inside a call window, toward
+    # the call (the "generic step", taken before the event is handled).
     countable = ~b.control_mask() & ctx.known
     g_idx = np.flatnonzero(countable)
     g_pid = ctx.pid[g_idx]
@@ -330,8 +235,8 @@ def _process_breakdown_columnar(
             if ppos is None:
                 continue
             # Window (open_pos, close_pos]: the opening ENTER is excluded,
-            # the closing event included — the scalar generic step runs
-            # before the handler replaces/pops the open call.
+            # the closing event included — the generic step runs before
+            # the handler replaces/pops the open call.
             lo = int(np.searchsorted(ppos, open_pos, side="right"))
             hi = int(np.searchsorted(ppos, close_pos, side="right"))
             row.events += hi - lo

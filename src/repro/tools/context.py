@@ -19,6 +19,22 @@ from repro.core.majors import Major, ProcMinor
 from repro.core.stream import Trace, TraceEvent
 
 
+def _columnar_only(tool: str, columnar: bool) -> None:
+    """Refuse ``columnar=False`` on a tool that no longer has a scalar walk.
+
+    The six column tools keep ``columnar`` only because
+    ``benchmarks/pipeline`` spells ``columnar=True``; the keyword selects
+    nothing.  ``False`` raises instead of being ignored so that a
+    leftover scalar-vs-columnar comparison fails loudly rather than
+    comparing the one implementation with itself.
+    """
+    if not columnar:
+        raise ValueError(
+            f"{tool}(columnar=False) was removed: the column implementation "
+            "is the only one (the per-event walk is the tests' reference, "
+            "tests/tools/reference.py)")
+
+
 class ContextTracker:
     """Maps every event to the thread/process executing when it was logged.
 

@@ -17,14 +17,15 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.columnar import EventBatch, as_batch
+from repro.core.columnar import as_batch
 from repro.core.majors import Major, ProcMinor
 from repro.core.stream import Trace, TraceEvent
 from repro.store.query import Predicate, select
+from repro.tools.context import _columnar_only
 from repro.tools.listing import CYCLES_PER_SECOND, event_listing, format_event
 
 _DENSITY = " .:-=+*#%@"
@@ -40,42 +41,28 @@ class _Lane:
 class Timeline:
     """The Figure 4 timeline over a decoded trace.
 
-    ``columnar`` (the default) derives lanes, intervals, and marker
-    counts from the trace's event columns with mask selection; the
-    rendered output is identical to the scalar event walk.
+    Lanes, intervals, and marker counts are derived from the trace's
+    event columns with mask selection.  ``columnar`` selects nothing;
+    ``False`` raises.
     """
 
     def __init__(self, trace: Trace,
                  window: Optional[Tuple[int, int]] = None,
                  columnar: bool = True) -> None:
+        _columnar_only("Timeline", columnar)
         self.trace = trace
-        self.columnar = columnar
         self.marks: List[str] = []
         self.process_pids: List[int] = []
         self.process_names: Dict[int, str] = {}
         self._lanes: List[_Lane] = []
-        if columnar:
-            self._init_columnar()
-        else:
-            all_times: List[int] = []
-            for cpu in sorted(trace.events_by_cpu):
-                events = [e for e in trace.events(cpu) if e.time is not None]
-                times = [e.time for e in events]
-                all_times.extend(times)
-                self._lanes.append(
-                    _Lane(cpu, self._busy_intervals(events), times)
-                )
-            if not all_times:
-                raise ValueError("trace has no timestamped events")
-            self.t0, self.t1 = min(all_times), max(all_times)
-            self._pid_intervals = self._per_process_intervals(trace)
+        self._build_lanes()
         if window is not None:
             self.t0, self.t1 = window
         if self.t1 <= self.t0:
             self.t1 = self.t0 + 1
 
     # ------------------------------------------------------------------
-    def _init_columnar(self) -> None:
+    def _build_lanes(self) -> None:
         """Build lanes and process intervals from event columns."""
         b = as_batch(self.trace)
         order = b.order_by_stream()
@@ -120,7 +107,7 @@ class Timeline:
             int(cpu_sorted[s]): order[s:e_]         # decode order per CPU
             for s, e_ in zip(bounds[:-1], bounds[1:])
         }
-        # Event-less CPUs still get an (empty) lane, like the scalar path.
+        # Event-less CPUs still get an (empty) lane.
         from repro.tools.schedstats import _trace_cpus
 
         universe = sorted(set(_trace_cpus(self.trace)) | set(seg_by_cpu))
@@ -130,9 +117,8 @@ class Timeline:
             tseg = seg[timed[seg]]
             times = b.time[tseg].tolist()
             self._lanes.append(
-                _Lane(cpu, self._busy_intervals_columnar(b, tseg, times,
-                                                         idle_start,
-                                                         idle_end),
+                _Lane(cpu, self._busy_intervals(tseg, times, idle_start,
+                                                idle_end),
                       times)
             )
             # Per-process run intervals from context switches.
@@ -159,14 +145,19 @@ class Timeline:
         self._pid_intervals = intervals
 
     @staticmethod
-    def _busy_intervals_columnar(
-        b: EventBatch,
+    def _busy_intervals(
         tseg: np.ndarray,
         times: List[int],
         idle_start: np.ndarray,
         idle_end: np.ndarray,
     ) -> List[Tuple[int, int]]:
-        """Columnar :meth:`_busy_intervals`: replay only idle boundaries."""
+        """Reconstruct busy periods from IDLE_START/IDLE_END events.
+
+        A CPU starts idle; the first IDLE_END begins its first busy
+        interval.  A CPU with activity but no idle events is busy from
+        its first to its last event.  ``tseg`` is the CPU's timestamped
+        rows in decode order, ``times`` their timestamps.
+        """
         intervals: List[Tuple[int, int]] = []
         if len(tseg) == 0:
             return intervals
@@ -190,69 +181,6 @@ class Timeline:
             intervals.append((times[0], times[-1]))
         return intervals
 
-    @staticmethod
-    def _per_process_intervals(trace: Trace) -> Dict[int, List[Tuple[int, int]]]:
-        """Per-process run intervals, replayed from context switches."""
-        thread_pid: Dict[int, int] = {}
-        for events in trace.events_by_cpu.values():
-            for e in events:
-                if (e.major == Major.PROC
-                        and e.minor == ProcMinor.THREAD_CREATE
-                        and len(e.data) >= 2):
-                    thread_pid[e.data[0]] = e.data[1]
-        intervals: Dict[int, List[Tuple[int, int]]] = {}
-        for cpu, events in trace.events_by_cpu.items():
-            current_pid: Optional[int] = None
-            since: Optional[int] = None
-            for e in events:
-                if (e.major != Major.PROC
-                        or e.minor != ProcMinor.CONTEXT_SWITCH
-                        or len(e.data) < 2 or e.time is None):
-                    continue
-                if current_pid is not None and since is not None:
-                    intervals.setdefault(current_pid, []).append(
-                        (since, e.time)
-                    )
-                current_pid = thread_pid.get(e.data[1])
-                since = e.time
-            if current_pid is not None and since is not None and events:
-                last = events[-1].time
-                if last is not None and last > since:
-                    intervals.setdefault(current_pid, []).append(
-                        (since, last)
-                    )
-        return intervals
-
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _busy_intervals(events: Sequence[TraceEvent]) -> List[Tuple[int, int]]:
-        """Reconstruct busy periods from IDLE_START/IDLE_END events.
-
-        A CPU starts idle; the first IDLE_END begins its first busy
-        interval.  A CPU with activity but no idle events is busy from
-        its first to its last event.
-        """
-        intervals: List[Tuple[int, int]] = []
-        busy_from: Optional[int] = None
-        saw_idle_event = False
-        for e in events:
-            if e.major != Major.PROC:
-                continue
-            if e.minor == ProcMinor.IDLE_END:
-                saw_idle_event = True
-                if busy_from is None:
-                    busy_from = e.time
-            elif e.minor == ProcMinor.IDLE_START:
-                saw_idle_event = True
-                if busy_from is not None:
-                    intervals.append((busy_from, e.time))
-                    busy_from = None
-        if busy_from is not None and events:
-            intervals.append((busy_from, events[-1].time))
-        if not saw_idle_event and events:
-            intervals.append((events[0].time, events[-1].time))
-        return intervals
-
     # ------------------------------------------------------------------
     # Interaction
     # ------------------------------------------------------------------
@@ -266,7 +194,6 @@ class Timeline:
                 int(start_seconds * CYCLES_PER_SECOND),
                 int(end_seconds * CYCLES_PER_SECOND),
             ),
-            columnar=self.columnar,
         )
         tl.marks = list(self.marks)
         tl.process_pids = list(self.process_pids)
@@ -304,29 +231,18 @@ class Timeline:
 
     def marked_counts(self) -> Dict[str, int]:
         counts = {name: 0 for name in self.marks}
-        if self.columnar:
-            for name in counts:
-                counts[name] = sum(
-                    1 for t in self._marker_times(name)
-                    if self.t0 <= t <= self.t1
-                )
-            return counts
-        for e in self.trace.all_events():
-            if e.name in counts and e.time is not None \
-                    and self.t0 <= e.time <= self.t1:
-                counts[e.name] += 1
+        for name in counts:
+            counts[name] = sum(
+                1 for t in self._marker_times(name)
+                if self.t0 <= t <= self.t1
+            )
         return counts
 
     def _marker_times(self, name: str) -> List[int]:
         """All timestamps of events named ``name``, ascending."""
-        if self.columnar:
-            b = as_batch(self.trace)
-            sel = b.mask_names([name]) & b.timed
-            return sorted(b.time[sel].tolist())
-        return sorted(
-            e.time for e in self.trace.all_events()
-            if e.name == name and e.time is not None
-        )
+        b = as_batch(self.trace)
+        sel = b.mask_names([name]) & b.timed
+        return sorted(b.time[sel].tolist())
 
     def events_near(self, at_seconds: float, window_seconds: float = 1e-4,
                     limit: int = 30) -> List[TraceEvent]:
@@ -336,7 +252,6 @@ class Timeline:
             start=at_seconds - window_seconds,
             end=at_seconds + window_seconds,
             limit=limit,
-            columnar=self.columnar,
         )
 
     # ------------------------------------------------------------------
@@ -480,7 +395,7 @@ def live_render(trace, width: int = 96) -> str:
     normal transient state, not an error.
     """
     try:
-        tl = Timeline(trace, columnar=True)
+        tl = Timeline(trace)
     except ValueError:
         return "kmon: no timestamped events in the window yet"
     return tl.render(width=width)

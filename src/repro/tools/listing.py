@@ -18,6 +18,7 @@ import numpy as np
 from repro.core.columnar import as_batch
 from repro.core.stream import Trace, TraceEvent
 from repro.store.query import CYCLES_PER_SECOND, Predicate, select
+from repro.tools.context import _columnar_only
 
 __all__ = ["CYCLES_PER_SECOND", "event_listing", "format_event",
            "format_listing", "main"]
@@ -35,42 +36,11 @@ def event_listing(
 ) -> List[TraceEvent]:
     """Select events for listing, by time window / cpu / event names.
 
-    The columnar path (default) evaluates every criterion as a boolean
-    mask over the merged event columns and materializes only the
-    selected rows; selection is identical to the scalar walk.
+    Every criterion is a boolean mask over the merged event columns;
+    only the selected rows are materialized as events.  ``columnar``
+    selects nothing; ``False`` raises.
     """
-    if columnar:
-        return _event_listing_columnar(trace, start, end, cpu, names,
-                                       include_control, limit)
-    wanted = set(names) if names is not None else None
-    out: List[TraceEvent] = []
-    for e in trace.all_events():
-        if not include_control and e.is_control:
-            continue
-        if cpu is not None and e.cpu != cpu:
-            continue
-        t = (e.time or 0) / CYCLES_PER_SECOND
-        if start is not None and t < start:
-            continue
-        if end is not None and t > end:
-            continue
-        if wanted is not None and e.name not in wanted:
-            continue
-        out.append(e)
-        if limit is not None and len(out) >= limit:
-            break
-    return out
-
-
-def _event_listing_columnar(
-    trace: Trace,
-    start: Optional[float],
-    end: Optional[float],
-    cpu: Optional[int],
-    names: Optional[Iterable[str]],
-    include_control: bool,
-    limit: Optional[int],
-) -> List[TraceEvent]:
+    _columnar_only("event_listing", columnar)
     b = as_batch(trace)
     pred = Predicate(
         cpus=(int(cpu),) if cpu is not None else None,

@@ -25,7 +25,7 @@ from repro.core.columnar import as_batch
 from repro.core.majors import LockMinor, Major
 from repro.core.stream import Trace
 from repro.store.query import CYCLES_PER_SECOND, Predicate, select
-from repro.tools.context import ColumnarContext, ContextTracker
+from repro.tools.context import ColumnarContext, _columnar_only
 
 
 @dataclass
@@ -89,63 +89,14 @@ def lock_statistics(
     ``sort_by`` is any of 'time', 'count', 'spin', 'max' — "the tool
     will sort on any of these columns".
 
-    The FIFO pairing is inherently sequential, but the columnar path
-    (default) mask-selects the contention events and their pids out of
-    the event columns first, so the Python loop runs only over actual
-    CONTEND rows instead of the whole trace.  Output is identical.
+    The FIFO pairing is inherently sequential, so the contention events
+    and their pids are mask-selected out of the event columns first and
+    the Python loop runs only over actual CONTEND rows, not the whole
+    trace.  ``columnar`` selects nothing; ``False`` raises.
     """
+    _columnar_only("lock_statistics", columnar)
     if sort_by not in SORT_KEYS:
         raise ValueError(f"sort_by must be one of {sorted(SORT_KEYS)}")
-    if columnar:
-        return _lock_statistics_columnar(trace, sort_by, group_by_pid,
-                                         collect_waits)
-    ctx = ContextTracker(trace)
-    # FIFO pending starts per lock: (start_event, chain_id, pid)
-    pending: Dict[int, deque] = defaultdict(deque)
-    groups: Dict[Tuple[int, int, Optional[int]], LockStats] = {}
-
-    def group(lock_id: int, chain_id: int, pid: Optional[int]) -> LockStats:
-        key = (lock_id, chain_id, pid if group_by_pid else None)
-        st = groups.get(key)
-        if st is None:
-            st = LockStats(lock_id, chain_id, key[2])
-            groups[key] = st
-        return st
-
-    for e in trace.all_events():
-        if e.major != Major.LOCK:
-            continue
-        if e.minor == LockMinor.CONTEND_START and len(e.data) >= 2:
-            lock_id, chain_id = e.data[0], e.data[1]
-            pending[lock_id].append((e, chain_id, ctx.pid_of(e)))
-        elif e.minor == LockMinor.CONTEND_END and len(e.data) >= 2:
-            lock_id, spins = e.data[0], e.data[1]
-            if pending[lock_id]:
-                start, chain_id, pid = pending[lock_id].popleft()
-                wait = max(0, (e.time or 0) - (start.time or 0))
-                st = group(lock_id, chain_id, pid)
-                st.count += 1
-                st.spins += spins
-                st.total_wait_cycles += wait
-                st.max_wait_cycles = max(st.max_wait_cycles, wait)
-                if collect_waits:
-                    st.waits.append(wait)
-
-    # Starts never matched (still waiting at trace end — deadlock food).
-    for lock_id, dq in pending.items():
-        for start, chain_id, pid in dq:
-            st = group(lock_id, chain_id, pid)
-            st.unmatched_starts += 1
-
-    return sorted(groups.values(), key=SORT_KEYS[sort_by], reverse=True)
-
-
-def _lock_statistics_columnar(
-    trace: Trace,
-    sort_by: str,
-    group_by_pid: bool,
-    collect_waits: bool,
-) -> List[LockStats]:
     b = as_batch(trace)
     ctx = ColumnarContext(b)
     start_minor = int(LockMinor.CONTEND_START)
@@ -242,7 +193,7 @@ def live_render(
     events — a window with no contention events yet simply renders an
     empty table.
     """
-    stats = lock_statistics(trace, sort_by=sort_by, columnar=True)
+    stats = lock_statistics(trace, sort_by=sort_by)
     return format_lockstats(stats, lock_names, chains,
                             top=top, sort_label=sort_by)
 
@@ -267,8 +218,7 @@ def fleet_render(
     def rollup() -> str:
         rows = []
         for node in view.nodes:
-            stats = lock_statistics(view.node_trace(node),
-                                    sort_by=sort_by, columnar=True)
+            stats = lock_statistics(view.node_trace(node), sort_by=sort_by)
             rows.extend((node, st) for st in stats)
         rows.sort(key=lambda p: SORT_KEYS[sort_by](p[1]), reverse=True)
         lines = [

@@ -11,7 +11,6 @@ symbol file ("mapped filename servers/baseServers/baseServers.dbg").
 
 from __future__ import annotations
 
-from collections import Counter
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -20,6 +19,7 @@ from repro.core.columnar import as_batch
 from repro.core.majors import Major, PcSampleMinor
 from repro.core.stream import Trace
 from repro.store.query import Predicate, select
+from repro.tools.context import _columnar_only
 
 
 def pc_profile(
@@ -32,34 +32,10 @@ def pc_profile(
 
     ``pid`` restricts to one process ("Breakdown of Time by Process");
     unknown pcs render as hex addresses, like an unsymbolized profile.
-    ``columnar`` (the default) aggregates over event columns — one mask
-    plus a unique-count over the pc column — instead of walking event
-    objects; both paths produce identical histograms.
+    The histogram is one mask plus a unique-count over the pc column.
+    ``columnar`` selects nothing; ``False`` raises.
     """
-    if columnar:
-        return _pc_profile_columnar(trace, pc_names, pid)
-    counts: Counter = Counter()
-    for e in trace.all_events():
-        if e.major != Major.PCSAMPLE or e.minor != PcSampleMinor.SAMPLE:
-            continue
-        if len(e.data) < 2:
-            continue
-        sample_pid, pc = e.data[0], e.data[1]
-        if pid is not None and sample_pid != pid:
-            continue
-        name = (pc_names or {}).get(pc, f"{pc:#x}")
-        counts[name] += 1
-    return sorted(
-        ((count, name) for name, count in counts.items()),
-        key=lambda x: (-x[0], x[1]),
-    )
-
-
-def _pc_profile_columnar(
-    trace: Trace,
-    pc_names: Optional[Dict[int, str]],
-    pid: Optional[int],
-) -> List[Tuple[int, str]]:
+    _columnar_only("pc_profile", columnar)
     b = as_batch(trace)
     if pid is not None and pid < 0:
         return []  # data words are unsigned; no sample can match
@@ -87,18 +63,12 @@ def _pc_profile_columnar(
     )
 
 
-def profile_pids(trace: Trace, columnar: bool = True) -> List[int]:
+def profile_pids(trace: Trace) -> List[int]:
     """The processes that have at least one PC sample."""
-    if columnar:
-        b = as_batch(trace)
-        sel = np.flatnonzero(select(b, Predicate(
-            majors=(int(Major.PCSAMPLE),), min_data=2)))
-        return np.unique(b.data_column(0, sel)).tolist()
-    pids = set()
-    for e in trace.all_events():
-        if e.major == Major.PCSAMPLE and len(e.data) >= 2:
-            pids.add(e.data[0])
-    return sorted(pids)
+    b = as_batch(trace)
+    sel = np.flatnonzero(select(b, Predicate(
+        majors=(int(Major.PCSAMPLE),), min_data=2)))
+    return np.unique(b.data_column(0, sel)).tolist()
 
 
 def format_profile(
@@ -131,7 +101,7 @@ def live_render(
     Byte-identical to the post-mortem ``profile`` output for the same
     events; a window with no PC samples yet renders an empty histogram.
     """
-    hist = pc_profile(trace, pc_names, pid=pid, columnar=True)
+    hist = pc_profile(trace, pc_names, pid=pid)
     return format_profile(hist, pid=pid, top=top)
 
 
@@ -150,8 +120,7 @@ def fleet_render(
     from repro.fleet.merge import fleet_sections
 
     def rollup() -> str:
-        hist = pc_profile(trace_view.rollup_trace(), pc_names, pid=pid,
-                          columnar=True)
+        hist = pc_profile(trace_view.rollup_trace(), pc_names, pid=pid)
         return format_profile(hist, pid=pid, top=top)
 
     return fleet_sections(

@@ -19,6 +19,7 @@ from repro.core.columnar import ColumnarTrace, as_batch
 from repro.core.majors import ExcMinor, Major, ProcMinor
 from repro.core.stream import Trace
 from repro.store.query import Predicate, select
+from repro.tools.context import _columnar_only
 
 CYCLES_PER_US = 1_000
 
@@ -51,78 +52,6 @@ class SchedReport:
                       key=lambda kv: -kv[1])[:n]
 
 
-def sched_statistics(trace: Trace, columnar: bool = True) -> SchedReport:
-    """Replay scheduling events into the report.
-
-    The columnar path (default) counts switches/interrupts/migrations
-    with boolean masks per CPU and replays only the busy-interval
-    boundary events; the report is identical to the scalar walk.
-    """
-    if columnar:
-        return _sched_statistics_columnar(trace)
-    report = SchedReport()
-    t_min: Optional[int] = None
-    t_max: Optional[int] = None
-
-    for events in trace.events_by_cpu.values():
-        for e in events:
-            if (e.major == Major.PROC
-                    and e.minor == ProcMinor.THREAD_CREATE
-                    and len(e.data) >= 2):
-                report.thread_pid[e.data[0]] = e.data[1]
-
-    for cpu, events in trace.events_by_cpu.items():
-        stats = report.per_cpu.setdefault(cpu, CpuSched(cpu))
-        running: Optional[int] = None   # thread addr
-        busy_from: Optional[int] = None
-        for e in events:
-            if e.time is None:
-                continue
-            t_min = e.time if t_min is None else min(t_min, e.time)
-            t_max = e.time if t_max is None else max(t_max, e.time)
-            if e.major == Major.PROC:
-                if e.minor == ProcMinor.CONTEXT_SWITCH and len(e.data) >= 2:
-                    stats.context_switches += 1
-                    if running is not None and busy_from is not None:
-                        self_time = e.time - busy_from
-                        pid = report.thread_pid.get(running)
-                        if pid is not None:
-                            report.process_time[pid] = (
-                                report.process_time.get(pid, 0) + self_time
-                            )
-                        stats.busy_cycles += self_time
-                    running = e.data[1]
-                    busy_from = e.time
-                elif e.minor == ProcMinor.IDLE_START:
-                    if running is not None and busy_from is not None:
-                        self_time = e.time - busy_from
-                        pid = report.thread_pid.get(running)
-                        if pid is not None:
-                            report.process_time[pid] = (
-                                report.process_time.get(pid, 0) + self_time
-                            )
-                        stats.busy_cycles += self_time
-                    running = None
-                    busy_from = None
-                elif e.minor == ProcMinor.MIGRATE:
-                    stats.migrations_in += 1
-            elif e.major == Major.EXC \
-                    and e.minor == ExcMinor.TIMER_INTERRUPT:
-                stats.timer_interrupts += 1
-        # Close the final interval at the CPU's last event.
-        if running is not None and busy_from is not None and events:
-            last = events[-1].time
-            if last is not None and last > busy_from:
-                pid = report.thread_pid.get(running)
-                if pid is not None:
-                    report.process_time[pid] = (
-                        report.process_time.get(pid, 0) + (last - busy_from)
-                    )
-                stats.busy_cycles += last - busy_from
-    report.span_cycles = (t_max - t_min) if t_min is not None else 0
-    return report
-
-
 def _trace_cpus(trace) -> List[int]:
     """The CPU universe of any trace form (including event-less CPUs)."""
     if isinstance(trace, ColumnarTrace):
@@ -133,7 +62,14 @@ def _trace_cpus(trace) -> List[int]:
     return np.unique(as_batch(trace).cpu).tolist()
 
 
-def _sched_statistics_columnar(trace: Trace) -> SchedReport:
+def sched_statistics(trace: Trace, columnar: bool = True) -> SchedReport:
+    """Replay scheduling events into the report.
+
+    Switches/interrupts/migrations are counted with boolean masks per
+    CPU; only the busy-interval boundary events are replayed.
+    ``columnar`` selects nothing; ``False`` raises.
+    """
+    _columnar_only("sched_statistics", columnar)
     b = as_batch(trace)
     report = SchedReport()
     for cpu in _trace_cpus(trace):
@@ -270,8 +206,8 @@ def live_render(
     events; a window with no scheduling events yet renders zero rates
     over a zero span.
     """
-    return format_sched_report(sched_statistics(trace, columnar=True),
-                               process_names, top=top)
+    return format_sched_report(sched_statistics(trace), process_names,
+                               top=top)
 
 
 def fleet_render(
@@ -292,7 +228,7 @@ def fleet_render(
     def rollup() -> str:
         return (lane_legend_line(view) + "\n"
                 + format_sched_report(
-                    sched_statistics(view.rollup_trace(), columnar=True),
+                    sched_statistics(view.rollup_trace()),
                     process_names, top=top))
 
     return fleet_sections(

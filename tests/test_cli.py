@@ -4,6 +4,7 @@ import pytest
 
 from repro.cli import main
 from repro.core.crashdump import write_dump
+from repro.core.faults import FILE_KINDS
 from repro.core.writer import save_records
 from repro.workloads import run_contention, run_multiprog
 
@@ -290,6 +291,52 @@ def test_strict_flag_stops_at_first_garble(artifacts, capsys, tmp_path):
         return int(line.split()[1])
 
     assert events(loose) > events(strict)
+
+
+def _one_error_line(capsys, path):
+    """stdout empty; stderr exactly one ``error:`` line naming the file."""
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"repro-trace: error: {path}: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    return err
+
+
+@pytest.mark.parametrize("kind", FILE_KINDS)
+@pytest.mark.parametrize("command", ["info", "locks", "doctor"])
+def test_strict_on_file_damage_is_an_error_line(artifacts, capsys, tmp_path,
+                                                command, kind):
+    """File-level damage under ``--strict``: exit 2 and the reader's
+    verdict, not a traceback (and not, as ``info`` once did, a silent
+    resync).  Without ``--strict`` the same file is read past."""
+    bad = str(tmp_path / "bad.k42")
+    assert main(["inject", artifacts["trace"], bad, "--kind", kind]) == 0
+    assert main([command, bad]) != 2    # doctor: 1 damage, 0 growing tail
+    assert capsys.readouterr().out
+    assert main([command, bad, "--strict"]) == 2
+    verdict = "bad frame magic" if kind == "frame-magic" else "truncated frame"
+    assert verdict in _one_error_line(capsys, bad)
+
+
+@pytest.mark.parametrize("argv", [
+    ["info", "MISSING"], ["verify", "MISSING"], ["list", "MISSING"],
+    ["kmon", "MISSING"], ["locks", "MISSING"], ["profile", "MISSING"],
+    ["breakdown", "MISSING"], ["histogram", "MISSING"],
+    ["memprofile", "MISSING"], ["holds", "MISSING"], ["sched", "MISSING"],
+    ["iostats", "MISSING"], ["crashdump", "MISSING"], ["doctor", "MISSING"],
+    ["compare", "TRACE", "MISSING"], ["merge", "TRACE", "MISSING"],
+    ["inject", "MISSING", "OUT", "--kind", "frame-magic"],
+    ["inject", "MISSING", "OUT", "--kind", "torn-event"],
+    ["export-ltt", "MISSING", "-o", "OUT"], ["pack", "MISSING", "OUT"],
+    ["follow", "MISSING"], ["follow", "MISSING", "--replay", "instant"],
+    ["query", "MISSING"], ["locks", "MISSING", "--store"],
+], ids=lambda argv: "-".join(a for a in argv if a.islower()))
+def test_missing_path_is_an_error_line(artifacts, capsys, tmp_path, argv):
+    missing = str(tmp_path / "missing.k42")
+    names = {"MISSING": missing, "TRACE": artifacts["trace"],
+             "OUT": str(tmp_path / "out")}
+    assert main([names.get(a, a) for a in argv]) == 2
+    _one_error_line(capsys, missing)
 
 
 _COLUMNAR_COMMANDS = ("info", "list", "kmon", "locks", "profile",

@@ -1,9 +1,10 @@
-"""Scalar-vs-columnar equivalence for every ported analysis tool.
+"""Reference-vs-shipped equivalence for every column analysis tool.
 
-Each tool grew a ``columnar=True`` fast path over structure-of-arrays
-event batches; these tests pin the contract that the columnar path is
-output-identical to the scalar per-event walk — on simulator workloads,
-on corrupted streams, and when the input is itself a ``ColumnarTrace``.
+Each tool computes its report from structure-of-arrays event columns;
+these tests pin the contract that the report is identical to the
+per-event walk in ``tests/tools/reference.py`` — on simulator
+workloads, on corrupted streams, and when the input is itself a
+``ColumnarTrace``.
 """
 
 import random
@@ -14,14 +15,16 @@ import pytest
 from repro.core.columnar import ColumnarTraceReader, as_batch
 from repro.core.registry import default_registry
 from repro.core.stream import TraceReader
+from repro.ksim.ipc import FS_FUNCTION_NAMES
 from repro.tools.breakdown import process_breakdown
 from repro.tools.context import ColumnarContext, ContextTracker
 from repro.tools.kmon import Timeline
-from repro.tools.listing import event_listing
+from repro.tools.listing import event_listing, format_listing
 from repro.tools.lockstats import lock_statistics
 from repro.tools.pcprofile import pc_profile, profile_pids
 from repro.tools.schedstats import format_sched_report, sched_statistics
 from tests.core.test_parallel import build_records
+from tests.tools import reference
 
 
 def _listing_tuples(events):
@@ -69,13 +72,13 @@ class TestContext:
 
 class TestToolEquivalence:
     def test_pc_profile(self, contention_trace):
-        assert pc_profile(contention_trace, columnar=False) == \
-            pc_profile(contention_trace, columnar=True)
-        pids = profile_pids(contention_trace, columnar=False)
-        assert pids == profile_pids(contention_trace, columnar=True)
+        assert reference.pc_profile(contention_trace) == \
+            pc_profile(contention_trace)
+        pids = reference.profile_pids(contention_trace)
+        assert pids == profile_pids(contention_trace)
         for pid in pids[:2] + [None, -1, 10 ** 9]:
-            assert pc_profile(contention_trace, pid=pid, columnar=False) == \
-                pc_profile(contention_trace, pid=pid, columnar=True)
+            assert reference.pc_profile(contention_trace, pid=pid) == \
+                pc_profile(contention_trace, pid=pid)
 
     @pytest.mark.parametrize("kw", [
         dict(),
@@ -88,36 +91,35 @@ class TestToolEquivalence:
     ], ids=lambda kw: ",".join(kw) or "plain")
     def test_event_listing(self, contention_trace, kw):
         assert _listing_tuples(
-            event_listing(contention_trace, columnar=False, **kw)
+            reference.event_listing(contention_trace, **kw)
         ) == _listing_tuples(
-            event_listing(contention_trace, columnar=True, **kw))
+            event_listing(contention_trace, **kw))
 
     @pytest.mark.parametrize("sort_by", ["time", "count", "spin", "max"])
     @pytest.mark.parametrize("group_by_pid", [True, False])
     def test_lock_statistics(self, contention_trace, sort_by, group_by_pid):
-        assert lock_statistics(
+        assert reference.lock_statistics(
             contention_trace, sort_by=sort_by, group_by_pid=group_by_pid,
-            collect_waits=True, columnar=False,
+            collect_waits=True,
         ) == lock_statistics(
             contention_trace, sort_by=sort_by, group_by_pid=group_by_pid,
-            collect_waits=True, columnar=True)
+            collect_waits=True)
 
     def test_process_breakdown(self, multiprog_trace):
-        assert process_breakdown(multiprog_trace, columnar=False) == \
-            process_breakdown(multiprog_trace, columnar=True)
+        assert reference.process_breakdown(multiprog_trace) == \
+            process_breakdown(multiprog_trace)
 
     def test_sched_statistics(self, multiprog_trace):
-        scalar = sched_statistics(multiprog_trace, columnar=False)
-        columnar = sched_statistics(multiprog_trace, columnar=True)
+        scalar = reference.sched_statistics(multiprog_trace)
+        columnar = sched_statistics(multiprog_trace)
         assert scalar == columnar
         assert format_sched_report(scalar) == format_sched_report(columnar)
 
     def test_kmon_timeline(self, multiprog_trace):
         marks = ("TRC_PROC_CTX_SWITCH", "TRC_LOCK_CONTEND_START")
-        ts = Timeline(multiprog_trace, columnar=False).mark(*marks) \
+        ts = reference.Timeline(multiprog_trace).mark(*marks) \
             .show_processes()
-        tc = Timeline(multiprog_trace, columnar=True).mark(*marks) \
-            .show_processes()
+        tc = Timeline(multiprog_trace).mark(*marks).show_processes()
         assert ts.render() == tc.render()
         assert ts.render_svg() == tc.render_svg()
         assert ts.marked_counts() == tc.marked_counts()
@@ -127,27 +129,62 @@ class TestToolEquivalence:
 class TestOnDamagedAndColumnarInputs:
     def test_all_tools_on_corrupt_trace(self, corrupt_trace):
         tr = corrupt_trace
-        assert pc_profile(tr, columnar=False) == pc_profile(tr, columnar=True)
-        assert _listing_tuples(event_listing(tr, columnar=False)) == \
-            _listing_tuples(event_listing(tr, columnar=True))
-        assert lock_statistics(tr, columnar=False) == \
-            lock_statistics(tr, columnar=True)
-        assert process_breakdown(tr, columnar=False) == \
-            process_breakdown(tr, columnar=True)
-        assert sched_statistics(tr, columnar=False) == \
-            sched_statistics(tr, columnar=True)
+        assert reference.pc_profile(tr) == pc_profile(tr)
+        assert _listing_tuples(reference.event_listing(tr)) == \
+            _listing_tuples(event_listing(tr))
+        assert reference.lock_statistics(tr) == lock_statistics(tr)
+        assert reference.process_breakdown(tr) == process_breakdown(tr)
+        assert reference.sched_statistics(tr) == sched_statistics(tr)
 
     def test_tools_accept_columnar_trace(self, corrupt_trace):
-        # A ColumnarTrace input must produce the same reports as the
-        # scalar Trace input, on both tool paths.
+        # The shipped tools on a ColumnarTrace input must produce the
+        # reports the reference walks out of the event-object Trace.
         records = build_records(n_events=500, ncpus=2)
         scalar = TraceReader(registry=default_registry()) \
             .decode_records(records)
         columnar = ColumnarTraceReader(registry=default_registry()) \
             .decode_records(records)
-        assert sched_statistics(scalar, columnar=False) == \
-            sched_statistics(columnar, columnar=True)
-        assert process_breakdown(scalar, columnar=False) == \
-            process_breakdown(columnar, columnar=True)
-        assert _listing_tuples(event_listing(scalar, columnar=False)) == \
-            _listing_tuples(event_listing(columnar, columnar=True))
+        assert reference.sched_statistics(scalar) == \
+            sched_statistics(columnar)
+        assert reference.process_breakdown(scalar) == \
+            process_breakdown(columnar)
+        assert _listing_tuples(reference.event_listing(scalar)) == \
+            _listing_tuples(event_listing(columnar))
+
+
+class TestInertKeyword:
+    """``benchmarks/pipeline`` (wl_postmortem.py, wl_store.py) passes
+    ``columnar=True`` to six tools and tier-1 never imports it: make its
+    calls here, spelled as it spells them, so a signature break fails
+    in this suite and not only as failed benchmark operations."""
+
+    def test_pinned_calls_equal_the_plain_calls(self, contention_run):
+        kernel, trace, _result = contention_run
+        sym = kernel.symbols()
+        name = "TRC_LOCK_CONTEND_START"
+        assert pc_profile(trace, sym.pc_names, pid=None, columnar=True) == \
+            pc_profile(trace, sym.pc_names, pid=None)
+        assert sched_statistics(trace, columnar=True) == \
+            sched_statistics(trace)
+        assert process_breakdown(trace, sym.syscall_names, sym.process_names,
+                                 FS_FUNCTION_NAMES, columnar=True) == \
+            process_breakdown(trace, sym.syscall_names, sym.process_names,
+                              FS_FUNCTION_NAMES)
+        assert Timeline(trace, columnar=True).render(width=96) == \
+            Timeline(trace).render(width=96)
+        selection = dict(names=[name], cpu=None, start=None, end=None,
+                         limit=None, include_control=False)
+        listing = format_listing(trace, columnar=True, **selection)
+        assert listing and listing == format_listing(trace, **selection)
+        assert lock_statistics(trace, sort_by="time", columnar=True) == \
+            lock_statistics(trace, sort_by="time")
+
+    @pytest.mark.parametrize("call", [
+        pc_profile, sched_statistics, process_breakdown, Timeline,
+        format_listing, lock_statistics,
+    ], ids=lambda f: f.__name__)
+    def test_columnar_false_raises(self, contention_trace, call):
+        # Ignoring it would turn a leftover scalar-vs-columnar check
+        # into columnar-vs-columnar.
+        with pytest.raises(ValueError, match="columnar=False.*removed"):
+            call(contention_trace, columnar=False)
