@@ -95,9 +95,20 @@ def test_columnar_decode(benchmark):
         ncpus=4, workers_per_cpu=2, iterations=60, pc_sample_period=1_000)
     records = facility.snapshot()
     reg = default_registry()
-    trace = benchmark(lambda: ColumnarTraceReader(registry=reg)
-                      .decode_records(records))
-    assert len(as_batch(trace))
+    seconds, trace = _timeit(lambda: ColumnarTraceReader(registry=reg)
+                             .decode_records(records))
+    events = len(as_batch(trace))
+    assert events
+    empty = sum(not rec.words.any() for rec in records)
+    write_result(
+        "columnar_decode",
+        f"records -> ColumnarTrace, {len(records)} buffers ({empty} of them "
+        f"never written), {events} events\n"
+        f"in-process decode {seconds * 1e3:.1f} ms "
+        f"({seconds * 1e9 / events:.0f} ns/event, "
+        f"{seconds * 1e6 / len(records):.1f} us/buffer)")
+    benchmark(lambda: ColumnarTraceReader(registry=reg)
+              .decode_records(records))
 
 
 # ---------------------------------------------------------------------------

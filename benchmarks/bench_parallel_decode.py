@@ -14,8 +14,8 @@ Every path must produce the identical trace (asserted event-for-event).
 On a host with at least 4 cores, 4 workers should decode at least 2x as
 fast as the in-process decoder; on fewer cores the floor says nothing
 about parallelism, so it is skipped and the skip is printed.  Workers
-run only the header walk and timestamp unwrap — the parent still
-unpickles their results and folds every buffer into columns — so a
+run only the header walk — the parent still unpickles their results,
+folds every buffer into columns and reconstructs the times — so a
 shortfall is reported as an expected failure carrying the measured
 ratio rather than hidden behind a lower floor (see "What the pool buys"
 in docs/parallel-analysis.md).  Timing runs with the GC paused (applied
@@ -103,14 +103,14 @@ def test_parallel_decode_throughput(benchmark, records):
     baseline = _as_comparable(trace_seq)
 
     rows = [("sequential", t_seq, 1.0)]
-    speedups = {}
+    seconds = {}
     for workers in (2, 4):
         t, trace = _timeit(lambda: decode_records_columnar_parallel(
             records, registry=reg, workers=workers))
         assert _as_comparable(trace) == baseline, (
             f"{workers}-worker decode differs from sequential"
         )
-        speedups[workers] = t_seq / t
+        seconds[workers] = t
         rows.append((f"{workers} workers", t, t_seq / t))
 
     cores = os.cpu_count() or 1
@@ -135,11 +135,13 @@ def test_parallel_decode_throughput(benchmark, records):
                   f"core(s), needs >= 4 to say anything about parallelism")
         print(reason)
         pytest.skip(reason)
-    if speedups[4] < MIN_SPEEDUP_4_WORKERS:
+    if t_seq / seconds[4] < MIN_SPEEDUP_4_WORKERS:
         pytest.xfail(
-            f"4-worker decode is {speedups[4]:.2f}x the in-process decoder "
-            f"on {cores} cores, floor {MIN_SPEEDUP_4_WORKERS}x: the parent "
-            f"unpickles the scans and folds every buffer into columns itself"
+            f"4-worker decode took {seconds[4] * 1e3:.0f} ms against "
+            f"{t_seq * 1e3:.0f} ms in-process ({t_seq / seconds[4]:.2f}x) "
+            f"on {cores} cores, floor {MIN_SPEEDUP_4_WORKERS}x: the workers "
+            f"only walk headers, and shipping buffers out and offsets back "
+            f"costs more than the walk it spares the parent"
         )
 
 

@@ -387,9 +387,8 @@ class CheckedSystem:
         for off in scan.offsets:
             if cols.major[off] != Major.TEST:
                 continue
-            w = cols.minor[off] - 1
-            data = [int(x) for x in
-                    cols.words[off + 1:off + cols.length[off]]]
+            w = int(cols.minor[off]) - 1
+            data = cols.arr[off + 1:off + cols.length[off]].tolist()
             if not (0 <= w < self.config.writers):
                 raise InvariantViolation(
                     f"{who}-fabricated-event",

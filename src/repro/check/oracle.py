@@ -10,8 +10,10 @@ explored schedule (the ``scalar-batch-divergence`` invariant), and the
 test suite fuzzes them against each other on corrupted streams.
 
 It is reference code, deliberately slow and deliberately separate: the
-only things it shares with the production walk are the pure header
-predicates (:func:`~repro.core.stream.find_resync` and friends).
+only things it shares with the production walk are ``sdelta32`` and the
+anchor-header predicate.  :func:`find_resync` here is the word-at-a-time
+statement of the resync rules that the array-predicate
+:func:`repro.core.stream.find_resync` is held to.
 """
 
 from __future__ import annotations
@@ -28,9 +30,67 @@ from repro.core.stream import (
     Trace,
     TraceEvent,
     _is_anchor_header,
-    find_resync,
     sdelta32,
 )
+
+_U32 = 1 << 32
+_HALF32 = 1 << 31
+
+#: Minor IDs a CONTROL-class header may legitimately carry; anything else
+#: in the CONTROL major is junk and disqualifies a resync candidate.
+_KNOWN_CONTROL_MINORS = frozenset(int(m) for m in ControlMinor)
+
+
+def _plausible_header(fields, o: int, limit: int,
+                      prev_ts32: Optional[int]) -> bool:
+    """Whether the word at ``o`` could be a live event header.
+
+    ``fields(o)`` returns ``(ts32, length, major, minor)``.  Plausible
+    means: a nonzero length that fits in the buffer, a believable
+    major/minor combination (a CONTROL header must carry a known control
+    minor), and — when ``prev_ts32`` is given — a timestamp that does
+    not regress (mod 2^32) relative to the accepted stream.
+    """
+    ts, length, major, minor = fields(o)
+    if length == 0 or o + length > limit:
+        return False
+    if major == Major.CONTROL and minor not in _KNOWN_CONTROL_MINORS:
+        return False
+    if prev_ts32 is not None and ((ts - prev_ts32) & (_U32 - 1)) >= _HALF32:
+        # A full-width timestamp anchor is a legitimate resync point:
+        # it exists precisely so the stream can span gaps the 32-bit
+        # delta cannot represent (§3.2) — a late-attaching writer's
+        # first words land seconds after the creator's buffer-0 anchor.
+        if not _is_anchor_header(major, minor, length):
+            return False
+    return True
+
+
+def find_resync(fields, start: int, limit: int,
+                prev_ts32: Optional[int] = None) -> Optional[int]:
+    """Locate the next plausible event header at or after ``start``.
+
+    Rescan forward word by word for a header whose length/major fields
+    are valid, whose timestamp continues the accepted stream
+    monotonically, and which *chains* — the header it points at must
+    itself be plausible (or end the buffer exactly).
+
+    Two passes: the first holds candidates to the accepted timestamp
+    state; if nothing qualifies, a second, shape-only pass requires only
+    internal chain monotonicity.  Returns the offset of the accepted
+    candidate, or ``None`` when the rest of the buffer holds nothing
+    salvageable.
+    """
+    passes = (prev_ts32, None) if prev_ts32 is not None else (None,)
+    for anchor in passes:
+        for o in range(start, limit):
+            if not _plausible_header(fields, o, limit, anchor):
+                continue
+            ts, length, _, _ = fields(o)
+            nxt = o + length
+            if nxt == limit or _plausible_header(fields, nxt, limit, ts):
+                return o
+    return None
 
 
 def reference_decode(

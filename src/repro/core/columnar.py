@@ -56,28 +56,15 @@ from repro.core.stream import (
     BufferScan,
     Trace,
     TraceEvent,
-    find_anchors,
-    scan_buffer,
+    _int_column,
+    scan_buffers,
     unwrap_times,
 )
 
 _CTRL = int(Major.CONTROL)
+_ANCHOR = int(ControlMinor.TIMESTAMP_ANCHOR)
 _FILLER = int(ControlMinor.FILLER)
 _FILLER_EXT = int(ControlMinor.FILLER_EXT)
-
-
-def _int_column(values: Sequence[int]) -> np.ndarray:
-    """An integer column that survives arbitrarily large values.
-
-    Reconstructed full times are Python ints and — on corrupt anchors —
-    can exceed int64.  The common case packs into int64; the pathological
-    case falls back to an object column, which every consumer handles
-    (comparisons and ``tolist`` behave identically, just slower).
-    """
-    try:
-        return np.array(values, dtype=np.int64)
-    except OverflowError:
-        return np.array(values, dtype=object)
 
 
 def _compact_payloads(
@@ -652,34 +639,29 @@ class _CpuAccumulator:
     """One CPU's accepted buffers while a trace is being assembled.
 
     Only what the walk decided is kept per buffer — the word array, the
-    accepted header offsets and a few scalars; ``finish`` unpacks the
-    header fields of all of a CPU's events at once.
+    accepted header offsets and the sequence number; ``finish`` unpacks
+    the header fields and reconstructs the times of all of a CPU's
+    events at once.  Buffers that yielded no event are not kept.
     """
 
-    __slots__ = ("words", "offsets", "counts", "seqs", "shifts", "timed",
-                 "time_vals", "word_total")
+    __slots__ = ("words", "offsets", "seqs")
 
     def __init__(self) -> None:
         self.words: List[np.ndarray] = []
         self.offsets: List[np.ndarray] = []
-        #: Per buffer: event count, sequence number, position of its
-        #: first word in the concatenated pool, whether times exist.
-        self.counts: List[int] = []
         self.seqs: List[int] = []
-        self.shifts: List[int] = []
-        self.timed: List[bool] = []
-        self.time_vals: List[int] = []
-        self.word_total = 0
 
 
 class ColumnarAssembler:
     """Accumulates per-buffer scans into per-CPU event columns.
 
-    Timestamps are stitched across buffers through a carried
-    ``(last_full, last_ts32)`` state per CPU, fillers are filtered and
-    anomalies reported per buffer; the output is columns, never
-    ``TraceEvent`` objects.  Buffers must be added in (cpu, seq) order,
-    the order the sequential reader visits them.
+    ``add_buffer`` only records what the walk decided; ``finish`` folds
+    each CPU's buffers in one set of array operations: header fields,
+    fillers, and timestamps stitched across buffers from a carried
+    ``(last_full, last_ts32)`` state per CPU.  Anomalies are reported
+    per buffer, in the order buffers were added; the output is columns,
+    never ``TraceEvent`` objects.  Buffers must be added in (cpu, seq)
+    order, the order the sequential reader visits them.
     """
 
     def __init__(
@@ -691,23 +673,26 @@ class ColumnarAssembler:
         self.registry = registry
         self.include_fillers = include_fillers
         self.check_committed = check_committed
-        self.anomaly_columns = AnomalyColumns()
         self._acc: Dict[int, _CpuAccumulator] = {}
-        self._state: Dict[int, Tuple[Optional[int], Optional[int]]] = {}
+        #: Every buffer that can raise an anomaly, in arrival order:
+        #: (cpu, seq, position among the CPU's kept buffers or -1,
+        #: garbles, resumes, committed-mismatch detail or None).
+        self._ledger: List[Tuple[int, int, int, List[Tuple[int, str]],
+                                 List[Optional[int]], Optional[str]]] = []
+        self._state: Dict[int, Tuple[int, int]] = {}
 
     def add_buffer(
         self,
         rec: BufferRecord,
         scan: BufferScan,
-        times: Optional[List[int]] = None,
+        times: Optional[Sequence[int]] = None,
         anchored: bool = False,
     ) -> None:
-        """Fold one scanned buffer into the columns.
+        """Record one scanned buffer for the next ``finish``/``take``.
 
-        ``times``/``anchored`` may come precomputed from a decode
-        worker; when ``times`` is ``None`` they are reconstructed here
-        from the buffer's anchor or the carried state — which is also
-        how an unanchored head-of-shard buffer gets stitched.
+        ``times``/``anchored`` are accepted and not read: ``finish``
+        reconstructs every time from the buffer's own words — the same
+        words a caller would have precomputed them from.
         """
         cpu = rec.cpu
         acc = self._acc.get(cpu)
@@ -717,55 +702,26 @@ class ColumnarAssembler:
             # Only a damaged frame/dump header yields such a sequence
             # number; it cannot be ordered (or held in the int64 ``seq``
             # column), so the buffer is distrusted whole.
-            self.anomaly_columns.append(
-                cpu, rec.seq, 0, "garbled",
-                f"implausible buffer sequence number {rec.seq}; "
-                f"buffer skipped")
+            self._ledger.append((
+                cpu, rec.seq, -1,
+                [(0, f"implausible buffer sequence number {rec.seq}; "
+                     f"buffer skipped")], [None], None))
             return
-        last_full, last_ts32 = self._state.get(cpu, (None, None))
-        if times is None:
-            anchors = find_anchors(scan)
-            times = unwrap_times(scan.event_ts32(), last_full, last_ts32,
-                                 anchors)
-            anchored = bool(anchors)
-
-        cols = scan.cols
-        n = len(scan.offsets)
-        if n:
-            arr = cols.arr
-            if arr is None:
-                arr = np.asarray(cols.words, dtype=np.uint64)
-            acc.words.append(arr)
+        kept = -1
+        if len(scan.offsets):
+            kept = len(acc.seqs)
+            acc.words.append(scan.cols.arr)
             acc.offsets.append(np.asarray(scan.offsets, dtype=np.int64))
-            acc.counts.append(n)
             acc.seqs.append(rec.seq)
-            acc.shifts.append(acc.word_total)
-            acc.timed.append(times is not None)
-            acc.time_vals.extend(times if times is not None else [0] * n)
-            acc.word_total += len(arr)
-
-        # Anomalies, in exactly the reference decoder's per-buffer
-        # order: garbles/recoveries, committed mismatch (the §3.1
-        # ``traceCommit`` consistency check), missing anchor.
-        an = self.anomaly_columns
-        for (off, detail), resume in zip(scan.garbles, scan.resumes):
-            an.append(cpu, rec.seq, off, "garbled", detail)
-            if resume is not None:
-                an.append(cpu, rec.seq, off, "recovered-region",
-                          f"skipped {resume - off} words; resynchronized at "
-                          f"offset {resume}")
+        mismatch = None
         if (self.check_committed and not rec.partial
                 and rec.committed != rec.fill_words):
-            an.append(cpu, rec.seq, 0, "committed-mismatch",
-                      f"committed {rec.committed} words, buffer holds "
-                      f"{rec.fill_words}")
-        if times is not None:
-            if not anchored:
-                an.append(cpu, rec.seq, 0, "missing-anchor",
-                          "no timestamp anchor; times unwrapped "
-                          "from previous buffer")
-            self._state[cpu] = (times[-1],
-                                cols.ts32[scan.offsets[-1]])
+            # The §3.1 ``traceCommit`` consistency check.
+            mismatch = (f"committed {rec.committed} words, buffer holds "
+                        f"{rec.fill_words}")
+        if kept >= 0 or scan.garbles or mismatch:
+            self._ledger.append((cpu, rec.seq, kept, scan.garbles,
+                                 scan.resumes, mismatch))
 
     def take(self) -> "ColumnarTrace":
         """Drain everything accumulated since the last take as a chunk.
@@ -777,29 +733,59 @@ class ColumnarAssembler:
         Anomaly columns drain with their chunk; the next chunk starts
         a fresh ledger.
         """
-        chunk = self.finish()
-        self._acc = {}
-        self.anomaly_columns = AnomalyColumns()
-        return chunk
+        return self.finish()
 
     def finish(self) -> "ColumnarTrace":
-        """Build each CPU's final batch from its accepted buffers."""
-        batches = {cpu: self._cpu_batch(cpu, self._acc[cpu])
-                   for cpu in sorted(self._acc)}
-        return ColumnarTrace(batches, self.anomaly_columns, self.registry)
+        """Fold what was added into per-CPU batches and the anomaly list.
 
-    def _cpu_batch(self, cpu: int, acc: _CpuAccumulator) -> EventBatch:
-        """Unpack the header fields of all of one CPU's events at once."""
-        if not acc.counts:
-            return EventBatch.empty(self.registry)
-        counts = np.array(acc.counts, dtype=np.int64)
+        The accumulated buffers are consumed; only the stitching state
+        stays behind.
+        """
+        batches: Dict[int, EventBatch] = {}
+        verdicts: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
+        for cpu in sorted(self._acc):
+            batches[cpu], timed, anchored = self._cpu_batch(
+                cpu, self._acc[cpu])
+            verdicts[cpu] = timed, anchored
+        # Anomalies, in exactly the reference decoder's per-buffer
+        # order: garbles/recoveries, committed mismatch, missing anchor.
+        an = AnomalyColumns()
+        for cpu, seq, kept, garbles, resumes, mismatch in self._ledger:
+            for (off, detail), resume in zip(garbles, resumes):
+                an.append(cpu, seq, off, "garbled", detail)
+                if resume is not None:
+                    an.append(cpu, seq, off, "recovered-region",
+                              f"skipped {resume - off} words; "
+                              f"resynchronized at offset {resume}")
+            if mismatch is not None:
+                an.append(cpu, seq, 0, "committed-mismatch", mismatch)
+            if kept >= 0:
+                timed, anchored = verdicts[cpu]
+                if timed[kept] and not anchored[kept]:
+                    an.append(cpu, seq, 0, "missing-anchor",
+                              "no timestamp anchor; times unwrapped "
+                              "from previous buffer")
+        self._acc = {}
+        self._ledger = []
+        return ColumnarTrace(batches, an, self.registry)
 
-        def per_event(per_buffer: List, dtype: type) -> np.ndarray:
-            return np.repeat(np.array(per_buffer, dtype=dtype), counts)
+    def _cpu_batch(
+        self, cpu: int, acc: _CpuAccumulator
+    ) -> Tuple[EventBatch, np.ndarray, np.ndarray]:
+        """Unpack the header fields of all of one CPU's events at once.
+
+        Returns the batch and, per kept buffer, whether its events got
+        times and whether it held an anchor.
+        """
+        none = np.zeros(0, dtype=bool)
+        if not acc.seqs:
+            return EventBatch.empty(self.registry), none, none
+        counts = np.array([len(o) for o in acc.offsets], dtype=np.int64)
+        sizes = np.array([len(w) for w in acc.words], dtype=np.int64)
 
         words = np.concatenate(acc.words)
         offset = np.concatenate(acc.offsets)
-        base = offset + per_event(acc.shifts, np.int64)
+        base = offset + np.repeat(np.cumsum(sizes) - sizes, counts)
         hdr = words[base]
         ts32 = (hdr >> np.uint64(TIMESTAMP_SHIFT)).astype(np.int64)
         length = ((hdr >> np.uint64(LENGTH_SHIFT))
@@ -807,8 +793,14 @@ class ColumnarAssembler:
         major = ((hdr >> np.uint64(MAJOR_SHIFT))
                  & np.uint64(MAJOR_MASK)).astype(np.int64)
         minor = (hdr & np.uint64(MINOR_MASK)).astype(np.int64)
-        dlen = length - 1
         is_ctrl = major == _CTRL
+
+        # Usable anchors carry their full-width value as data.
+        at = np.flatnonzero(is_ctrl & (minor == _ANCHOR) & (length >= 2))
+        time, timed, anchored = self._cpu_times(
+            cpu, np.cumsum(counts) - counts, ts32, at, words[base[at] + 1])
+
+        dlen = length - 1
         f_plain = is_ctrl & (minor == _FILLER)
         f_ext = is_ctrl & (minor == _FILLER_EXT)
         # Plain fillers carry no data; a real extended filler
@@ -816,25 +808,68 @@ class ColumnarAssembler:
         dlen[f_plain] = 0
         dlen[f_ext & (length == 0)] = 1
         columns = [
-            base, offset, per_event(acc.seqs, np.int64), ts32, major, minor,
-            length, dlen, _int_column(acc.time_vals),
-            per_event(acc.timed, bool),
+            base, offset, np.repeat(np.array(acc.seqs, dtype=np.int64),
+                                    counts),
+            ts32, major, minor, length, dlen, time, np.repeat(timed, counts),
         ]
         if not self.include_fillers:
             keep = ~(f_plain | f_ext)
             if not keep.all():
                 columns = [c[keep] for c in columns]
-        base, offset, seq, ts32, major, minor, length, dlen, time, timed = \
-            columns
+        base, offset, seq, ts32, major, minor, length, dlen, time, is_timed \
+            = columns
         if not len(base):
-            return EventBatch.empty(self.registry)
+            return EventBatch.empty(self.registry), timed, anchored
         return EventBatch(
             words=words, base=base,
             cpu=np.full(len(base), cpu, dtype=np.int64),
             seq=seq, offset=offset, ts32=ts32, major=major, minor=minor,
-            length=length, dlen=dlen, time=time, timed=timed,
+            length=length, dlen=dlen, time=time, timed=is_timed,
             registry=self.registry,
-        )
+        ), timed, anchored
+
+    def _cpu_times(
+        self,
+        cpu: int,
+        first: np.ndarray,
+        ts32: np.ndarray,
+        at: np.ndarray,
+        values: np.ndarray,
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Full times of all of one CPU's events, and the stitching state.
+
+        ``first`` is each kept buffer's first event; ``at`` and ``values``
+        are the anchors' events and full-width values (a buffer may hold
+        several — the creator anchors sequence 0, every late-attaching
+        writer logs its own, §3.2).  Each anchor re-bases the cumulative
+        sum of 32-bit deltas; the first anchor of a buffer governs that
+        buffer from its first event, and a buffer without one chains on
+        from the event before it.  Returns the time column and, per
+        buffer, whether its events got times and whether it held an
+        anchor.
+        """
+        owner = np.searchsorted(first, at, side="right") - 1
+        anchored = np.zeros(len(first), dtype=bool)
+        anchored[owner] = True
+
+        last_full, last_ts32 = self._state.get(cpu, (None, None))
+        # Without a carried state, buffers before the first anchored one
+        # have no basis and stay untimed.
+        head = int(owner[0]) if last_full is None and len(at) else 0
+        t0 = int(first[head])
+        leads = np.ones(len(at), dtype=bool)
+        leads[1:] = owner[1:] != owner[:-1]
+        tail = unwrap_times(
+            ts32[t0:], last_full, last_ts32,
+            list(zip((at - t0).tolist(), values.tolist())),
+            (np.where(leads, first[owner], at) - t0).tolist())
+        if tail is None:
+            return (np.zeros(len(ts32), dtype=np.int64),
+                    np.zeros(len(first), dtype=bool), anchored)
+        self._state[cpu] = (int(tail[-1]), int(ts32[-1]))
+        time = tail if not t0 else np.concatenate(
+            [np.zeros(t0, dtype=tail.dtype), tail])
+        return time, np.arange(len(first)) >= head, anchored
 
 
 class ColumnarTrace:
@@ -1056,8 +1091,9 @@ def decode_records_columnar(
                             check_committed=check_committed)
     for cpu, recs in sorted(by_cpu.items()):
         recs.sort(key=lambda r: r.seq)
-        for rec in recs:
-            scan = scan_buffer(rec.words, rec.fill_words, recover=not strict)
+        scans = scan_buffers([(rec.words, rec.fill_words) for rec in recs],
+                             recover=not strict)
+        for rec, scan in zip(recs, scans):
             asm.add_buffer(rec, scan)
     return asm.finish()
 

@@ -15,22 +15,20 @@ Pipeline
    a parseable state.
 2. **Scan** (worker processes): each worker receives raw word arrays
    (``bytes`` of the little-endian words — never pickled event
-   objects), runs the vectorized :func:`~repro.core.stream.scan_buffer`
-   walk, and reconstructs full timestamps with
-   :func:`~repro.core.stream.unwrap_times`.  The result shipped back
-   per buffer is tiny: the accepted event offsets, the full times, and
-   the garble verdict — every other event attribute is a pure function
-   of the words, which the parent already holds.
+   objects) and runs the :func:`~repro.core.stream.scan_buffers` walk
+   over its shard.  The result shipped back per buffer is tiny: the
+   accepted event offsets and the garble verdicts — every other event
+   attribute is a pure function of the words, which the parent already
+   holds.
 3. **Stitch** (parent): per-CPU shard results are folded, in sequence
    order, into the same
    :class:`~repro.core.columnar.ColumnarAssembler` the sequential
-   decoder uses.  A shard whose head buffers lack a timestamp anchor
-   could not be timestamped by its worker (the anchor state lives in
-   the *previous* shard); ``add_buffer`` replays exactly the sequential
-   fallback for those buffers with the carried state, so the output —
-   columns, times, anomalies, ordering — is bit-identical to sequential
-   decode.  Garble detection and committed-count checks behave
-   identically per shard because they are per-buffer properties.
+   decoder uses.  Timestamps are reconstructed there, per CPU, because
+   a buffer without an anchor chains on from the one before it and that
+   one may sit in another shard; the output — columns, times,
+   anomalies, ordering — is bit-identical to sequential decode.  Garble
+   detection and committed-count checks behave identically per shard
+   because they are per-buffer properties.
 
 Worker processes are a real cost on small traces; ``workers<=1`` (or a
 trace with fewer buffers than workers) falls back to the in-process
@@ -56,13 +54,7 @@ import numpy as np
 from repro.core import pool
 from repro.core.buffers import BufferRecord
 from repro.core.registry import EventRegistry
-from repro.core.stream import (
-    BufferScan,
-    buffer_columns,
-    find_anchors,
-    scan_buffer,
-    unwrap_times,
-)
+from repro.core.stream import BufferColumns, BufferScan, scan_buffers
 
 #: A worker-side pointer into an mmap-able trace file:
 #: (path, payload_byte_offset, nwords).
@@ -74,10 +66,9 @@ _FileRef = Tuple[str, int, int]
 _ShardEntry = Tuple[int, Union[bytes, _FileRef], int]
 #: One worker task: (cpu, entries, recover-after-garble flag).
 _ShardTask = Tuple[int, List[_ShardEntry], bool]
-#: One scanned buffer coming back:
-#: (seq, offsets, times-or-None, anchored, garbles, resumes).
+#: One scanned buffer coming back: (seq, offsets, garbles, resumes).
 _ScanResult = Tuple[
-    int, List[int], Optional[List[int]], bool,
+    int, Union[List[int], np.ndarray],
     List[Tuple[int, str]], List[Optional[int]],
 ]
 
@@ -132,32 +123,15 @@ def shard_records(
 
 
 def _scan_shard(task: _ShardTask) -> Tuple[int, List[_ScanResult]]:
-    """Worker: scan one shard of raw buffers into offsets + times.
-
-    Timestamp state (the previous buffer's last full time) is carried
-    *within* the shard only; a head buffer with no anchor is returned
-    with ``times=None`` for the parent to stitch against the previous
-    shard's tail — the §3.1 unwrapping fallback cannot cross a process
-    boundary, but it can be replayed after the fact.
-    """
+    """Worker: walk one shard of raw buffers into offsets + verdicts."""
     cpu, entries, recover = task
-    out: List[_ScanResult] = []
-    last_full: Optional[int] = None
-    last_ts32: Optional[int] = None
-    for seq, raw, fill_words in entries:
-        if isinstance(raw, bytes):
-            words = np.frombuffer(raw, dtype="<u8")
-        else:
-            words = _mapped_words(*raw)
-        scan = scan_buffer(words, fill_words, recover=recover)
-        anchors = find_anchors(scan)
-        ts32 = scan.event_ts32()
-        times = unwrap_times(ts32, last_full, last_ts32, anchors)
-        if times:
-            last_full, last_ts32 = times[-1], ts32[-1]
-        out.append((seq, scan.offsets, times, bool(anchors),
-                    scan.garbles, scan.resumes))
-    return cpu, out
+    scans = scan_buffers(
+        [(np.frombuffer(raw, dtype="<u8") if isinstance(raw, bytes)
+          else _mapped_words(*raw), fill_words)
+         for _seq, raw, fill_words in entries],
+        recover=recover)
+    return cpu, [(seq, scan.offsets, scan.garbles, scan.resumes)
+                 for (seq, _raw, _fill), scan in zip(entries, scans)]
 
 
 def _run_tasks(
@@ -227,7 +201,7 @@ def decode_records_columnar_parallel(
     strict: bool = False,
 ):
     """Decode buffer records on ``workers`` processes, straight into
-    columns: the parent folds the offsets/times the shard scans return
+    columns: the parent folds the offsets the shard scans return
     into a :class:`~repro.core.columnar.ColumnarTrace` — per-CPU shard
     columns concatenate without ever materializing ``TraceEvent``
     objects (call ``.to_trace()`` on the result for those).
@@ -269,12 +243,9 @@ def decode_records_columnar_parallel(
     # reproduces its timestamp state and anomaly order exactly.
     for (cpu, recs), (res_cpu, scans) in zip(shards, results):
         assert cpu == res_cpu
-        for rec, (seq, offsets, times, anchored, garbles, resumes) in zip(
-                recs, scans):
+        for rec, (seq, offsets, garbles, resumes) in zip(recs, scans):
             assert rec.seq == seq
-            scan = BufferScan(
-                buffer_columns(rec.words, rec.fill_words), offsets,
-                garbles, resumes,
-            )
-            asm.add_buffer(rec, scan, times=times, anchored=anchored)
+            asm.add_buffer(rec, BufferScan(
+                BufferColumns(rec.words, rec.fill_words), offsets,
+                garbles, resumes))
     return asm.finish()

@@ -18,23 +18,29 @@ This module implements:
 * flat-array random access (seek to an arbitrary word offset, snap to
   the preceding boundary, decode from there).
 
-One scan serves every consumer: :func:`scan_buffer` unpacks every
-header field of a buffer in one set of numpy operations and walks the
-precomputed columns, and :func:`unwrap_times` reconstructs timestamps as
-a cumulative sum of exact 32-bit deltas.
+One walk serves every consumer: :func:`scan_buffers` pools a run of
+buffers, computes every word's step to the next header as one numpy
+column and follows it with one hop per event; a buffer in which a
+validity check would fire goes to :func:`scan_buffer`, the full walk
+that words the verdicts and resynchronizes.  :func:`unwrap_times`
+reconstructs timestamps as a cumulative sum of exact 32-bit deltas.
 :func:`repro.core.columnar.decode_records_columnar` folds those scans
 into columns and is *the* decoder; :class:`TraceReader` is its
-event-object view.  :mod:`repro.core.parallel` fans the same scan out
+event-object view.  :mod:`repro.core.parallel` fans the same walk out
 over worker processes — the §3.2 boundary guarantee is what makes each
-buffer independently parsable.  The word-at-a-time reference walk the
-scan is checked against lives in :mod:`repro.check.oracle`.
+buffer independently parsable.  The word-at-a-time reference walk and
+resync the decoder is checked against live in :mod:`repro.check.oracle`.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from functools import cached_property
+from itertools import accumulate
+from typing import (
+    Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union,
+)
 
 import numpy as np
 
@@ -53,43 +59,34 @@ from repro.core.registry import EventRegistry, EventSpec
 
 _U32 = 1 << 32
 _HALF32 = 1 << 31
+_M32 = _U32 - 1
 _CTRL = int(Major.CONTROL)
 _ANCHOR = int(ControlMinor.TIMESTAMP_ANCHOR)
 
-#: Minor IDs a CONTROL-class header may legitimately carry; anything else
-#: in the CONTROL major is junk and disqualifies a resync candidate.
-_KNOWN_CONTROL_MINORS = frozenset(int(m) for m in ControlMinor)
+#: Minor IDs a CONTROL-class header may legitimately carry, as a lookup
+#: table over the 16-bit minor field; anything else in the CONTROL major
+#: is junk and disqualifies a resync candidate.
+_KNOWN_CONTROL_MINOR = np.zeros(MINOR_MASK + 1, dtype=bool)
+_KNOWN_CONTROL_MINOR[[int(m) for m in ControlMinor]] = True
+
+# Header bit groups, as plain ints: a word read from a ``memoryview`` and
+# a ``uint64`` column take the same constant.
+#: The length bits; the major/minor bits and their value in a timestamp
+#: anchor of any length.
+_LEN_BITS = LENGTH_MASK << LENGTH_SHIFT
+_KIND_BITS = (MAJOR_MASK << MAJOR_SHIFT) | MINOR_MASK
+_ANCHOR_KIND = (_CTRL << MAJOR_SHIFT) | _ANCHOR
+#: Length, major and minor together, and their value in an extended
+#: filler (length field 0, CONTROL, FILLER_EXT).
+_SHAPE_BITS = _LEN_BITS | _KIND_BITS
+_FILLER_EXT_SHAPE = (EXTENDED_FILLER_LENGTH << LENGTH_SHIFT) \
+    | (_CTRL << MAJOR_SHIFT) | int(ControlMinor.FILLER_EXT)
 
 
 def sdelta32(a: int, b: int) -> int:
     """``a - b`` of 32-bit timestamps as a signed value in [-2^31, 2^31)."""
-    d = (a - b) & (_U32 - 1)
+    d = (a - b) & _M32
     return d - _U32 if d >= _HALF32 else d
-
-
-def _plausible_header(fields, o: int, limit: int,
-                      prev_ts32: Optional[int]) -> bool:
-    """Whether the word at ``o`` could be a live event header.
-
-    ``fields(o)`` returns ``(ts32, length, major, minor)``.  Plausible
-    means: a nonzero length that fits in the buffer, a believable
-    major/minor combination (a CONTROL header must carry a known control
-    minor), and — when ``prev_ts32`` is given — a timestamp that does
-    not regress (mod 2^32) relative to the accepted stream.
-    """
-    ts, length, major, minor = fields(o)
-    if length == 0 or o + length > limit:
-        return False
-    if major == Major.CONTROL and minor not in _KNOWN_CONTROL_MINORS:
-        return False
-    if prev_ts32 is not None and ((ts - prev_ts32) & (_U32 - 1)) >= _HALF32:
-        # A full-width timestamp anchor is a legitimate resync point:
-        # it exists precisely so the stream can span gaps the 32-bit
-        # delta cannot represent (§3.2) — a late-attaching writer's
-        # first words land seconds after the creator's buffer-0 anchor.
-        if not _is_anchor_header(major, minor, length):
-            return False
-    return True
 
 
 def _is_anchor_header(major: int, minor: int, length: int) -> bool:
@@ -97,18 +94,75 @@ def _is_anchor_header(major: int, minor: int, length: int) -> bool:
     return major == _CTRL and minor == _ANCHOR and length >= 2
 
 
-def find_resync(fields, start: int, limit: int,
+def _int_column(values: Sequence[int]) -> np.ndarray:
+    """An integer column that survives arbitrarily large values.
+
+    Reconstructed full times are Python ints and — on corrupt anchors —
+    can exceed int64.  The common case packs into int64; the pathological
+    case falls back to an object column, which every consumer handles
+    (comparisons and ``tolist`` behave identically, just slower).
+    """
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        return np.array(values, dtype=object)
+
+
+class BufferColumns:
+    """Per-word header fields of one buffer, each unpacked on first use.
+
+    Every column has ``limit`` entries (the words actually reserved);
+    entries at non-header offsets are meaningless and simply never
+    consulted.  The walks read single words from ``arr``; only a resync
+    rescan, which has to judge every word of a tail, asks for columns.
+    """
+
+    def __init__(self, words: Union[np.ndarray, Sequence[int]],
+                 fill_words: int) -> None:
+        arr = np.asarray(words, dtype=np.uint64)
+        self.limit = min(fill_words, len(arr))
+        #: The raw words, cut at ``limit``.
+        self.arr = arr[:self.limit]
+
+    @cached_property
+    def ts32(self) -> np.ndarray:
+        """Bits 63..32 — the truncated timestamp."""
+        return (self.arr >> TIMESTAMP_SHIFT).astype(np.int64)
+
+    @cached_property
+    def length(self) -> np.ndarray:
+        """Bits 31..22 — total event length in words."""
+        return ((self.arr >> LENGTH_SHIFT) & LENGTH_MASK).astype(np.int64)
+
+    @cached_property
+    def major(self) -> np.ndarray:
+        """Bits 21..16."""
+        return ((self.arr >> MAJOR_SHIFT) & MAJOR_MASK).astype(np.int64)
+
+    @cached_property
+    def minor(self) -> np.ndarray:
+        """Bits 15..0."""
+        return (self.arr & MINOR_MASK).astype(np.int64)
+
+
+def find_resync(cols: BufferColumns, start: int, limit: int,
                 prev_ts32: Optional[int] = None) -> Optional[int]:
     """Locate the next plausible event header at or after ``start``.
 
     This is the §3.1 recovery story pushed below the alignment boundary:
-    after a garble verdict, rescan forward word by word for a header
-    whose length/major fields are valid, whose timestamp continues the
-    accepted stream monotonically, and which *chains* — the header it
-    points at must itself be plausible (or end the buffer exactly).
-    Requiring two linked plausible headers keeps the false-acceptance
-    rate on random garbage low (§3.1: "it is unlikely that random data
-    will have the correct format of a trace event header").
+    after a garble verdict, judge every word of the tail as a header —
+    a nonzero length that fits in the buffer, a believable major/minor
+    combination (a CONTROL header must carry a known control minor), a
+    timestamp that does not regress (mod 2^32) relative to the accepted
+    stream — and require that it *chains*: the header it points at must
+    itself be plausible (or end the buffer exactly).  Requiring two
+    linked plausible headers keeps the false-acceptance rate on random
+    garbage low (§3.1: "it is unlikely that random data will have the
+    correct format of a trace event header").  A full-width timestamp
+    anchor is exempt from the regression test: it exists precisely so
+    the stream can span gaps the 32-bit delta cannot represent (§3.2) —
+    a late-attaching writer's first words land seconds after the
+    creator's buffer-0 anchor.
 
     Two passes: the first holds candidates to the accepted timestamp
     state; if nothing qualifies — which happens when the accepted state
@@ -116,56 +170,34 @@ def find_resync(fields, start: int, limit: int,
     shape-only pass requires only internal chain monotonicity.  Returns
     the offset of the accepted candidate, or ``None`` when the rest of
     the buffer holds nothing salvageable.
+
+    Every test is an array predicate over the tail, so the cost is a
+    fixed number of numpy calls however long the tail is — an all-zero
+    tail is turned away after the first.  The word-at-a-time statement
+    of the same rules is :func:`repro.check.oracle.find_resync`.
     """
-    passes = (prev_ts32, None) if prev_ts32 is not None else (None,)
-    for anchor in passes:
-        for o in range(start, limit):
-            if not _plausible_header(fields, o, limit, anchor):
-                continue
-            ts, length, _, _ = fields(o)
-            nxt = o + length
-            if nxt == limit or _plausible_header(fields, nxt, limit, ts):
-                return o
+    if start >= limit or not (cols.arr[start:limit] & _LEN_BITS).any():
+        return None                        # no word even carries a length
+    length = cols.length[start:limit]
+    end = length + np.arange(start, limit)
+    shaped = (length != 0) & (end <= limit)
+    ts = cols.ts32[start:limit]
+    minor = cols.minor[start:limit]
+    control = cols.major[start:limit] == _CTRL
+    ok = shaped & ~(control & ~_KNOWN_CONTROL_MINOR[minor])
+    anchor = control & (minor == _ANCHOR) & (length >= 2)
+    # The successor is held to the candidate's own timestamp.  ``end`` is
+    # clipped only where the candidate is rejected or ends the buffer.
+    succ = np.minimum(end, limit - 1) - start
+    follows = ((ts[succ] - ts) & _M32) < _HALF32
+    chains = ok & ((end == limit) | (ok[succ] & (follows | anchor[succ])))
+    if prev_ts32 is not None:
+        held = chains & ((((ts - prev_ts32) & _M32) < _HALF32) | anchor)
+        if held.any():
+            return start + int(held.argmax())
+    if chains.any():
+        return start + int(chains.argmax())
     return None
-
-
-@dataclass
-class BufferColumns:
-    """Per-word header fields of one buffer, unpacked in one batch.
-
-    Four vectorized shift/mask operations plus ``tolist`` replace
-    per-word Python arithmetic.  Every list has
-    ``limit`` entries (the words actually reserved); entries at non-header
-    offsets are meaningless and simply never consulted.
-    """
-
-    words: List[int]    # the raw words as Python ints
-    ts32: List[int]     # bits 63..32 — the truncated timestamp
-    length: List[int]   # bits 31..22 — total event length in words
-    major: List[int]    # bits 21..16
-    minor: List[int]    # bits 15..0
-    limit: int
-    #: The raw words as a uint64 array (the source the lists above were
-    #: unpacked from).  The columnar reader slices payloads from it
-    #: without a list round-trip; ``None`` for hand-built columns.
-    arr: Optional[np.ndarray] = None
-
-
-def buffer_columns(words: Union[np.ndarray, Sequence[int]],
-                   fill_words: int) -> BufferColumns:
-    """Unpack all header fields of a buffer with vectorized numpy ops."""
-    arr = np.asarray(words, dtype=np.uint64)
-    limit = min(fill_words, len(arr))
-    arr = arr[:limit]
-    return BufferColumns(
-        words=arr.tolist(),
-        ts32=(arr >> np.uint64(TIMESTAMP_SHIFT)).tolist(),
-        length=((arr >> np.uint64(LENGTH_SHIFT)) & np.uint64(LENGTH_MASK)).tolist(),
-        major=((arr >> np.uint64(MAJOR_SHIFT)) & np.uint64(MAJOR_MASK)).tolist(),
-        minor=(arr & np.uint64(MINOR_MASK)).tolist(),
-        limit=limit,
-        arr=arr,
-    )
 
 
 @dataclass
@@ -176,8 +208,8 @@ class BufferScan:
     (:mod:`repro.core.parallel`): the offsets and the garble verdicts are
     the *only* outputs of the walk — every other event attribute is a
     pure function of the words, which the parent already holds.  A scan
-    is therefore a few flat int lists, orders of magnitude cheaper to
-    move between processes than a list of event objects.
+    is therefore a few flat int sequences, orders of magnitude cheaper
+    to move between processes than a list of event objects.
 
     ``garbles`` and ``resumes`` run in parallel: for each garble verdict
     ``(offset, detail)`` the matching entry of ``resumes`` holds the
@@ -186,24 +218,21 @@ class BufferScan:
     """
 
     cols: BufferColumns
-    offsets: List[int]      # word offset of each accepted event header
+    #: Word offset of each accepted event header: a list from
+    #: :func:`scan_buffer`, an int64 array from :func:`scan_buffers`.
+    offsets: Union[List[int], np.ndarray]
     garbles: List[Tuple[int, str]] = field(default_factory=list)
     resumes: List[Optional[int]] = field(default_factory=list)
 
     def __len__(self) -> int:
         return len(self.offsets)
 
-    def event_ts32(self) -> List[int]:
-        """The accepted events' 32-bit timestamps, in stream order."""
-        ts = self.cols.ts32
-        return [ts[o] for o in self.offsets]
-
 
 def scan_buffer(words: Union[np.ndarray, Sequence[int]],
                 fill_words: int,
                 cols: Optional[BufferColumns] = None,
                 recover: bool = False) -> BufferScan:
-    """Batched buffer walk: unpack all header fields at once, then parse.
+    """The full walk of one buffer, and the statement of the garble rules.
 
     Semantically identical to the reference walk in
     :mod:`repro.check.oracle` — same validity checks, same garble
@@ -212,69 +241,62 @@ def scan_buffer(words: Union[np.ndarray, Sequence[int]],
     buffer); with ``recover=True`` each garble triggers a
     :func:`find_resync` rescan and parsing resumes at the next plausible
     header, salvaging the remainder of the buffer.
+
+    :func:`scan_buffers` walks many buffers at once and comes here only
+    for those in which one of these checks would fire.
     """
     if cols is None:
-        cols = buffer_columns(words, fill_words)
+        cols = BufferColumns(words, fill_words)
     limit = cols.limit
-    wl = cols.words
-    ts_l = cols.ts32
-    len_l = cols.length
-    maj_l = cols.major
-    min_l = cols.minor
+    words = memoryview(cols.arr)
 
     offsets: List[int] = []
     append = offsets.append
     garbles: List[Tuple[int, str]] = []
     resumes: List[Optional[int]] = []
-    mask32 = _U32 - 1
-
-    def fields(o: int) -> Tuple[int, int, int, int]:
-        return ts_l[o], len_l[o], maj_l[o], min_l[o]
 
     off = 0
     prev_ts32: Optional[int] = None
     while off < limit:
-        length = len_l[off]
+        word = words[off]
+        ts = word >> TIMESTAMP_SHIFT
+        length = (word >> LENGTH_SHIFT) & LENGTH_MASK
         end = off + length
         verdict: Optional[str] = None
         if length == 0 or end > limit:
             # Rare path: an extended filler (length field is 0) or garble.
-            if (
-                length == EXTENDED_FILLER_LENGTH
-                and maj_l[off] == Major.CONTROL
-                and min_l[off] == ControlMinor.FILLER_EXT
-            ):
+            if word & _SHAPE_BITS == _FILLER_EXT_SHAPE:
                 if off + 1 >= limit:
                     verdict = "truncated extended filler"
                 else:
-                    span = wl[off + 1]
+                    span = words[off + 1]
                     if span < 2 or off + span > limit:
                         verdict = f"bad extended filler span {span}"
                     else:
                         end = off + span
             else:
-                verdict = f"invalid header {wl[off]:#018x} (length {length})"
-        if verdict is None:
-            ts = ts_l[off]
-            if (prev_ts32 is not None
-                    and ((ts - prev_ts32) & mask32) >= _HALF32
-                    and not _is_anchor_header(maj_l[off], min_l[off], length)):
-                # A large backwards jump cannot come from a healthy stream:
-                # per-CPU timestamps are monotonic by construction (§3.1).
-                # Anchors are exempt — they carry the full value and exist
-                # to bridge exactly such gaps (§3.2).
-                verdict = f"timestamp regression {prev_ts32}->{ts}"
+                verdict = f"invalid header {word:#018x} (length {length})"
+        if (verdict is None and prev_ts32 is not None
+                and ((ts - prev_ts32) & _M32) >= _HALF32
+                and not _is_anchor_header((word >> MAJOR_SHIFT) & MAJOR_MASK,
+                                          word & MINOR_MASK, length)):
+            # A large backwards jump cannot come from a healthy stream:
+            # per-CPU timestamps are monotonic by construction (§3.1).
+            # Anchors are exempt — they carry the full value and exist
+            # to bridge exactly such gaps (§3.2).
+            verdict = f"timestamp regression {prev_ts32}->{ts}"
         if verdict is not None:
             garbles.append((off, verdict))
             if not recover:
                 resumes.append(None)
                 break
-            resume = find_resync(fields, off + 1, limit, prev_ts32)
+            resume = find_resync(cols, off + 1, limit, prev_ts32)
             resumes.append(resume)
             if resume is None:
                 break
             if (prev_ts32 is not None
-                    and ((ts_l[resume] - prev_ts32) & mask32) >= _HALF32):
+                    and (((words[resume] >> TIMESTAMP_SHIFT) - prev_ts32)
+                         & _M32) >= _HALF32):
                 # Shape-only (relaxed) resync: the accepted timestamp
                 # state was itself poisoned; restart the chain here.
                 prev_ts32 = None
@@ -286,85 +308,146 @@ def scan_buffer(words: Union[np.ndarray, Sequence[int]],
     return BufferScan(cols, offsets, garbles, resumes)
 
 
-def find_anchors(scan: BufferScan) -> List[Tuple[int, int]]:
-    """All usable timestamp anchors: ``[(event index, full value), ...]``.
+def scan_buffers(buffers: Sequence[Tuple[Union[np.ndarray, Sequence[int]],
+                                         int]],
+                 recover: bool = False) -> List[BufferScan]:
+    """Walk a run of ``(words, fill_words)`` buffers at once.
 
-    An anchor must carry its full-width value as data (length >= 2) — a
-    truncated anchor is useless, exactly the ``e.data`` guard of the
-    reference walk.  A buffer can legitimately hold several: the creator
-    anchors sequence 0, and every late-attaching writer logs a fresh
-    anchor so its stream carries its own absolute base (§3.2).
+    The buffers' words are pooled into one array and every word's step
+    to the next header — its length field, or the span word of an
+    extended filler — is computed as a column, a zero length becoming a
+    step past the end of the pool.  Following that column from each
+    buffer's first word costs one ``off += step[off]`` hop per event and
+    nothing per word, and a healthy chain lands exactly on its buffer's
+    end; the timestamp regression test (anchors exempt) is then one pass
+    over the accepted headers.  A buffer whose chain missed its end or
+    regressed is handed to :func:`scan_buffer`, which alone issues
+    verdicts and recovers; for every other buffer the chain *is* that
+    walk's result.
+
+    No event crosses a buffer boundary (§3.2), so which buffers are
+    pooled together never changes a result.  Temporaries are a few
+    arrays the size of the pooled words.
     """
-    cols = scan.cols
-    major, minor, length, words = (cols.major, cols.minor, cols.length,
-                                   cols.words)
+    cols = [BufferColumns(words, fill) for words, fill in buffers]
+    if not cols:
+        return []
+    pool = np.concatenate([c.arr for c in cols])
+    ends = list(accumulate(c.limit for c in cols))
+    starts = [end - c.limit for end, c in zip(ends, cols)]
+
+    low = pool & _SHAPE_BITS
+    ext = (low == _FILLER_EXT_SHAPE).nonzero()[0]
+    low >>= LENGTH_SHIFT
+    step = low.view(np.int64)              # each word's length field
+    stop = len(pool) + 1                   # carries any chain past its end
+    step[step == 0] = stop
+    if len(ext):
+        # Extended fillers: the span lives in the next word of the buffer.
+        room = np.array(ends)[np.searchsorted(ends, ext, side="right")] - ext
+        ext, room = ext[room > 1], room[room > 1]
+        span = pool[ext + 1]
+        fits = (span >= 2) & (span <= room.astype(np.uint64))
+        step[ext[fits]] = span[fits]
+
+    hop = memoryview(step)
+    chain: List[int] = []
+    accept = chain.append
+    bounds = [0]                           # events before each buffer
+    flagged: Set[int] = set()
+    for b, (off, end) in enumerate(zip(starts, ends)):
+        while off < end:
+            accept(off)
+            off += hop[off]
+        if off != end:                     # a dead word, or an overrun
+            flagged.add(b)
+        bounds.append(len(chain))
+    at = np.array(chain, dtype=np.int64)
+    first = np.array(bounds)               # each buffer's first event
+
+    # Regressions between consecutive accepted headers of one buffer.
+    header = pool[at]
+    ts = header >> TIMESTAMP_SHIFT
+    back = np.zeros(len(at) + 1, dtype=bool)
+    back[1:-1] = ((ts[1:] - ts[:-1]) & _M32) >= _HALF32
+    back[first] = False
+    hits = back.nonzero()[0]
+    if len(hits):
+        h = header[hits]
+        exempt = ((h & _KIND_BITS) == _ANCHOR_KIND) \
+            & (((h >> LENGTH_SHIFT) & LENGTH_MASK) >= 2)
+        flagged.update((np.searchsorted(first, hits[~exempt],
+                                        side="right") - 1).tolist())
+
+    local = at - np.repeat(np.array(starts), first[1:] - first[:-1])
     return [
-        (i, words[off + 1])
-        for i, off in enumerate(scan.offsets)
-        if major[off] == _CTRL and minor[off] == _ANCHOR and length[off] >= 2
+        scan_buffer(c.arr, c.limit, c, recover) if b in flagged
+        else BufferScan(c, local[bounds[b]:bounds[b + 1]])
+        for b, c in enumerate(cols)
     ]
 
 
 def unwrap_times(
-    ts32: Sequence[int],
+    ts32: Union[np.ndarray, Sequence[int]],
     last_full: Optional[int],
     last_ts32: Optional[int],
-    anchors: Sequence[Tuple[int, int]] = (),
-) -> Optional[List[int]]:
-    """Vectorized full-timestamp reconstruction for one buffer.
+    anchors: Sequence[Tuple[int, int]],
+    rebase_at: Sequence[int],
+) -> Optional[np.ndarray]:
+    """Full-timestamp reconstruction for a run of one CPU's events.
 
     Full times are sums of the per-event signed 32-bit deltas around a
-    base — an anchor's full value, or the previous buffer's last event.
-    Integer addition is associative, so a cumulative sum of the deltas
-    (exact in int64: each delta is in [-2^31, 2^31) and a buffer holds
-    far fewer than 2^31 events) anchored at the base reproduces the
-    event-by-event accumulation bit for bit.  The base itself stays a
-    Python int, so arbitrarily large anchor values cannot overflow.
+    base — an anchor's full value, or the carried ``(last_full,
+    last_ts32)`` of the event before the run.  Integer addition is
+    associative, so one cumulative sum of the deltas (exact in int64:
+    each delta is in [-2^31, 2^31) and a run holds far fewer than 2^31
+    events) re-based per segment reproduces the event-by-event
+    accumulation bit for bit.  The bases stay Python ints, so
+    arbitrarily large anchor values cannot overflow; the result is an
+    int64 column unless a time does not fit, and an object column then.
 
-    ``anchors`` (from :func:`find_anchors`) may list several anchors:
-    the reconstruction then re-bases at each one, because the 32-bit deltas
+    ``anchors`` lists ``(event index, full value)`` pairs.  The
+    reconstruction re-bases at each one, because the 32-bit deltas
     *between* two anchors are not trustworthy — the gap they bridge can
     exceed what 32 bits can represent (a writer attaching seconds after
-    the segment was created).  Events before the first anchor chain
-    backward from it; events between anchor ``k`` and ``k+1`` chain
-    forward from anchor ``k``.
+    the segment was created).  ``rebase_at[k]`` is the index from which
+    anchor ``k`` governs: the first anchor of a buffer governs from the
+    buffer's first event (events before it chain backward from it) and
+    every later one from its own index.  Events before ``rebase_at[0]``
+    chain forward from the carried state, which must then exist.
 
-    Returns the full times, or ``None`` when there is no basis (no
-    anchor and no prior state) — the caller keeps times unset.
+    Returns ``None`` when there is no basis (no anchor and no carried
+    state) or no event — the caller keeps times unset.
     """
     n = len(ts32)
     if n == 0:
         return None
-    if not anchors and (last_full is None or last_ts32 is None):
-        return None
-    if n == 1:
-        base = (
-            anchors[0][1]
-            if anchors
-            else last_full + sdelta32(ts32[0], last_ts32)
-        )
-        return [base]
     a = np.asarray(ts32, dtype=np.int64)
-    d = (a[1:] - a[:-1]) & np.int64(_U32 - 1)
-    d = np.where(d >= np.int64(_HALF32), d - np.int64(_U32), d)
-    cum = np.empty(n, dtype=np.int64)
-    cum[0] = 0
-    np.cumsum(d, out=cum[1:])
-    cl = cum.tolist()
-    if not anchors:
-        base = last_full + sdelta32(ts32[0], last_ts32)
-        return [base + c for c in cl]
-    times: List[int] = [0] * n
-    first_i = anchors[0][0]
-    base = anchors[0][1] - cl[first_i]
-    for j in range(first_i):
-        times[j] = base + cl[j]
-    for k, (i_k, t_k) in enumerate(anchors):
-        end = anchors[k + 1][0] if k + 1 < len(anchors) else n
-        base = t_k - cl[i_k]
-        for j in range(i_k, end):
-            times[j] = base + cl[j]
-    return times
+    delta = np.empty(n, dtype=np.int64)
+    if last_full is not None and last_ts32 is not None:
+        delta[0] = sdelta32(int(a[0]), last_ts32)
+    elif anchors:
+        delta[0] = 0
+        last_full = None
+    else:
+        return None
+    # Signed 32-bit difference: shift into [0, 2^32), mask, shift back.
+    delta[1:] = ((a[1:] - a[:-1] + _HALF32) & _M32) - _HALF32
+    cum = np.cumsum(delta)
+
+    at = [i for i, _ in anchors]
+    seg_start = list(rebase_at)
+    seg_base = [t - c for (_, t), c in zip(anchors, cum[at].tolist())]
+    if last_full is not None and (not at or seg_start[0] > 0):
+        # The carried state governs up to the first re-base.
+        seg_start.insert(0, 0)
+        seg_base.insert(0, last_full)
+    seg_len = np.diff(seg_start + [n])
+    lo, hi = min(int(cum.min()), 0), max(int(cum.max()), 0)
+    if -(1 << 63) <= min(seg_base) + lo and max(seg_base) + hi < 1 << 63:
+        return np.repeat(np.array(seg_base, dtype=np.int64), seg_len) + cum
+    bases = np.repeat(np.array(seg_base, dtype=object), seg_len).tolist()
+    return _int_column([b + c for b, c in zip(bases, cum.tolist())])
 
 
 @dataclass(slots=True)

@@ -31,7 +31,7 @@ from repro.core.columnar import (
     WindowedBatches,
 )
 from repro.core.registry import EventRegistry
-from repro.core.stream import scan_buffer
+from repro.core.stream import scan_buffers
 
 
 class LiveMonitor:
@@ -66,16 +66,15 @@ class LiveMonitor:
     # -- feeding ---------------------------------------------------------
     def feed(self, records: Iterable[BufferRecord]) -> int:
         """Scan and absorb one poll's worth of records; returns how many."""
-        n = 0
-        for rec in records:
-            scan = scan_buffer(rec.words, rec.fill_words,
-                               recover=not self.strict)
+        records = list(records)
+        scans = scan_buffers([(rec.words, rec.fill_words) for rec in records],
+                             recover=not self.strict)
+        for rec, scan in zip(records, scans):
             self.assembler.add_buffer(rec, scan)
-            n += 1
-        if n:
-            self.buffers_seen += n
+        if records:
+            self.buffers_seen += len(records)
             self.window.absorb(self.assembler.take())
-        return n
+        return len(records)
 
     def drain(
         self,

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.crashdump import dump_bytes, read_dump
 from repro.core.facility import TraceFacility
 from repro.core.majors import ControlMinor, Major
 from repro.core.timestamps import ManualClock
@@ -124,6 +125,40 @@ def test_flight_mode_snapshot():
     trace = fac.decode(records)
     evs = [e for e in trace.events(0) if e.major == Major.TEST]
     assert evs and evs[-1].data[0] == 499
+
+
+PHANTOM_BUFFERS = (
+    "TraceControl.snapshot() and crashdump.read_dump() emit never-written "
+    "ring slots as full, committed buffers carrying seq 0: each decodes to "
+    "'garbled (invalid header 0x0000000000000000 (length 0))' (ROADMAP "
+    "item 4)")
+
+
+def unwrapped_ring():
+    """A flight-mode facility that has used three of its eight slots."""
+    fac = make(ncpus=1, mode="flight", num_buffers=8)
+    fac.enable_all()
+    control = fac.controls[0]
+    while control.index.load() < 2 * control.buffer_words + 10:
+        fac.clock.advance(1)
+        fac.log(0, Major.TEST, 1, (7,))
+    return fac
+
+
+@pytest.mark.xfail(strict=True, reason=PHANTOM_BUFFERS)
+def test_snapshot_of_unwrapped_ring_has_no_phantom_buffers():
+    fac = unwrapped_ring()
+    records = fac.snapshot()
+    assert [r.seq for r in records] == [0, 1, 2]
+    assert fac.decode(records).anomalies == []
+
+
+@pytest.mark.xfail(strict=True, reason=PHANTOM_BUFFERS)
+def test_crash_dump_of_unwrapped_ring_has_no_phantom_buffers():
+    fac = unwrapped_ring()
+    records = read_dump(dump_bytes(fac.controls)).records
+    assert [r.seq for r in records] == [0, 1, 2]
+    assert fac.decode(records).anomalies == []
 
 
 def test_invalid_config_rejected():

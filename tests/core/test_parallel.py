@@ -364,27 +364,34 @@ class TestShardRecords:
         assert shard_records([], 4) == []
 
 
+def unwrap_one_buffer(ts32, last_full, last_ts32, anchors=()):
+    """``unwrap_times`` under the rule inside one buffer: the first
+    anchor governs from event 0, every later one from its own index."""
+    return unwrap_times(ts32, last_full, last_ts32, anchors,
+                        [0, *(i for i, _ in anchors[1:])][:len(anchors)])
+
+
 class TestUnwrapTimes:
     def test_no_events(self):
-        assert unwrap_times([], None, None) is None
+        assert unwrap_one_buffer([], None, None) is None
 
     def test_no_basis(self):
-        assert unwrap_times([5, 6], None, None) is None
+        assert unwrap_one_buffer([5, 6], None, None) is None
 
     def test_anchor_based(self):
         ts = [10, 20, 15, 30]
-        times = unwrap_times(ts, None, None, anchors=[(1, 1_000_020)])
-        assert times == [1_000_010, 1_000_020, 1_000_015, 1_000_030]
+        times = unwrap_one_buffer(ts, None, None, anchors=[(1, 1_000_020)])
+        assert times.tolist() == [1_000_010, 1_000_020, 1_000_015, 1_000_030]
 
     def test_state_based_wraps(self):
         wrap = 1 << 32
         ts = [wrap - 2 & 0xFFFFFFFF, 3]
-        times = unwrap_times(ts, 5_000_000_000, wrap - 10)
+        times = unwrap_one_buffer(ts, 5_000_000_000, wrap - 10)
         assert times[0] == 5_000_000_008
         assert times[1] == 5_000_000_013
 
     def test_single_event(self):
-        assert unwrap_times([7], None, None, anchors=[(0, 99)]) == [99]
+        assert unwrap_one_buffer([7], None, None, anchors=[(0, 99)]) == [99]
 
     def test_rebases_at_each_anchor(self):
         """Two anchors bridging a gap > 2^31: the deltas between them
@@ -392,13 +399,39 @@ class TestUnwrapTimes:
         gap = 3_000_000_000  # > 2^31, unrepresentable as a 32-bit delta
         ts = [100, 110, (100 + gap) & 0xFFFFFFFF, (100 + gap + 5) & 0xFFFFFFFF]
         anchors = [(0, 100), (2, 100 + gap)]
-        times = unwrap_times(ts, None, None, anchors=anchors)
-        assert times == [100, 110, 100 + gap, 100 + gap + 5]
+        times = unwrap_one_buffer(ts, None, None, anchors=anchors)
+        assert times.tolist() == [100, 110, 100 + gap, 100 + gap + 5]
 
     def test_events_before_first_anchor_chain_backward(self):
         ts = [10, 20, 30]
-        times = unwrap_times(ts, None, None, anchors=[(1, 1_000_020)])
-        assert times == [1_000_010, 1_000_020, 1_000_030]
+        times = unwrap_one_buffer(ts, None, None, anchors=[(1, 1_000_020)])
+        assert times.tolist() == [1_000_010, 1_000_020, 1_000_030]
+
+    def test_rebase_points_split_a_run_of_buffers(self):
+        """Two buffers of three events folded as one run: the second
+        buffer's anchor sits mid-buffer and governs that buffer from its
+        first event, not the tail of the buffer before it."""
+        ts = [10, 20, 30, 5, 15, 25]
+        times = unwrap_times(ts, None, None,
+                             anchors=[(0, 1_000), (4, 9_015)],
+                             rebase_at=[0, 3])
+        assert times.tolist() == [1_000, 1_010, 1_020, 9_005, 9_015, 9_025]
+
+    def test_carried_state_governs_up_to_first_rebase(self):
+        ts = [10, 20, 5, 15]
+        times = unwrap_times(ts, 700, 3, anchors=[(3, 9_015)],
+                             rebase_at=[2])
+        assert times.tolist() == [707, 717, 9_005, 9_015]
+
+    def test_anchor_beyond_int64_keeps_exact_values(self):
+        big = (1 << 64) - 5
+        times = unwrap_one_buffer([10, 20, 30], None, None, anchors=[(1, big)])
+        assert times.dtype == object
+        assert times.tolist() == [big - 10, big, big + 10]
+        # In range again after a later, sane anchor: still one column.
+        times = unwrap_one_buffer([10, 20, 30], None, None,
+                                  anchors=[(0, big), (2, 77)])
+        assert times.tolist() == [big, big + 10, 77]
 
 
 class TestLateAnchorGap:
@@ -440,6 +473,25 @@ class TestLateAnchorGap:
         records = self.build(with_anchor=False)
         trace = assert_all_paths_identical(records)
         assert "garbled" in [a.kind for a in trace.anomalies]
+
+
+class TestCorruptAnchorValue:
+    def test_anchor_value_beyond_int64_identical_on_every_path(self):
+        """A stomped anchor payload reconstructs times that do not fit
+        int64: every path must carry the exact Python ints."""
+        records = build_records(ncpus=1)
+        rec = records[1]
+        words = np.array(rec.words, dtype=np.uint64, copy=True)
+        scan = scan_buffer(words, rec.fill_words)
+        anchor = next(
+            off for off in scan.offsets
+            if scan.cols.major[off] == Major.CONTROL
+            and scan.cols.minor[off] == ControlMinor.TIMESTAMP_ANCHOR)
+        words[anchor + 1] = (1 << 64) - 1000
+        rec.words = words
+        trace = assert_all_paths_identical(records)
+        assert any(e.time > 1 << 63 for e in trace.events(0))
+        assert any(e.time < 1 << 40 for e in trace.events(0))
 
 
 class TestCliWorkers:

@@ -2,14 +2,19 @@
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from repro.check import oracle
 from repro.core.buffers import BufferRecord, TraceControl
+from repro.core.faults import FaultInjector
 from repro.core.header import pack_header
 from repro.core.logger import TraceLogger
 from repro.core.majors import ControlMinor, Major
 from repro.core.mask import TraceMask
 from repro.core.registry import default_registry
 from repro.core.stream import (
+    BufferColumns,
     TraceReader,
     decode_from_offset,
     find_resync,
@@ -19,6 +24,20 @@ from repro.core.stream import (
     seek_boundary,
 )
 from repro.core.timestamps import ManualClock
+
+
+def scalar_fields(cols):
+    """The oracle's word-at-a-time view of a buffer's header fields."""
+    def fields(o):
+        return (int(cols.ts32[o]), int(cols.length[o]),
+                int(cols.major[o]), int(cols.minor[o]))
+    return fields
+
+
+def _both_resyncs(cols):
+    """The array-predicate resync and the oracle's scalar one, each with
+    the first argument it takes."""
+    return ((find_resync, cols), (oracle.find_resync, scalar_fields(cols)))
 
 
 def build_trace(n_events=300, buffer_words=32, data_words=1, tick=5):
@@ -164,15 +183,11 @@ class TestRecovery:
         words[offsets[mid_i]] = 0
 
         fresh = scan_buffer(words, victim.fill_words)
-
-        def fields(o):
-            return (int(fresh.cols.ts32[o]), int(fresh.cols.length[o]),
-                    int(fresh.cols.major[o]), int(fresh.cols.minor[o]))
-
         prev_ts32 = int(fresh.cols.ts32[offsets[mid_i - 1]])
-        resume = find_resync(fields, offsets[mid_i] + 1, victim.fill_words,
-                             prev_ts32)
-        assert resume == offsets[mid_i + 1]
+        for resync, arg in _both_resyncs(fresh.cols):
+            resume = resync(arg, offsets[mid_i] + 1, victim.fill_words,
+                            prev_ts32)
+            assert resume == offsets[mid_i + 1]
 
     def test_find_resync_gives_up_on_pure_garbage(self):
         rng = np.random.default_rng(1)
@@ -180,12 +195,8 @@ class TestRecovery:
         # Make every word an implausible header: length 0 forces that.
         words &= ~np.uint64(0x3FF << 22)
         scan = scan_buffer(words, 64)
-
-        def fields(o):
-            return (int(scan.cols.ts32[o]), int(scan.cols.length[o]),
-                    int(scan.cols.major[o]), int(scan.cols.minor[o]))
-
-        assert find_resync(fields, 0, 64, None) is None
+        for resync, arg in _both_resyncs(scan.cols):
+            assert resync(arg, 0, 64, None) is None
 
     def test_multiple_garbles_in_one_buffer(self):
         records = self._records()
@@ -211,6 +222,102 @@ class TestRecovery:
         strict = decode_from_offset(flat, bw, 0, registry=reg, strict=True)
         assert len(loose.events(0)) > len(strict.events(0))
         assert any(a.kind == "recovered-region" for a in loose.anomalies)
+
+
+def assert_resyncs_agree(words, prevs):
+    """Hold the array-predicate resync to the oracle's scalar one for
+    every ``(start, limit, prev_ts32)`` over ``words``, both one past
+    the ends included."""
+    cols = BufferColumns(np.array(words, dtype=np.uint64), len(words))
+    fields = scalar_fields(cols)
+    for limit in range(len(words) + 1):
+        for start in range(limit + 2):
+            for prev in prevs:
+                assert find_resync(cols, start, limit, prev) == \
+                    oracle.find_resync(fields, start, limit, prev), \
+                    (start, limit, prev, [hex(w) for w in words])
+
+
+_NEAR = (0, 1 << 31, (1 << 32) - 1)  # timestamps around each wrap point
+_ts32s = st.one_of(*(st.integers(max(0, t - 8), min((1 << 32) - 1, t + 8))
+                     for t in _NEAR))
+_headers = st.builds(
+    pack_header,
+    _ts32s,
+    st.one_of(st.integers(0, 6), st.sampled_from([1022, 1023])),
+    st.sampled_from([Major.CONTROL, Major.TEST, 63]),
+    # Every known control minor, unknown ones, and the field's maximum.
+    st.sampled_from([*ControlMinor, 5, 9, 0xFFFF]),
+)
+_words = st.lists(
+    st.one_of(_headers, st.just(0), st.integers(0, (1 << 64) - 1)),
+    max_size=20)
+
+
+class TestVectorResync:
+    """``find_resync`` decides by array predicates; the word-at-a-time
+    ``oracle.find_resync`` is what it has to agree with."""
+
+    @given(_words, st.lists(_ts32s, max_size=3))
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    def test_matches_scalar_on_random_words(self, words, prevs):
+        assert_resyncs_agree(words, [None, *prevs])
+
+    # The record faults that damage words (a killed writer only lowers
+    # the committed count).
+    @pytest.mark.parametrize("kind", ["header-bitflip", "torn-event"])
+    @given(seed=st.integers(0, 10_000))
+    @settings(max_examples=15, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    def test_matches_scalar_on_injected_faults(self, kind, seed):
+        clean = build_trace(n_events=40, buffer_words=32).flush()
+        records, _report = FaultInjector(seed).inject_records(clean, kind)
+        for rec, was in zip(records, clean):
+            if np.array_equal(rec.words, was.words):
+                continue
+            words = rec.words[:rec.fill_words].tolist()
+            stamps = [w >> 32 for w in words[:3]]
+            assert_resyncs_agree(words, [None, *stamps])
+
+    def test_rules_case_by_case(self):
+        def hdr(ts, length, major=Major.TEST, minor=1):
+            return pack_header(ts, length, major, minor)
+
+        anchor = pack_header(5, 2, Major.CONTROL,
+                             ControlMinor.TIMESTAMP_ANCHOR)
+        cases = {
+            # The candidate at 1 chains to a plausible header at 3.
+            "chains": ([0, hdr(50, 2), 7, hdr(60, 1)], 0, 4, 40, 1),
+            # ... and one that ends the buffer exactly needs no successor.
+            "exact end": ([0, 0, hdr(50, 2), 7], 0, 4, 40, 2),
+            # Every header regresses against 1000: only the relaxed,
+            # shape-only second pass accepts the chain at 1.
+            "relaxed pass": ([0, hdr(50, 2), 7, hdr(60, 1)], 0, 4, 1000, 1),
+            # A regressing timestamp is forgiven on a full-width anchor,
+            # in the first pass: the earlier TEST header at 0 regresses.
+            "anchor exempt": ([hdr(6, 1), anchor, 99, hdr(7, 1)],
+                              0, 4, 1000, 1),
+            # ... and on an anchor in the successor's place, which only
+            # ever regresses against the candidate itself ...
+            "successor anchor": ([hdr(8, 1), anchor, 99], 0, 3, None, 0),
+            # ... but not on a successor that is no anchor.
+            "successor regresses": ([hdr(50, 1), hdr(40, 1)], 0, 2, None, 1),
+            # CONTROL with a minor nobody defines is junk, chain or not.
+            "unknown control minor": (
+                [hdr(50, 1, Major.CONTROL, 77), hdr(60, 1)], 0, 2, None, 1),
+            "start at limit": ([hdr(50, 1)], 1, 1, None, None),
+            "start past limit": ([hdr(50, 1)], 2, 1, None, None),
+            "all-zero tail": ([hdr(50, 1)] + [0] * 30, 1, 31, 50, None),
+            # A zero length never resynchronizes, extended filler or not.
+            "extended filler": ([pack_header(
+                50, 0, Major.CONTROL, ControlMinor.FILLER_EXT), 2],
+                0, 2, None, None),
+        }
+        for name, (words, start, limit, prev, expect) in cases.items():
+            cols = BufferColumns(np.array(words, dtype=np.uint64), len(words))
+            for resync, arg in _both_resyncs(cols):
+                assert resync(arg, start, limit, prev) == expect, name
 
 
 class TestRandomAccess:
