@@ -18,7 +18,7 @@ from repro.core.logger import TraceLogger
 from repro.core.majors import Major
 from repro.core.mask import TraceMask
 from repro.core.timestamps import ManualClock
-from repro.perf.report import write_result
+from result_tables import write_result
 
 N_EVENTS = 30_000
 
@@ -93,34 +93,3 @@ def test_commit_counts_ablation(benchmark):
     # The counts shouldn't dominate: well under 2x.
     assert t_on < t_off * 2
     benchmark(lambda: fill(4096, commit_counts=False))
-
-
-# ---------------------------------------------------------------------------
-# Unified-harness registrations (`repro-trace bench`; `python bench_buffer_sweep.py`)
-# ---------------------------------------------------------------------------
-from repro.perf import benchmark as perf_bench  # noqa: E402
-
-
-@perf_bench("buffers.fill_4096", quick=True, tolerance=0.5)
-def hb_fill_4096(b):
-    """Log a variable-length event mix into 4096-word buffers."""
-    n = 4_000 if b.quick else N_EVENTS
-    b.note("n_events", n)
-    control, _ = b(lambda: fill(4096, n_events=n))
-    assert control.stats_words_logged > 0
-
-
-@perf_bench("buffers.fill_4096_no_commit", tolerance=0.5)
-def hb_fill_no_commit(b):
-    """Same fill with the optional commit-count bookkeeping ablated."""
-    n = 4_000 if b.quick else N_EVENTS
-    b.note("n_events", n)
-    b(lambda: fill(4096, commit_counts=False, n_events=n))
-
-
-if __name__ == "__main__":
-    import sys
-
-    from repro.perf import module_main
-
-    sys.exit(module_main(__name__))

@@ -11,8 +11,9 @@ tool), so there is no ratio left to measure here.  Identity is asserted
 where the references live: ``tests/tools/test_columnar_tools.py`` holds
 each tool to its per-event walk in ``tests/tools/reference.py``, and
 ``tests/core/test_columnar.py`` / ``repro.check`` hold the decoder to
-``repro.check.oracle.reference_decode``.  The four ``columnar.*`` harness
-entries below are what ``BENCH_baseline.json`` gates.
+``repro.check.oracle.reference_decode``.  What is gated is the pipeline
+benchmark's ``postmortem`` workload (``core.columnar.decode_ns_per_event``,
+``tools.*_ms``); the timings here are printed, not gated.
 """
 
 import gc
@@ -22,7 +23,7 @@ import pytest
 
 from repro.core.columnar import ColumnarTraceReader, as_batch
 from repro.core.registry import default_registry
-from repro.perf.report import write_result
+from result_tables import write_result
 from repro.tools.listing import event_listing
 from repro.tools.lockstats import lock_statistics
 from repro.tools.pcprofile import pc_profile
@@ -109,67 +110,3 @@ def test_columnar_decode(benchmark):
         f"{seconds * 1e6 / len(records):.1f} us/buffer)")
     benchmark(lambda: ColumnarTraceReader(registry=reg)
               .decode_records(records))
-
-
-# ---------------------------------------------------------------------------
-# Unified-harness registrations (`repro-trace bench`; `python bench_columnar.py`)
-# ---------------------------------------------------------------------------
-from functools import lru_cache  # noqa: E402
-
-from repro.perf import benchmark as perf_bench  # noqa: E402
-
-
-@lru_cache(maxsize=1)
-def _harness_workload(quick):
-    if quick:
-        return _build(ncpus=4, iterations=60, pc_sample_period=1_000)
-    return _build()
-
-
-@perf_bench("columnar.pcprofile", quick=True, tolerance=0.4)
-def hb_pcprofile(b):
-    """Figure 6 histogram on the columnar path (mask + np.unique)."""
-    kernel, columnar = _harness_workload(b.quick)
-    sym = kernel.symbols()
-    hist = b(lambda: pc_profile(columnar, sym.pc_names))
-    assert hist
-    b.note("samples", sum(c for c, _ in hist))
-
-
-@perf_bench("columnar.lockstats", quick=True, tolerance=0.4)
-def hb_lockstats(b):
-    """Figure 7 contention table: columnar context + CONTEND-only replay."""
-    _, columnar = _harness_workload(b.quick)
-    stats = b(lambda: lock_statistics(columnar))
-    assert stats
-    b.note("groups", len(stats))
-
-
-@perf_bench("columnar.listing", quick=True, tolerance=0.4)
-def hb_listing(b):
-    """Figure 5 selection as boolean masks over the merged batch."""
-    _, columnar = _harness_workload(b.quick)
-    events = b(lambda: event_listing(columnar, names=LISTING_NAMES))
-    assert events
-    b.note("selected", len(events))
-
-
-@perf_bench("columnar.decode", quick=True, tolerance=0.4)
-def hb_decode(b):
-    """Records -> ColumnarTrace, the SoA analogue of decode_batched."""
-    kernel, facility, _ = run_contention(
-        ncpus=2 if b.quick else 4, workers_per_cpu=2,
-        iterations=40 if b.quick else 80, pc_sample_period=1_000)
-    records = facility.snapshot()
-    reg = default_registry()
-    trace = b(lambda: ColumnarTraceReader(registry=reg)
-              .decode_records(records))
-    b.note("events", len(as_batch(trace)))
-
-
-if __name__ == "__main__":
-    import sys
-
-    from repro.perf import module_main
-
-    sys.exit(module_main(__name__))

@@ -15,7 +15,7 @@ manifests — while the always-on cheap tracing caught it.
 
 from repro.core.facility import TraceFacility
 from repro.ksim import Acquire, Compute, Kernel, KernelConfig, Release
-from repro.perf.report import write_result
+from result_tables import write_result
 from repro.tools.deadlock import find_deadlocks
 
 PRINTF_COST = 500_000  # cycles: console output is enormous vs tracing
@@ -87,36 +87,3 @@ def test_printf_masks_the_deadlock(benchmark):
     trace = facility.decode()
     assert not find_deadlocks(trace).deadlocked
     benchmark(lambda: find_deadlocks(trace))
-
-
-# ---------------------------------------------------------------------------
-# Unified-harness registrations (`repro-trace bench`; `python bench_deadlock.py`)
-# ---------------------------------------------------------------------------
-from functools import lru_cache  # noqa: E402
-
-from repro.perf import benchmark as perf_bench  # noqa: E402
-
-
-@lru_cache(maxsize=1)
-def _deadlocked_trace():
-    kernel, facility, finished = run_scenario(printf_instrumented=False)
-    assert not finished
-    return kernel, facility.decode()
-
-
-@perf_bench("deadlock.find_cycle", quick=True)
-def hb_find_cycle(b):
-    """Wait-for-cycle detection over the deadlocked trace (§4.2)."""
-    kernel, trace = _deadlocked_trace()
-    report = b(lambda: find_deadlocks(trace))
-    assert report.deadlocked
-    write_result("deadlock_detection",
-                 report.describe(lock_names=kernel.symbols().lock_names))
-
-
-if __name__ == "__main__":
-    import sys
-
-    from repro.perf import module_main
-
-    sys.exit(module_main(__name__))

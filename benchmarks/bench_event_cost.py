@@ -21,7 +21,7 @@ from repro.core.majors import Major
 from repro.core.mask import TraceMask
 from repro.core.timestamps import WallClock
 from repro.ksim.costs import DEFAULT_COSTS
-from repro.perf.report import write_result
+from result_tables import write_result
 
 
 def make_logger(enabled=True, buffer_words=16 * 1024, num_buffers=8):
@@ -139,82 +139,3 @@ def test_mask_check_much_cheaper_than_logging(benchmark):
     )
     assert ratio > 3, "disabled path must be much cheaper"
     benchmark(lambda: off.log1(Major.TEST, 1, 1))
-
-
-# ---------------------------------------------------------------------------
-# Unified-harness registrations (`repro-trace bench`; `python bench_event_cost.py`)
-# ---------------------------------------------------------------------------
-from repro.perf import benchmark as perf_bench  # noqa: E402
-
-
-@perf_bench("event_cost.cost_model", quick=True)
-def hb_cost_model(b):
-    c = DEFAULT_COSTS
-    assert b(lambda: c.trace_event_cost(3)) == 91 + 33
-
-
-@perf_bench("event_cost.masked_off", quick=True, tolerance=0.5)
-def hb_masked_off(b):
-    logger = make_logger(enabled=False)
-    assert b(lambda: logger.log1(Major.TEST, 1, 42)) is False
-
-
-@perf_bench("event_cost.compiled_out", quick=True, tolerance=0.5)
-def hb_compiled_out(b):
-    logger = NullTraceLogger()
-    b(lambda: logger.log1(Major.TEST, 1, 42))
-
-
-@perf_bench("event_cost.one_word", quick=True, tolerance=0.5)
-def hb_one_word(b):
-    logger = make_logger()
-    b(lambda: logger.log1(Major.TEST, 1, 42))
-
-
-@perf_bench("event_cost.three_word", quick=True, tolerance=0.5)
-def hb_three_word(b):
-    logger = make_logger()
-    b(lambda: logger.log3(Major.TEST, 1, 1, 2, 3))
-
-
-@perf_bench("event_cost.eight_word", quick=True, tolerance=0.5)
-def hb_eight_word(b):
-    logger = make_logger()
-    data = list(range(8))
-    b(lambda: logger.log_words(Major.TEST, 1, data))
-
-
-@perf_bench("event_cost.per_word_table", quick=True, tolerance=0.5)
-def hb_per_word_table(b):
-    """The §3.2 per-additional-word slope, rendered as a narrative table."""
-    import time
-
-    logger = make_logger()
-    n = 4_000 if b.quick else 20_000
-    results = []
-    for words in (0, 1, 2, 4, 8, 16):
-        data = list(range(words))
-        t0 = time.perf_counter()
-        for _ in range(n):
-            logger.log_words(Major.TEST, 1, data)
-        dt = time.perf_counter() - t0
-        results.append((words, dt / n * 1e9))
-    slope = (results[-1][1] - results[0][1]) / 16
-    lines = ["wall-clock event cost (this Python implementation)",
-             f"{'data words':>10} {'ns/event':>10}"]
-    for words, ns in results:
-        lines.append(f"{words:>10} {ns:>10.0f}")
-    lines.append(f"per-additional-word increment: ~{slope:.0f} ns "
-                 "(paper: 11 cycles = 11 ns at 1 GHz)")
-    write_result("event_cost_wallclock", "\n".join(lines))
-    b.note("per_word_slope_ns", slope)
-    b.note("events_per_point", n)
-    b(lambda: logger.log_words(Major.TEST, 1, (1, 2)))
-
-
-if __name__ == "__main__":
-    import sys
-
-    from repro.perf import module_main
-
-    sys.exit(module_main(__name__))

@@ -12,7 +12,7 @@ with the tracing-mode overhead measured deterministically on one CPU.
 
 import pytest
 
-from repro.perf.report import write_result
+from result_tables import write_result
 from repro.workloads import run_sdet
 
 CPU_POINTS = [1, 2, 4, 8, 16, 24]
@@ -83,35 +83,3 @@ def test_fig3_tracing_overhead(benchmark, overhead_table):
 
     assert 0 <= pct["masked"] < 1.0, "mask-check overhead must be <1%"
     assert pct["on"] < 6.0, "enabled tracing must stay low-impact"
-
-
-# ---------------------------------------------------------------------------
-# Unified-harness registrations (`repro-trace bench`; `python bench_fig3_sdet.py`)
-# ---------------------------------------------------------------------------
-from repro.perf import benchmark as perf_bench  # noqa: E402
-
-
-@perf_bench("sdet.run_traced", quick=True, tolerance=0.4)
-def hb_run_traced(b):
-    """One SDET simulation with tracing on — the Figure 3 kernel."""
-    if b.quick:
-        b.note("config", "2 cpus x 1 script x 3 commands")
-        b(lambda: run_sdet(2, scripts_per_cpu=1, commands_per_script=3))
-    else:
-        b.note("config", "4 cpus x 2 scripts x 4 commands")
-        b(lambda: run_sdet(4, scripts_per_cpu=2, commands_per_script=4))
-
-
-@perf_bench("sdet.run_coarse_locked", tolerance=0.4)
-def hb_run_coarse(b):
-    """The Linux-like coarse-locked configuration of the same workload."""
-    b(lambda: run_sdet(2, scripts_per_cpu=1, commands_per_script=3,
-                       coarse_locked=True))
-
-
-if __name__ == "__main__":
-    import sys
-
-    from repro.perf import module_main
-
-    sys.exit(module_main(__name__))

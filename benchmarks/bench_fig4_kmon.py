@@ -12,7 +12,7 @@ zoom narrows, the click listing returns events.
 
 import pytest
 
-from repro.perf.report import write_result
+from result_tables import write_result
 from repro.tools.kmon import Timeline
 from repro.tools.listing import CYCLES_PER_SECOND
 from repro.workloads import run_sdet
@@ -61,40 +61,3 @@ def test_fig4_svg_speed(benchmark, sdet_trace):
     tl = Timeline(trace).mark("TRC_USER_RETURNED_MAIN")
     svg = benchmark(tl.render_svg)
     assert svg.startswith("<svg")
-
-
-# ---------------------------------------------------------------------------
-# Unified-harness registrations (`repro-trace bench`; `python bench_fig4_kmon.py`)
-# ---------------------------------------------------------------------------
-from functools import lru_cache  # noqa: E402
-
-from repro.perf import benchmark as perf_bench  # noqa: E402
-
-
-@lru_cache(maxsize=1)
-def _kmon_trace():
-    _, facility, _ = run_sdet(2, scripts_per_cpu=1, commands_per_script=4)
-    return facility.decode()
-
-
-@perf_bench("kmon.render_text", quick=True)
-def hb_render_text(b):
-    trace = _kmon_trace()
-    text = b(lambda: Timeline(trace).render(width=100))
-    assert text
-
-
-@perf_bench("kmon.render_svg", quick=True)
-def hb_render_svg(b):
-    tl = Timeline(_kmon_trace()).mark("TRC_USER_RETURNED_MAIN")
-    svg = b(tl.render_svg)
-    assert svg.startswith("<svg")
-    b.note("svg_bytes", len(svg))
-
-
-if __name__ == "__main__":
-    import sys
-
-    from repro.perf import module_main
-
-    sys.exit(module_main(__name__))

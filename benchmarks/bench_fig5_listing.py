@@ -16,7 +16,7 @@ import re
 import pytest
 
 from repro.core.stream import TraceReader
-from repro.perf.report import write_result
+from result_tables import write_result
 from repro.tools.listing import format_listing
 from repro.workloads import run_sdet
 
@@ -69,44 +69,3 @@ def test_fig5_decode_throughput(benchmark, traced_run):
 
     trace = benchmark(decode)
     assert len(trace.all_events()) > 1000
-
-
-# ---------------------------------------------------------------------------
-# Unified-harness registrations (`repro-trace bench`; `python bench_fig5_listing.py`)
-# ---------------------------------------------------------------------------
-from functools import lru_cache  # noqa: E402
-
-from repro.perf import benchmark as perf_bench  # noqa: E402
-
-
-@lru_cache(maxsize=1)
-def _listing_setup():
-    _, facility, _ = run_sdet(2, scripts_per_cpu=1, commands_per_script=4)
-    records = facility.flush()
-    reader = TraceReader(registry=facility.registry)
-    return reader, records, reader.decode_records(records)
-
-
-@perf_bench("listing.format", quick=True)
-def hb_format(b):
-    _, _, trace = _listing_setup()
-    text = b(lambda: format_listing(trace, limit=500))
-    assert text
-
-
-@perf_bench("listing.decode_records", quick=True)
-def hb_decode(b):
-    """Tool-side decode throughput from raw buffers."""
-    reader, records, _ = _listing_setup()
-    trace = b(lambda: reader.decode_records(records))
-    n = len(trace.all_events())
-    assert n > 100
-    b.note("events", n)
-
-
-if __name__ == "__main__":
-    import sys
-
-    from repro.perf import module_main
-
-    sys.exit(module_main(__name__))

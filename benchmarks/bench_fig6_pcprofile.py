@@ -12,7 +12,7 @@ service functions, with the same vocabulary.
 
 import pytest
 
-from repro.perf.report import write_result
+from result_tables import write_result
 from repro.tools.pcprofile import format_profile, pc_profile
 from repro.workloads import run_contention
 
@@ -72,41 +72,3 @@ def test_fig6_sample_count_tracks_period(benchmark):
     n_slow = sum(c for c, _ in pc_profile(fac_slow.decode()))
     assert 1.5 <= n_fast / n_slow <= 2.6
     benchmark(lambda: pc_profile(fac_fast.decode()))
-
-
-# ---------------------------------------------------------------------------
-# Unified-harness registrations (`repro-trace bench`; `python bench_fig6_pcprofile.py`)
-# ---------------------------------------------------------------------------
-from functools import lru_cache  # noqa: E402
-
-from repro.perf import benchmark as perf_bench  # noqa: E402
-
-
-@lru_cache(maxsize=1)
-def _profiled(quick):
-    if quick:
-        kernel, facility, _ = run_contention(
-            ncpus=2, workers_per_cpu=1, iterations=20,
-            pc_sample_period=2_000)
-    else:
-        kernel, facility, _ = run_contention(
-            ncpus=8, workers_per_cpu=2, iterations=50,
-            pc_sample_period=2_000, with_fs_pressure=True)
-    return kernel, facility.decode()
-
-
-@perf_bench("pcprofile.histogram", quick=True, tolerance=0.4)
-def hb_histogram(b):
-    kernel, trace = _profiled(b.quick)
-    sym = kernel.symbols()
-    hist = b(lambda: pc_profile(trace, sym.pc_names))
-    assert hist
-    b.note("samples", sum(c for c, _ in hist))
-
-
-if __name__ == "__main__":
-    import sys
-
-    from repro.perf import module_main
-
-    sys.exit(module_main(__name__))

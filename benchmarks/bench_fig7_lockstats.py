@@ -13,7 +13,7 @@ numbers matching the simulator's ground truth.
 
 import pytest
 
-from repro.perf.report import write_result
+from result_tables import write_result
 from repro.tools.lockstats import format_lockstats, lock_statistics
 from repro.workloads import run_contention
 
@@ -66,40 +66,3 @@ def test_fig7_sortable_on_all_columns(benchmark, contended_run):
         stats = lock_statistics(trace, sort_by=column)
         assert stats
     benchmark(lambda: lock_statistics(trace, sort_by="count"))
-
-
-# ---------------------------------------------------------------------------
-# Unified-harness registrations (`repro-trace bench`; `python bench_fig7_lockstats.py`)
-# ---------------------------------------------------------------------------
-from functools import lru_cache  # noqa: E402
-
-from repro.perf import benchmark as perf_bench  # noqa: E402
-
-
-@lru_cache(maxsize=1)
-def _contended(quick):
-    if quick:
-        kernel, facility, _ = run_contention(
-            ncpus=2, workers_per_cpu=1, iterations=30,
-            global_alloc_fraction=0.85, pc_sample_period=0)
-    else:
-        kernel, facility, _ = run_contention(
-            ncpus=8, workers_per_cpu=2, iterations=60,
-            global_alloc_fraction=0.85, pc_sample_period=0)
-    return kernel, facility.decode()
-
-
-@perf_bench("lockstats.table", quick=True, tolerance=0.4)
-def hb_table(b):
-    kernel, trace = _contended(b.quick)
-    stats = b(lambda: lock_statistics(trace, sort_by="time"))
-    assert stats
-    b.note("rows", len(stats))
-
-
-if __name__ == "__main__":
-    import sys
-
-    from repro.perf import module_main
-
-    sys.exit(module_main(__name__))

@@ -13,7 +13,7 @@ simulator's ground truth.
 import pytest
 
 from repro.ksim.ipc import FS_FUNCTION_NAMES
-from repro.perf.report import write_result
+from result_tables import write_result
 from repro.tools.breakdown import format_breakdown, process_breakdown
 from repro.workloads import run_sdet
 
@@ -79,36 +79,3 @@ def test_fig8_command_syscall_counts_ground_truth(benchmark, breakdown_run):
             assert b.syscalls["SCread"].calls == reads * opens, name
     assert checked >= 3
     benchmark(lambda: process_breakdown(trace))
-
-
-# ---------------------------------------------------------------------------
-# Unified-harness registrations (`repro-trace bench`; `python bench_fig8_breakdown.py`)
-# ---------------------------------------------------------------------------
-from functools import lru_cache  # noqa: E402
-
-from repro.perf import benchmark as perf_bench  # noqa: E402
-
-
-@lru_cache(maxsize=1)
-def _breakdown_trace():
-    kernel, facility, _ = run_sdet(2, scripts_per_cpu=1,
-                                   commands_per_script=4)
-    return kernel, facility.decode()
-
-
-@perf_bench("breakdown.process_table", quick=True, tolerance=0.4)
-def hb_process_table(b):
-    kernel, trace = _breakdown_trace()
-    sym = kernel.symbols()
-    bds = b(lambda: process_breakdown(trace, sym.syscall_names,
-                                      sym.process_names, FS_FUNCTION_NAMES))
-    assert bds
-    b.note("processes", len(bds))
-
-
-if __name__ == "__main__":
-    import sys
-
-    from repro.perf import module_main
-
-    sys.exit(module_main(__name__))

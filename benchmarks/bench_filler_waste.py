@@ -14,7 +14,7 @@ fixed-length space comparison that motivates the design.
 import pytest
 
 from repro.core.stream import TraceReader
-from repro.perf.report import write_result
+from result_tables import write_result
 from repro.workloads import run_sdet
 
 
@@ -97,35 +97,3 @@ def test_variable_vs_fixed_length_space(benchmark, sdet_fill):
     )
     assert ratio > 1.5
     benchmark(lambda: sum(len(e.data) for e in events))
-
-
-# ---------------------------------------------------------------------------
-# Unified-harness registrations (`repro-trace bench`; `python bench_filler_waste.py`)
-# ---------------------------------------------------------------------------
-from functools import lru_cache  # noqa: E402
-
-from repro.perf import benchmark as perf_bench  # noqa: E402
-
-
-@lru_cache(maxsize=1)
-def _filler_records():
-    _, facility, _ = run_sdet(2, scripts_per_cpu=1, commands_per_script=4,
-                              buffer_words=1024, num_buffers=16)
-    return facility, facility.flush()
-
-
-@perf_bench("fillers.decode_with_fillers", quick=True)
-def hb_decode_with_fillers(b):
-    """Decode including filler events — the §3.2 accounting path."""
-    facility, records = _filler_records()
-    reader = TraceReader(registry=facility.registry, include_fillers=True)
-    trace = b(lambda: reader.decode_records(records))
-    assert trace.all_events()
-
-
-if __name__ == "__main__":
-    import sys
-
-    from repro.perf import module_main
-
-    sys.exit(module_main(__name__))

@@ -22,7 +22,7 @@ from repro.core.mask import TraceMask
 from repro.core.registry import default_registry
 from repro.core.stream import TraceReader
 from repro.core.timestamps import ManualClock
-from repro.perf.report import write_result
+from result_tables import write_result
 from repro.workloads import run_scientific, run_sdet
 
 
@@ -173,44 +173,3 @@ def test_recovery_salvage_rate(benchmark):
     damaged, _ = FaultInjector(11).inject_records(records, "torn-event")
     reader = TraceReader(registry=reg)
     benchmark(lambda: reader.decode_records(damaged))
-
-
-# ---------------------------------------------------------------------------
-# Unified-harness registrations (`repro-trace bench`; `python bench_garble.py`)
-# ---------------------------------------------------------------------------
-from repro.perf import benchmark as perf_bench  # noqa: E402
-
-
-@perf_bench("garble.injected_decode", quick=True, tolerance=0.4)
-def hb_injected_decode(b):
-    """Log + decode with 1% of writers dying between reserve and commit."""
-    n = 1_000 if b.quick else 4_000
-    b.note("n_events", n)
-    trace, kills = b(lambda: injected_run(0.01, n_events=n))
-    assert kills == 0 or trace.anomalies
-
-
-@perf_bench("garble.random_buffer_reject", quick=True, tolerance=0.4)
-def hb_random_reject(b):
-    """Strict-mode rejection speed on uniformly random buffers (§3.1)."""
-    import numpy as np
-
-    from repro.core.buffers import BufferRecord
-
-    rng = np.random.default_rng(7)
-    bw = 128
-    rec = BufferRecord(cpu=0, seq=0,
-                       words=rng.integers(0, 2**64, size=bw,
-                                          dtype=np.uint64),
-                       committed=bw, fill_words=bw)
-    reader = TraceReader(registry=default_registry(), strict=True,
-                         include_fillers=True)
-    b(lambda: reader.decode_one(rec).events(0))
-
-
-if __name__ == "__main__":
-    import sys
-
-    from repro.perf import module_main
-
-    sys.exit(module_main(__name__))

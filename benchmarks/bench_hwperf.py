@@ -18,7 +18,7 @@ behind K42's per-processor design.
 import pytest
 
 from repro.ksim.hwcounters import HwCounter
-from repro.perf.report import write_result
+from result_tables import write_result
 from repro.tools.memprofile import format_memory_report, memory_profile
 from repro.workloads import run_memstress
 
@@ -106,32 +106,3 @@ def test_migration_cold_cache_cost(benchmark):
     assert migr_bursts > pinned_bursts            # locality lost
     assert migr_misses > pinned_misses            # ...and it costs misses
     benchmark(lambda: run(True))
-
-
-# ---------------------------------------------------------------------------
-# Unified-harness registrations (`repro-trace bench`; `python bench_hwperf.py`)
-# ---------------------------------------------------------------------------
-from functools import lru_cache  # noqa: E402
-
-from repro.perf import benchmark as perf_bench  # noqa: E402
-
-
-@lru_cache(maxsize=1)
-def _memstress_trace(quick):
-    _, facility, _ = run_memstress(ncpus=2, bursts=4 if quick else 10)
-    return facility.decode()
-
-
-@perf_bench("hwperf.memory_profile", quick=True, tolerance=0.4)
-def hb_memory_profile(b):
-    trace = _memstress_trace(b.quick)
-    report = b(lambda: memory_profile(trace))
-    assert report.total_l2 > 0
-
-
-if __name__ == "__main__":
-    import sys
-
-    from repro.perf import module_main
-
-    sys.exit(module_main(__name__))

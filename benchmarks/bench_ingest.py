@@ -24,7 +24,7 @@ from repro.core import pool
 from repro.core.columnar import ColumnarTraceReader, as_batch
 from repro.core.registry import default_registry
 from repro.core.writer import load_records, save_records
-from repro.perf.report import write_result
+from result_tables import write_result
 from repro.store import pack_records
 from repro.workloads import run_contention
 
@@ -186,64 +186,3 @@ def test_warm_pool_startup(workload):
         ]))
     finally:
         pool.shutdown()
-
-
-# ---------------------------------------------------------------------------
-# Unified-harness registrations (`repro-trace bench`; `python bench_ingest.py`)
-# ---------------------------------------------------------------------------
-import tempfile  # noqa: E402
-from functools import lru_cache  # noqa: E402
-
-from repro.perf import benchmark as perf_bench  # noqa: E402
-
-
-@lru_cache(maxsize=1)
-def _harness_workload(quick):
-    out_dir = tempfile.mkdtemp(prefix="repro-ingest-bench-")
-    if quick:
-        return _build(out_dir, ncpus=4, iterations=60,
-                      pc_sample_period=1_000)
-    return _build(out_dir)
-
-
-@perf_bench("ingest.load_mmap", quick=True, tolerance=0.4)
-def hb_load_mmap(b):
-    """Trace load through mmap page-cache views."""
-    trace_path, records = _harness_workload(b.quick)
-    load_records(trace_path)  # warm the page cache
-    b(lambda: load_records(trace_path))
-    b.note("frames", len(records))
-
-
-@perf_bench("ingest.pack_parallel", quick=True, tolerance=0.5)
-def hb_pack_parallel(b):
-    """Store pack fanned over the shared worker pool (workers=0)."""
-    _, records = _harness_workload(b.quick)
-    out_dir = tempfile.mkdtemp(prefix="repro-ingest-pack-")
-    store = os.path.join(out_dir, "trace.store")
-    pool.run_tasks(pool._ping, list(range(4)), None)  # warm the pool
-    res = b(lambda: pack_records(records, store, shard_events=1024,
-                                 workers=0, force=True))
-    b.note("events", res.events)
-    b.note("shards", res.shards)
-
-
-@perf_bench("ingest.pool_roundtrip", quick=True, tolerance=0.6)
-def hb_pool_roundtrip(b):
-    """One task submitted to the warm persistent pool, result awaited."""
-    p = pool.get_pool(2)
-    if p is None:
-        b.note("pool", "unavailable")
-        b(lambda: pool._ping(42))
-        return
-    p.submit(pool._ping, 0).result()  # warm
-    b(lambda: p.submit(pool._ping, 42).result())
-    b.note("kind", pool.pool_kind() or "none")
-
-
-if __name__ == "__main__":
-    import sys
-
-    from repro.perf import module_main
-
-    sys.exit(module_main(__name__))

@@ -30,7 +30,7 @@ import pytest
 from repro.core.majors import Major
 from repro.ksim import Acquire, Compute, Kernel, KernelConfig, Release
 from repro.ltt import LTT_CONFIGS, build_logger_set
-from repro.perf.report import write_result
+from result_tables import write_result
 
 NCPUS = 4
 
@@ -155,35 +155,3 @@ def test_shared_buffer_serializes_simulated_cpus(benchmark, simulated_rows):
     rows = dict(simulated_rows)
     assert rows["+percpu"] > rows["original"] * 1.5
     benchmark(lambda: simulate_config(LTT_CONFIGS[1], events_per_cpu=100))
-
-
-# ---------------------------------------------------------------------------
-# Unified-harness registrations (`repro-trace bench`; `python bench_ltt_ablation.py`)
-# ---------------------------------------------------------------------------
-from repro.perf import benchmark as perf_bench  # noqa: E402
-
-
-@perf_bench("ltt.simulate_k42", quick=True, tolerance=0.4)
-def hb_simulate_k42(b):
-    """Simulated-machine event throughput of the full K42 configuration."""
-    events = 100 if b.quick else 400
-    b.note("events_per_cpu", events)
-    rate = b(lambda: simulate_config(LTT_CONFIGS[-1],
-                                     events_per_cpu=events))
-    assert rate > 0
-    b.note("events_per_sim_second", rate)
-
-
-@perf_bench("ltt.hammer_k42", tolerance=0.75)
-def hb_hammer_k42(b):
-    """Real-thread logging throughput (GIL-bound; noisy by nature)."""
-    rate = b(lambda: hammer(LTT_CONFIGS[-1], per_thread=300))
-    b.note("events_per_second", rate)
-
-
-if __name__ == "__main__":
-    import sys
-
-    from repro.perf import module_main
-
-    sys.exit(module_main(__name__))

@@ -31,10 +31,10 @@ import time
 
 import pytest
 
-from repro.core import ManualClock, TraceFacility, TraceReader, default_registry
+from repro.core import ManualClock, TraceFacility, default_registry
 from repro.core.columnar import ColumnarTraceReader
 from repro.core.parallel import decode_records_columnar_parallel
-from repro.perf.report import write_result
+from result_tables import write_result
 
 N_EVENTS = int(os.environ.get("BENCH_PARALLEL_EVENTS", "200000"))
 NCPUS = 4
@@ -143,60 +143,3 @@ def test_parallel_decode_throughput(benchmark, records):
             f"only walk headers, and shipping buffers out and offsets back "
             f"costs more than the walk it spares the parent"
         )
-
-
-# ---------------------------------------------------------------------------
-# Unified-harness registrations (`repro-trace bench`; `python bench_parallel_decode.py`)
-# ---------------------------------------------------------------------------
-from functools import lru_cache  # noqa: E402
-
-from repro.perf import benchmark as perf_bench  # noqa: E402
-
-
-@lru_cache(maxsize=1)
-def _harness_records(quick):
-    return build_trace(n_events=20_000 if quick else min(N_EVENTS, 120_000))
-
-
-@perf_bench("parallel.scan_buffer", quick=True, tolerance=0.5)
-def hb_scan_buffer(b):
-    """The vectorized numpy header scan of one full buffer."""
-    from repro.core.stream import scan_buffer
-
-    records = _harness_records(b.quick)
-    rec = max(records, key=lambda r: r.fill_words)
-    b(lambda: scan_buffer(rec.words, rec.fill_words))
-
-
-@perf_bench("parallel.decode_batched", quick=True, tolerance=0.4)
-def hb_decode_batched(b):
-    """Event-object (``TraceReader``) decode of the whole deterministic
-    trace."""
-    records = _harness_records(b.quick)
-    reg = default_registry()
-    reader = TraceReader(registry=reg)
-    trace = b(lambda: reader.decode_records(records))
-    n = sum(len(v) for v in trace.events_by_cpu.values())
-    assert n > 0
-    b.note("events", n)
-
-
-@perf_bench("parallel.columnar_workers", tolerance=0.75)
-def hb_columnar_workers(b):
-    """Worker-pool decode; spawn/fork overhead makes this inherently
-    noisier, hence the wide band."""
-    records = _harness_records(b.quick)
-    reg = default_registry()
-    workers = min(4, os.cpu_count() or 1)
-    b.note("workers", workers)
-    trace = b(lambda: decode_records_columnar_parallel(
-        records, registry=reg, workers=workers))
-    assert len(trace.batch())
-
-
-if __name__ == "__main__":
-    import sys
-
-    from repro.perf import module_main
-
-    sys.exit(module_main(__name__))

@@ -20,7 +20,7 @@ to a live, running system) demonstrated.
 from repro.core.facility import TraceFacility
 from repro.core.majors import Major
 from repro.ksim import Compute, Kernel, KernelConfig
-from repro.perf.report import write_result
+from result_tables import write_result
 
 HITS = 200
 
@@ -101,35 +101,3 @@ def test_dynamic_probe_on_live_system(benchmark):
         kernel.probes.detach(p)
 
     benchmark(attach_detach)
-
-# ---------------------------------------------------------------------------
-# Unified-harness registrations (`repro-trace bench`; `python bench_probes.py`)
-# ---------------------------------------------------------------------------
-from repro.perf import benchmark as perf_bench  # noqa: E402
-
-
-@perf_bench("probes.attach_detach", quick=True)
-def hb_attach_detach(b):
-    kernel = Kernel(KernelConfig(ncpus=1))
-
-    def attach_detach():
-        p = kernel.probes.attach("kernel::some_path")
-        kernel.probes.detach(p)
-
-    b(attach_detach)
-
-
-@perf_bench("probes.static_instrumented_run", quick=True, tolerance=0.4)
-def hb_static_run(b):
-    """A full simulated run with the compiled-in static event on the
-    hot path — the cheap alternative the paper argues for."""
-    kernel = b(lambda: build(static_event=True, probe=False))
-    assert kernel.engine.now > 0
-
-
-if __name__ == "__main__":
-    import sys
-
-    from repro.perf import module_main
-
-    sys.exit(module_main(__name__))

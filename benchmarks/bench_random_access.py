@@ -11,7 +11,6 @@ suffix, (b) measure the speedup of fetching a middle window via frame
 seek vs scanning the whole file.
 """
 
-import io
 import time
 
 import numpy as np
@@ -24,7 +23,7 @@ from repro.core.mask import TraceMask
 from repro.core.registry import default_registry
 from repro.core.stream import TraceReader, decode_from_offset, flat_records
 from repro.core.timestamps import ManualClock
-from repro.perf.report import write_result
+from result_tables import write_result
 
 BW = 256
 
@@ -116,63 +115,3 @@ def test_seek_vs_scan_speed(benchmark, big_trace):
     )
     assert speedup > 1.5
     benchmark(fetch_window_seek)
-
-
-# ---------------------------------------------------------------------------
-# Unified-harness registrations (`repro-trace bench`; `python bench_random_access.py`)
-# ---------------------------------------------------------------------------
-from functools import lru_cache  # noqa: E402
-
-from repro.perf import benchmark as perf_bench  # noqa: E402
-
-
-@lru_cache(maxsize=1)
-def _flat_trace(quick):
-    control = TraceControl(buffer_words=BW, num_buffers=64)
-    mask = TraceMask()
-    mask.enable_all()
-    clock = ManualClock()
-    logger = TraceLogger(control, mask, clock, registry=default_registry())
-    logger.start()
-    rng = np.random.default_rng(11)
-    for i in range(3_000 if quick else 12_000):
-        clock.advance(3)
-        n = int(rng.integers(0, 5))
-        logger.log_words(Major.TEST, 1, [i] * n)
-    records = [r for r in control.flush() if not r.partial]
-    return np.concatenate([r.words for r in records])
-
-
-@perf_bench("random_access.seek_window", quick=True)
-def hb_seek_window(b):
-    """Fetch 3 middle buffers via the alignment-boundary seek (§3.2)."""
-    flat = _flat_trace(b.quick)
-    n_buffers = len(flat) // BW
-    window_start = (n_buffers // 2) * BW
-    reader = TraceReader(registry=default_registry(), check_committed=False)
-
-    def fetch():
-        chunk = flat[window_start:window_start + 3 * BW]
-        recs = flat_records(chunk, BW, start_seq=n_buffers // 2)
-        return reader.decode_records(recs).events(0)
-
-    events = b(fetch)
-    assert events
-    b.note("buffers_total", n_buffers)
-
-
-@perf_bench("random_access.full_scan", tolerance=0.4)
-def hb_full_scan(b):
-    """The no-random-access alternative: decode from offset 0."""
-    flat = _flat_trace(b.quick)
-    trace = b(lambda: decode_from_offset(flat, BW, 0,
-                                         registry=default_registry()))
-    assert trace.events(0)
-
-
-if __name__ == "__main__":
-    import sys
-
-    from repro.perf import module_main
-
-    sys.exit(module_main(__name__))

@@ -12,7 +12,7 @@ with exactly these traces:
 
 import pytest
 
-from repro.perf.report import write_result
+from result_tables import write_result
 from repro.tools.lockstats import lock_statistics
 from repro.workloads.server import run_server
 
@@ -62,26 +62,3 @@ def test_queue_lock_visible_in_fig7_view(benchmark, worker_sweep):
     names = [kernel.symbols().lock_names.get(s.lock_id, "") for s in stats]
     assert any("requestQueue" in n for n in names)
     benchmark(lambda: lock_statistics(trace))
-
-
-# ---------------------------------------------------------------------------
-# Unified-harness registrations (`repro-trace bench`; `python bench_server.py`)
-# ---------------------------------------------------------------------------
-from repro.perf import benchmark as perf_bench  # noqa: E402
-
-
-@perf_bench("server.request_round", quick=True, tolerance=0.4)
-def hb_request_round(b):
-    """One client/server simulation round (queueing behaviour kernel)."""
-    _, _, result = b(lambda: run_server(ncpus=2, nworkers=2, nclients=2,
-                                        requests_per_client=3))
-    assert result.requests_completed == 6
-    b.note("mean_latency_cycles", result.mean_latency)
-
-
-if __name__ == "__main__":
-    import sys
-
-    from repro.perf import module_main
-
-    sys.exit(module_main(__name__))

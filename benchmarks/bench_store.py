@@ -6,9 +6,6 @@ shards whose manifest statistics overlap the predicate, and is >= 10x
 faster than re-decoding the raw trace and filtering — on a trace of at
 least 100k events.  The timed comparison asserts the two paths return
 identical rows, so the speedup is never bought with a wrong answer.
-
-Also measured for the regression gate: pack throughput and a cold
-full-scan query (open manifest, read every shard, reconstitute).
 """
 
 import gc
@@ -21,7 +18,7 @@ import pytest
 from repro.core.columnar import ColumnarTraceReader, as_batch
 from repro.core.registry import default_registry
 from repro.core.writer import load_records, save_records
-from repro.perf.report import write_result
+from result_tables import write_result
 from repro.store import Predicate, TraceStore, pack_records, select
 from repro.workloads import run_contention
 
@@ -139,61 +136,3 @@ def test_store_roundtrip_not_slower_than_decode(workload):
     assert t_store <= 2.0 * t_decode, (
         f"store reconstitution {t_store * 1e3:.1f}ms vs decode "
         f"{t_decode * 1e3:.1f}ms")
-
-
-# ---------------------------------------------------------------------------
-# Unified-harness registrations (`repro-trace bench`; `python bench_store.py`)
-# ---------------------------------------------------------------------------
-import tempfile  # noqa: E402
-from functools import lru_cache  # noqa: E402
-
-from repro.perf import benchmark as perf_bench  # noqa: E402
-
-
-@lru_cache(maxsize=1)
-def _harness_workload(quick):
-    out_dir = tempfile.mkdtemp(prefix="repro-store-bench-")
-    if quick:
-        return _build(out_dir, ncpus=4, iterations=60,
-                      pc_sample_period=1_000, shard_events=1024)
-    return _build(out_dir)
-
-
-@perf_bench("store.pack", quick=True, tolerance=0.4)
-def hb_pack(b):
-    """Decode + compact + compress + manifest, end to end."""
-    trace_path, store_path = _harness_workload(b.quick)
-    records = load_records(trace_path)
-    res = b(lambda: pack_records(records, store_path, shard_events=1024,
-                                 force=True))
-    b.note("events", res.events)
-    b.note("shards", res.shards)
-
-
-@perf_bench("store.query_cold", quick=True, tolerance=0.4)
-def hb_query_cold(b):
-    """Full-scan query: open the manifest and read every shard."""
-    _, store_path = _harness_workload(b.quick)
-    qr = b(lambda: TraceStore(store_path).query(Predicate()))
-    b.note("rows", len(qr))
-
-
-@perf_bench("store.query_pushdown", quick=True, tolerance=0.4)
-def hb_query_pushdown(b):
-    """Selective cpu + time-window query; statistics skip most shards."""
-    _, store_path = _harness_workload(b.quick)
-    store = TraceStore(store_path)
-    span = _span_seconds(store)
-    pred = Predicate(cpus=(1,), start_s=span * 0.4, end_s=span * 0.5)
-    qr = b(lambda: TraceStore(store_path).query(pred))
-    b.note("rows", len(qr))
-    b.note("shards_read", qr.shards_read)
-    b.note("shards_total", qr.shards_total)
-
-
-if __name__ == "__main__":
-    import sys
-
-    from repro.perf import module_main
-
-    sys.exit(module_main(__name__))

@@ -14,7 +14,7 @@ import pytest
 
 from repro.core.timestamps import DriftingTscClock
 from repro.ltt import TscInterpolator, max_pairwise_skew, take_anchors
-from repro.perf.report import write_result
+from result_tables import write_result
 
 RUN_NS = 2 * 10**9  # a 2-second trace window
 NCPUS = 4
@@ -78,56 +78,3 @@ def test_tsc_sync_restores_event_order(benchmark, drifting_setup):
     assert [i for _, _, i in corrected] == true_order
     benchmark(lambda: sorted(stamped,
                              key=lambda x: interp.to_wall(x[0], x[1])))
-
-
-# ---------------------------------------------------------------------------
-# Unified-harness registrations (`repro-trace bench`; `python bench_tsc_sync.py`)
-# ---------------------------------------------------------------------------
-from functools import lru_cache  # noqa: E402
-
-from repro.perf import benchmark as perf_bench  # noqa: E402
-
-
-@lru_cache(maxsize=1)
-def _interp_setup():
-    base = [0]
-    clock = DriftingTscClock(
-        offsets=[0, 1_500_000, 73_000_000, 9_999],
-        rates=[1.0, 1.00021, 0.99979, 1.00005],
-        base=lambda: base[0],
-    )
-    interp = TscInterpolator(take_anchors(clock, 0, RUN_NS))
-    stamped = []
-    t = 1000
-    k = 0
-    while t < RUN_NS:
-        cpu = k % NCPUS
-        stamped.append((cpu, int(clock.offsets[cpu] + clock.rates[cpu] * t), k))
-        k += 1
-        t += RUN_NS // 997
-    return clock, interp, stamped
-
-
-@perf_bench("tsc.pairwise_skew", quick=True)
-def hb_pairwise_skew(b):
-    clock, interp, _ = _interp_setup()
-    points = list(range(0, RUN_NS, RUN_NS // 50))[:10]
-    skew = b(lambda: max_pairwise_skew(interp, clock, points))
-    assert skew <= 4
-
-
-@perf_bench("tsc.merge_sort_corrected", quick=True)
-def hb_merge_sort(b):
-    """Global-order merge of per-CPU events through interpolation."""
-    clock, interp, stamped = _interp_setup()
-    merged = b(lambda: sorted(
-        stamped, key=lambda x: interp.to_wall(x[0], x[1])))
-    assert [i for _, _, i in merged] == list(range(len(stamped)))
-
-
-if __name__ == "__main__":
-    import sys
-
-    from repro.perf import module_main
-
-    sys.exit(module_main(__name__))

@@ -1,19 +1,12 @@
-"""Pin where the benchmarks' narrative result tables land."""
-
-from pathlib import Path
+"""Expectations of the frozen ``pipeline/`` self-check recorded from outside."""
 
 import pytest
-
-from repro.perf.report import set_results_dir
-
-# Next to the benchmarks, wherever this checkout lives.
-set_results_dir(Path(__file__).parent / "results")
 
 #: Assertions of the frozen ``pipeline/`` self-check that a decoder
 #: change has since made false.  That directory is closed to any PR that
 #: claims a gain on the benchmark, so the expectation is recorded here,
 #: with its reason, until a [benchmark] PR re-baselines the assertion
-#: and deletes the entry (ROADMAP item 5).
+#: and deletes the entry (ROADMAP item 1).
 SUPERSEDED = {
     "pipeline/test_selfcheck.py::"
     "test_ledger_reconciles_and_layers_dominate_their_workload":

@@ -33,7 +33,6 @@ file, optionally save the symbol table as JSON, then analyze offline::
     repro-trace merge node-*.k42 -o fleet.store --tool locks
     repro-trace fleet-run -o /tmp/fleet --nodes 3 --tool sched
     repro-trace query fleet.store --node 1 --name TRC_LOCK_CONTEND_START
-    repro-trace bench --quick --baseline benchmarks/BENCH_baseline.json
     repro-trace check --writers 2 --events 2 --preemption-bound 2
     repro-trace check --mutant reset-on-book --save counterexample.json
     repro-trace check --replay counterexample.json
@@ -48,10 +47,7 @@ event batches.  The analysis subcommands (``info``, ``list``, ``kmon``,
 ``locks``, ``profile``, ``breakdown``, ``sched``) also all accept a
 packed store directory (``repro-trace pack``) in place of a raw trace — auto-detected, or forced with ``--store`` — and produce
 byte-identical output from it; ``query`` reads only the shards whose
-min/max statistics overlap the predicate.  ``bench`` runs the unified benchmark harness
-(``repro.perf``) over ``benchmarks/bench_*.py``, writes a consolidated
-``BENCH_<timestamp>.json``, and — with ``--baseline`` — exits non-zero
-on a performance regression.
+min/max statistics overlap the predicate.
 """
 
 from __future__ import annotations
@@ -636,63 +632,6 @@ def cmd_fleet_run(args) -> int:
     return 0
 
 
-def cmd_bench(args) -> int:
-    """Run the unified benchmark harness and optionally gate on a baseline."""
-    from pathlib import Path
-
-    from repro.perf import (
-        REGISTRY,
-        compare_reports,
-        default_report_path,
-        discover_benchmarks,
-        format_comparison,
-        load_report,
-        render_report,
-        run_benchmarks,
-        save_report,
-        set_results_dir,
-    )
-
-    bench_dir = Path(args.dir)
-    discover_benchmarks(bench_dir)
-    set_results_dir(bench_dir / "results")
-
-    if args.list:
-        try:
-            for defn in REGISTRY.select(pattern=args.filter, quick=args.quick):
-                tier = "quick" if defn.quick else "full "
-                print(f"[{tier}] {defn.name:<38} tolerance {defn.tolerance:.0%}"
-                      f"  ({defn.module})")
-        except BrokenPipeError:   # e.g. `bench --list | head`
-            sys.stderr.close()    # suppress the interpreter's epipe warning
-        return 0
-
-    def progress(p) -> None:
-        if p.done:
-            print(f"[{p.index + 1}/{p.total}] {p.name}  ({p.seconds:.1f}s)",
-                  file=sys.stderr)
-
-    doc = run_benchmarks(quick=args.quick, filter_pattern=args.filter,
-                         on_progress=progress)
-    out = Path(args.output) if args.output else default_report_path()
-    save_report(doc, out)
-    print(render_report(doc))
-    print(f"\nreport written to {out}")
-
-    if args.baseline:
-        baseline = load_report(Path(args.baseline))
-        comparison = compare_reports(doc, baseline,
-                                     default_tolerance=args.tolerance,
-                                     normalize=not args.no_normalize)
-        print()
-        print(format_comparison(comparison))
-        if not comparison.ok(require_all=args.require_all):
-            print("\nPERF GATE: FAIL", file=sys.stderr)
-            return 1
-        print("\nPERF GATE: ok")
-    return 0
-
-
 def _print_schedule(outcome) -> None:
     """Render a counterexample schedule step by step."""
     for point in outcome.points:
@@ -1214,37 +1153,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="which fault from the matrix to inject")
     sp.add_argument("--seed", type=int, default=0,
                     help="RNG seed; same seed = same damage")
-
-    sp = sub.add_parser(
-        "bench",
-        help="run the unified benchmark harness (repro.perf)")
-    sp.set_defaults(fn=cmd_bench)
-    sp.add_argument("--quick", action="store_true",
-                    help="fast tier: quick-marked benchmarks, fewer "
-                         "repeats, downscaled workloads")
-    sp.add_argument("--filter", metavar="PAT",
-                    help="only benchmarks whose name contains PAT "
-                         "(or matches it as a glob)")
-    sp.add_argument("--baseline", metavar="PATH",
-                    help="compare against this BENCH_*.json and exit "
-                         "non-zero on regression")
-    sp.add_argument("--output", metavar="PATH",
-                    help="where to write the consolidated report "
-                         "(default: ./BENCH_<timestamp>.json)")
-    sp.add_argument("--dir", default="benchmarks", metavar="DIR",
-                    help="benchmark directory to discover bench_*.py in "
-                         "(default: ./benchmarks)")
-    sp.add_argument("--tolerance", type=float, default=0.25,
-                    help="default regression band for --baseline "
-                         "(fraction of baseline median; default 0.25)")
-    sp.add_argument("--no-normalize", action="store_true",
-                    help="skip machine-speed normalization in --baseline "
-                         "comparison")
-    sp.add_argument("--require-all", action="store_true",
-                    help="fail the gate when a baseline benchmark is "
-                         "missing from this run")
-    sp.add_argument("--list", action="store_true",
-                    help="list the selected benchmarks and exit")
 
     sp = add("export-ltt", cmd_export_ltt,
              help="convert to the LTT-style format (§5)")

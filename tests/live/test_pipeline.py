@@ -186,6 +186,32 @@ class TestShmLive:
             region.close()
             region.unlink()
 
+    def test_drain_after_done_absorbs_every_event(self):
+        """``LiveMonitor.drain`` over a finished region: the follower's
+        ``done`` ends the loop and the ``finish`` sweep leaves nothing
+        behind the lag gate."""
+        from repro.core.majors import Major
+        from repro.shm.region import ShmTraceRegion
+
+        region = ShmTraceRegion.create(ncpus=1, buffer_words=128,
+                                       num_buffers=8)
+        try:
+            attached = ShmTraceRegion.attach(region.name)
+            try:
+                logger = attached.logger(0)
+                for i in range(200):
+                    logger.log1(Major.TEST, 1, i)
+                region.set_done()
+                mon = LiveMonitor(registry=default_registry())
+                mon.drain(ShmFollower(region, lag=1), idle_timeout_s=0)
+            finally:
+                attached.close()
+            assert [e.data[0] for e in mon.trace().events(0)
+                    if e.major == Major.TEST] == list(range(200))
+        finally:
+            region.close()
+            region.unlink()
+
 
 # -- cross-process: real writer processes, live follower in the parent --
 _wanted = os.environ.get("SHM_START_METHODS")
