@@ -40,92 +40,113 @@ file, optionally save the symbol table as JSON, then analyze offline::
     repro-trace check --mutant stale-attach-offset
     repro-trace shm-demo --writers 4 --events 2000 -o /tmp/shm.k42
 
+The report subcommands (``list`` ... ``iostats``) and ``follow``,
+``merge`` and ``fleet-run --tool`` are generated from one table of tools,
+:mod:`repro.reports`, and all call the tool's one ``report(trace, sym,
+opts)``.  What a row cannot say is a small explicit handler here: ``kmon
+--interactive/--mark/--zoom/--svg``, ``breakdown``'s exit status 1,
+``info``'s frame count.
+
 Every trace-analysis subcommand accepts ``--strict`` (stop at the first
 damage instead of resynchronizing past it) and ``--workers N``
-(parallel decode); all of them decode into columnar structure-of-arrays
-event batches.  The analysis subcommands (``info``, ``list``, ``kmon``,
-``locks``, ``profile``, ``breakdown``, ``sched``) also all accept a
-packed store directory (``repro-trace pack``) in place of a raw trace — auto-detected, or forced with ``--store`` — and produce
-byte-identical output from it; ``query`` reads only the shards whose
-min/max statistics overlap the predicate.
+(parallel decode), and loads its trace through one function
+(:func:`repro.fleet.merge.ingest_source`), so each reads a packed store
+directory (``repro-trace pack``) in place of a raw trace with
+byte-identical output; the store-capable ones (``info`` and the
+``store`` rows) also take ``--store`` to insist on it.  ``query`` reads
+only the shards whose min/max statistics overlap the predicate.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional
+from typing import Callable, List, Optional
 
 from repro.core.parallel import decode_records_columnar_parallel
 from repro.core.registry import default_registry
 from repro.core.writer import load_records
+from repro.reports import FLEET_TOOLS, REPORTS, TOOL_OPTIONS, entry, opt
 from repro.store.query import PROJECTABLE
 from repro.store.writer import DEFAULT_SHARD_EVENTS
 
 
-def _decode(records, workers: int = 1, strict: bool = False):
-    """Decode records into a :class:`~repro.core.columnar.ColumnarTrace`.
-
-    ``workers=1`` decodes in-process; ``workers=0`` means "one per
-    CPU"; anything else fans the boundary-sharded scan out over that
-    many processes (``--workers``).  Output is identical either way.
-    ``strict`` stops at the first garbled event per buffer instead of
-    resynchronizing past damage (``--strict``).
-    """
+def _decode(records, workers: Optional[int] = 1, strict: bool = False):
+    """Decode records into a :class:`~repro.core.columnar.ColumnarTrace`,
+    in-process or on ``workers`` processes (:func:`_workers`; identical
+    output); ``strict`` stops at the first garbled event per buffer
+    instead of resynchronizing past damage (``--strict``)."""
     return decode_records_columnar_parallel(
-        records,
-        registry=default_registry(),
-        workers=None if workers == 0 else workers,
-        strict=strict,
-    )
+        records, registry=default_registry(), workers=workers, strict=strict)
 
 
-def _load_trace(path: str, workers: int = 1, strict: bool = False,
-                store: bool = False):
-    """Load a raw ``.k42`` trace — or a packed store directory.
+def _workers(args) -> Optional[int]:
+    """``--workers`` as the library spells it: 0 (one per core) is None."""
+    workers = getattr(args, "workers", 1)
+    return None if workers == 0 else workers
 
-    With ``store=True`` (``--store``), or when ``path`` is a store
-    directory, the decoded columns come straight from the store's npz
-    shards: no word-stream decode happens, and the resulting trace is
-    bit-identical to one.
-    """
-    from repro.store import is_store
 
-    if store or is_store(path):
-        from repro.store import TraceStore
+def _ingest(args, path: Optional[str] = None):
+    """``(trace, source facts)`` of ``path`` (default ``args.trace``), as
+    every subcommand that analyses a trace loads it: a ``.k42`` file, a
+    store directory or ``shm:NAME`` alike, under the flags it has."""
+    from repro.fleet.merge import ingest_source
 
-        return TraceStore(path, registry=default_registry(),
-                          workers=None if workers == 0 else workers).trace()
-    return _decode(load_records(path, strict=strict), workers, strict)
+    return ingest_source(path if path is not None else args.trace,
+                         registry=default_registry(), strict=args.strict,
+                         workers=_workers(args),
+                         store=getattr(args, "store", False))
+
+
+def _load(args, path: Optional[str] = None):
+    """:func:`_ingest`'s trace alone."""
+    return _ingest(args, path)[0]
 
 
 def _load_symbols(path: Optional[str]):
     from repro.ksim.kernel import SymbolTable
 
-    if path is None:
-        return SymbolTable()
-    return SymbolTable.load(path)
+    return SymbolTable() if path is None else SymbolTable.load(path)
+
+
+def cmd_report(args) -> int:
+    """Any row of :data:`REPORTS`, post-mortem: symbols, trace, report."""
+    sym = _load_symbols(getattr(args, "symbols", None))
+    print(entry(args.command)(_load(args), sym, args))
+    return 0
+
+
+def _tool_report(args) -> Callable[..., str]:
+    """``--tool``'s report.  Where the rows disagree on a default
+    (``--top`` is 10, 20, 10) the shared declaration
+    (:data:`~repro.reports.TOOL_OPTIONS`) says None, and the chosen
+    row's own default is filled in here."""
+    for flags, kw in REPORTS[args.tool].options:
+        dest = flags[0].lstrip("-").replace("-", "_")
+        if getattr(args, dest) is None:
+            setattr(args, dest, kw.get("default"))
+    return entry(args.tool)
+
+
+def fleet_report(args, view) -> str:
+    """``--tool`` over a merged fleet view: the row's report per node
+    (each section identical to that node's trace reported alone), then
+    its rollup."""
+    from repro.fleet.merge import fleet_sections
+
+    report, sym = _tool_report(args), _load_symbols(args.symbols)
+    rollup = entry(args.tool, "fleet_rollup")
+    return fleet_sections(view, lambda trace: report(trace, sym, args),
+                          lambda: rollup(view, sym, args))
 
 
 def cmd_info(args) -> int:
     import numpy as np
 
-    from repro.store import is_store
-
-    if args.store or is_store(args.trace):
-        from repro.store import TraceStore
-
-        st = TraceStore(args.trace, registry=default_registry())
-        trace = st.trace()
-        frames = st.source.get("frames", 0)
-        buffer_words = st.source.get("buffer_words", 0)
-    else:
-        records = load_records(args.trace, strict=args.strict)
-        trace = _decode(records, workers=args.workers, strict=args.strict)
-        frames = len(records)
-        buffer_words = len(records[0].words) if records else 0
+    trace, source = _ingest(args)
     print(f"trace file: {args.trace}")
-    print(f"frames: {frames}  buffer words: {buffer_words}")
+    print(f"frames: {source.get('frames', 0)}  "
+          f"buffer words: {source.get('buffer_words', 0)}")
     b = trace.batch()
     print(f"cpus: {trace.cpus}")
     print(f"events: {len(b)}  anomalies: {len(trace.anomalies)}")
@@ -151,44 +172,25 @@ def cmd_info(args) -> int:
 def cmd_verify(args) -> int:
     from repro.tools.anomaly import verify_trace
 
-    report = verify_trace(_load_trace(args.trace, workers=args.workers,
-                                      strict=args.strict))
+    report = verify_trace(_load(args))
     print(report.describe())
     return 0 if report.ok else 1
 
 
-def cmd_list(args) -> int:
-    from repro.tools.listing import format_listing
-
-    text = format_listing(
-        _load_trace(args.trace, workers=args.workers, strict=args.strict,
-                    store=args.store),
-        names=args.name or None,
-        cpu=args.cpu,
-        start=args.start,
-        end=args.end,
-        limit=args.limit,
-        include_control=args.control,
-    )
-    print(text)
-    return 0
-
-
 def cmd_kmon(args) -> int:
-    from repro.tools.kmon import Timeline
-
+    """The ``kmon`` row, plus what needs the timeline object itself: an
+    interactive session, marks, a zoom, an SVG."""
+    if not (args.interactive or args.mark or args.zoom or args.svg):
+        return cmd_report(args)
     if args.interactive:
         from repro.tools.kmon_session import KmonSession
 
         sym = _load_symbols(args.symbols)
-        session = KmonSession(
-            _load_trace(args.trace, workers=args.workers,
-                        strict=args.strict, store=args.store),
-            sym.process_names)
-        session.run(sys.stdin, sys.stdout)
+        KmonSession(_load(args), sym.process_names).run(sys.stdin, sys.stdout)
         return 0
-    tl = Timeline(_load_trace(args.trace, workers=args.workers,
-                              strict=args.strict, store=args.store))
+    from repro.tools.kmon import Timeline
+
+    tl = Timeline(_load(args))
     if args.mark:
         tl.mark(*args.mark)
     if args.zoom:
@@ -201,114 +203,16 @@ def cmd_kmon(args) -> int:
     return 0
 
 
-def cmd_locks(args) -> int:
-    from repro.tools.lockstats import format_lockstats, lock_statistics
-
-    sym = _load_symbols(args.symbols)
-    trace = _load_trace(args.trace, workers=args.workers, strict=args.strict,
-                        store=args.store)
-    stats = lock_statistics(trace, sort_by=args.sort)
-    print(format_lockstats(stats, sym.lock_names, sym.chains,
-                           top=args.top, sort_label=args.sort))
-    return 0
-
-
-def cmd_profile(args) -> int:
-    from repro.tools.pcprofile import format_profile, pc_profile
-
-    sym = _load_symbols(args.symbols)
-    trace = _load_trace(args.trace, workers=args.workers, strict=args.strict,
-                        store=args.store)
-    hist = pc_profile(trace, sym.pc_names, pid=args.pid)
-    print(format_profile(hist, pid=args.pid, top=args.top))
-    return 0
-
-
 def cmd_breakdown(args) -> int:
-    from repro.ksim.ipc import FS_FUNCTION_NAMES
-    from repro.tools.breakdown import format_breakdown, process_breakdown
+    """The ``breakdown`` row; ``--pid`` of a process the trace never ran
+    is exit status 1."""
+    from repro.tools.breakdown import UnknownPid
 
-    sym = _load_symbols(args.symbols)
-    bds = process_breakdown(
-        _load_trace(args.trace, workers=args.workers, strict=args.strict,
-                    store=args.store),
-        sym.syscall_names, sym.process_names,
-        FS_FUNCTION_NAMES,
-    )
-    pids = [args.pid] if args.pid is not None else sorted(bds)
-    for pid in pids:
-        if pid not in bds:
-            print(f"no data for pid {pid}", file=sys.stderr)
-            return 1
-        print(format_breakdown(bds[pid]))
-        print()
-    return 0
-
-
-def cmd_histogram(args) -> int:
-    from repro.tools.pathstats import event_histogram
-
-    trace = _load_trace(args.trace, workers=args.workers, strict=args.strict)
-    for count, name in event_histogram(trace)[: args.top]:
-        print(f"{count:>8} {name}")
-    return 0
-
-
-def cmd_memprofile(args) -> int:
-    from repro.tools.memprofile import format_memory_report, memory_profile
-
-    sym = _load_symbols(args.symbols)
-    trace = _load_trace(args.trace, workers=args.workers, strict=args.strict)
-    report = memory_profile(trace, sym.process_names)
-    print(format_memory_report(report, top=args.top))
-    return 0
-
-
-def cmd_holds(args) -> int:
-    from repro.tools.holdtimes import format_hold_report, hold_times
-
-    sym = _load_symbols(args.symbols)
-    report = hold_times(_load_trace(args.trace, workers=args.workers,
-                                    strict=args.strict))
-    print(format_hold_report(report, sym.lock_names, top=args.top))
-    return 0
-
-
-def cmd_sched(args) -> int:
-    from repro.tools.schedstats import format_sched_report, sched_statistics
-
-    sym = _load_symbols(args.symbols)
-    report = sched_statistics(
-        _load_trace(args.trace, workers=args.workers, strict=args.strict,
-                    store=args.store))
-    print(format_sched_report(report, sym.process_names, top=args.top))
-    return 0
-
-
-def _render_tool(args, sym, target, renderer: str) -> str:
-    """Render ``--tool`` over ``target`` with its module's ``renderer``.
-
-    ``live_render`` takes a trace (a live monitor's window),
-    ``fleet_render`` a merged fleet view (per-node sections plus a
-    rollup).  Defaults mirror the post-mortem subcommands exactly, so a
-    replay at instant speed prints byte-identical output to them.
-    """
-    from repro.tools import kmon, lockstats, pcprofile, schedstats
-
-    def top(default: int) -> int:
-        return args.top if args.top is not None else default
-
-    if args.tool == "kmon":
-        return getattr(kmon, renderer)(target, width=args.width)
-    if args.tool == "locks":
-        return getattr(lockstats, renderer)(
-            target, sym.lock_names, sym.chains, sort_by=args.sort,
-            top=top(10))
-    if args.tool == "profile":
-        return getattr(pcprofile, renderer)(
-            target, sym.pc_names, pid=args.pid, top=top(20))
-    return getattr(schedstats, renderer)(
-        target, sym.process_names, top=top(10))
+    try:
+        return cmd_report(args)
+    except UnknownPid as exc:
+        print(exc, file=sys.stderr)
+        return 1
 
 
 def cmd_follow(args) -> int:
@@ -322,6 +226,7 @@ def cmd_follow(args) -> int:
     )
 
     sym = _load_symbols(args.symbols)
+    report = _tool_report(args)
     region = None
     follower = None
     if args.shm:
@@ -330,8 +235,7 @@ def cmd_follow(args) -> int:
         region = ShmTraceRegion.attach(args.shm)
         source = ShmFollower(region, lag=args.lag)
     elif args.trace is None:
-        print("follow needs a trace file or --shm NAME", file=sys.stderr)
-        return 2
+        raise ValueError("follow needs a trace file or --shm NAME")
     elif args.replay is not None:
         source = Replayer(load_records(args.trace, strict=args.strict),
                           speed=parse_speed(args.replay))
@@ -344,8 +248,7 @@ def cmd_follow(args) -> int:
     on_update = None
     if args.refresh:
         def on_update(m):
-            print(_render_tool(args, sym, m.trace(), "live_render"),
-                  file=sys.stderr)
+            print(report(m.trace(), sym, args), file=sys.stderr)
             print(m.describe(), file=sys.stderr)
     try:
         monitor.drain(source,
@@ -358,7 +261,7 @@ def cmd_follow(args) -> int:
             region.close()
         if follower is not None:
             follower.close()
-    print(_render_tool(args, sym, monitor.trace(), "live_render"))
+    print(report(monitor.trace(), sym, args))
     print(monitor.describe(), file=sys.stderr)
     for issue in getattr(source, "issues", []):
         print(f"file issue: {issue}", file=sys.stderr)
@@ -370,19 +273,11 @@ def cmd_compare(args) -> int:
 
     sym = _load_symbols(args.symbols)
     comparison = compare_traces(
-        _load_trace(args.before, workers=args.workers, strict=args.strict),
-        _load_trace(args.after, workers=args.workers, strict=args.strict),
+        _load(args, args.before),
+        _load(args, args.after),
         sym.pc_names,
     )
     print(format_comparison(comparison, sym.lock_names, top=args.top))
-    return 0
-
-
-def cmd_iostats(args) -> int:
-    from repro.tools.iostats import format_io_report, io_statistics
-
-    trace = _load_trace(args.trace, workers=args.workers, strict=args.strict)
-    print(format_io_report(io_statistics(trace), top=args.top))
     return 0
 
 
@@ -396,7 +291,7 @@ def cmd_crashdump(args) -> int:
         for issue in dump.issues:
             print(f"dump issue (cpu section {issue.cpu}): {issue.detail}",
                   file=sys.stderr)
-    trace = _decode(dump.records, workers=args.workers, strict=args.strict)
+    trace = _decode(dump.records, _workers(args), strict=args.strict)
     events = [e for e in trace.all_events() if not e.is_control]
     print(f"flight recorder: {len(events)} events recovered from "
           f"{len(dump.records)} buffers on {dump.ncpus} cpus")
@@ -431,8 +326,9 @@ def cmd_doctor(args) -> int:
               f"looks like an in-progress write, not damage "
               f"(follow it with `repro-trace follow`)")
 
-    strict_trace = _decode(records, workers=args.workers, strict=True)
-    trace = _decode(records, workers=args.workers, strict=args.strict)
+    strict_trace = _decode(records, _workers(args), strict=True)
+    trace = (strict_trace if args.strict
+             else _decode(records, _workers(args)))
     report = verify_trace(trace)
     n_strict = len(strict_trace.all_events())
     print(report.describe())
@@ -485,23 +381,19 @@ def cmd_pack(args) -> int:
     from repro.store.writer import pack_trace
 
     records = load_records(args.trace, strict=args.strict)
-    trace = _decode(records, workers=args.workers, strict=args.strict)
-    try:
-        res = pack_trace(
-            trace, args.output,
-            shard_events=args.shard_events,
-            compress=not args.no_compress,
-            source={
-                "path": os.path.abspath(args.trace),
-                "frames": len(records),
-                "buffer_words": len(records[0].words) if records else 0,
-            },
-            force=args.force,
-            workers=None if args.workers == 0 else args.workers,
-        )
-    except FileExistsError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
+    trace = _decode(records, _workers(args), strict=args.strict)
+    res = pack_trace(
+        trace, args.output,
+        shard_events=args.shard_events,
+        compress=not args.no_compress,
+        source={
+            "path": os.path.abspath(args.trace),
+            "frames": len(records),
+            "buffer_words": len(records[0].words) if records else 0,
+        },
+        force=args.force,
+        workers=_workers(args),
+    )
     raw = os.path.getsize(args.trace)
     ratio = res.bytes_written / raw if raw else 0.0
     print(f"packed {args.trace} -> {res.path}")
@@ -519,7 +411,7 @@ def cmd_query(args) -> int:
     from repro.tools.listing import format_event
 
     store = TraceStore(args.store, registry=default_registry(),
-                       workers=None if args.workers == 0 else args.workers)
+                       workers=_workers(args))
     pred = Predicate(
         cpus=tuple(args.cpu) if args.cpu else None,
         nodes=tuple(args.node) if args.node else None,
@@ -586,24 +478,19 @@ def cmd_merge(args) -> int:
     view = merge_paths(args.traces, registry=default_registry(),
                        strict=args.strict)
     if args.tool:
-        print(_render_tool(args, _load_symbols(args.symbols), view,
-                           "fleet_render"))
+        print(fleet_report(args, view))
     else:
         _print_fleet_summary(view)
     if args.output:
-        try:
-            res = pack_fleet_view(
-                view, args.output,
-                shard_events=args.shard_events,
-                compress=not args.no_compress,
-                source={"paths": [p if p.startswith("shm:")
-                                  else os.path.abspath(p)
-                                  for p in args.traces]},
-                force=args.force,
-            )
-        except FileExistsError as exc:
-            print(str(exc), file=sys.stderr)
-            return 2
+        res = pack_fleet_view(
+            view, args.output,
+            shard_events=args.shard_events,
+            compress=not args.no_compress,
+            source={"paths": [p if p.startswith("shm:")
+                              else os.path.abspath(p)
+                              for p in args.traces]},
+            force=args.force,
+        )
         print(f"packed fleet store: {res.path} "
               f"({res.events} events, {res.shards} shards, "
               f"nodes {view.nodes})")
@@ -627,8 +514,7 @@ def cmd_fleet_run(args) -> int:
         print(f"node {nr.node}: {nr.trace_path}")
     _print_fleet_summary(result.view)
     if args.tool:
-        print(_render_tool(args, _load_symbols(args.symbols), result.view,
-                           "fleet_render"))
+        print(fleet_report(args, result.view))
     return 0
 
 
@@ -813,7 +699,7 @@ def cmd_shm_demo(args) -> int:
     print(f"trace written to {result.trace_path}")
 
     dropped = int(stats.get("dropped", 0))
-    trace = _decode(load_records(args.output), workers=1)
+    trace = _decode(load_records(args.output))
     anomalies = [a for a in trace.anomalies if a.kind != "missing-anchor"]
     got = {w: 0 for w in range(args.writers)}
     for cpu in range(args.writers):
@@ -845,11 +731,49 @@ def cmd_shm_demo(args) -> int:
 def cmd_export_ltt(args) -> int:
     from repro.ltt.export import export_ltt
 
-    trace = _load_trace(args.trace, workers=args.workers, strict=args.strict)
+    trace = _load(args)
     with open(args.output, "wb") as fh:
         written = export_ltt(trace, cpu=args.cpu, fh=fh)
     print(f"{written} events exported to {args.output} (cpu {args.cpu})")
     return 0
+
+
+def _declare(sp, options) -> None:
+    for flags, kw in options:
+        sp.add_argument(*flags, **kw)
+
+
+#: The read-path flags; a subcommand takes the ones its handler reads.
+_COMMON = {
+    "workers": opt("--workers", type=int, default=1, metavar="N",
+                   help="decode (or read shards) on N worker processes "
+                        "(0 = one per CPU core); output is identical"),
+    "strict": opt("--strict", action="store_true",
+                  help="stop at the first damage (garbled event, bad "
+                       "frame) instead of resynchronizing past it"),
+    "store": opt("--store", action="store_true",
+                 help="treat TRACE as a packed store directory (see "
+                      "repro-trace pack); store directories are also "
+                      "auto-detected"),
+}
+#: What ``pack`` and ``merge -o`` take to write a store.
+_STORE_WRITE = (
+    opt("--shard-events", type=int, default=DEFAULT_SHARD_EVENTS,
+        metavar="N",
+        help="target events per shard; shards are cut only at buffer "
+             "boundaries (default %(default)s)"),
+    opt("--no-compress", action="store_true",
+        help="write uncompressed npz shards"),
+    opt("--force", action="store_true",
+        help="overwrite an existing store directory"),
+)
+
+
+#: ``fleet-run``'s nodes and ``shm-demo``'s writers start the same way.
+_START_METHOD = opt("--start-method", choices=("fork", "spawn"),
+                    default=None, dest="start_method",
+                    help="multiprocessing start method of the child "
+                         "processes (default: platform default)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -859,139 +783,51 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, store=False, **kw):
+    def add(name, fn, common="workers strict", **kw):
         sp = sub.add_parser(name, **kw)
         sp.set_defaults(fn=fn)
-        sp.add_argument(
-            "--workers", type=int, default=1, metavar="N",
-            help="decode on N worker processes (0 = one per CPU core); "
-                 "output is identical to sequential decode",
-        )
-        sp.add_argument(
-            "--strict", action="store_true",
-            help="stop at the first damage (garbled event, bad frame) "
-                 "instead of resynchronizing past it",
-        )
-        if store:
-            sp.add_argument(
-                "--store", action="store_true",
-                help="treat TRACE as a packed store directory "
-                     "(see repro-trace pack); store directories are "
-                     "also auto-detected",
-            )
+        _declare(sp, (_COMMON[key] for key in common.split()))
         return sp
 
-    def add_tool(sp, help, default=None):
+    def add_tool_flags(sp, help, default=None):
         sp.add_argument("--tool", default=default, help=help,
-                        choices=("kmon", "locks", "profile", "sched"))
+                        choices=FLEET_TOOLS)
+        _declare(sp, TOOL_OPTIONS)
 
-    def add_tool_options(sp):
-        """What ``_render_tool`` reads besides ``--tool`` itself."""
-        sp.add_argument("--symbols")
-        sp.add_argument("--sort", default="time",
-                        choices=["time", "count", "spin", "max"],
-                        help="locks: sort column")
-        sp.add_argument("--pid", type=int, help="profile: restrict to a pid")
-        sp.add_argument("--top", type=int, default=None,
-                        help="table rows (default: the tool's own default)")
-        sp.add_argument("--width", type=int, default=96,
-                        help="kmon: columns")
-
-    sp = add("info", cmd_info, store=True, help="trace file summary")
+    sp = add("info", cmd_info, "workers strict store",
+             help="trace file summary")
     sp.add_argument("trace")
 
     sp = add("verify", cmd_verify, help="check trace integrity (§3.1)")
     sp.add_argument("trace")
 
-    sp = add("list", cmd_list, store=True,
-             help="event listing (Figure 5)")
-    sp.add_argument("trace")
-    sp.add_argument("--name", action="append")
-    sp.add_argument("--cpu", type=int)
-    sp.add_argument("--start", type=float)
-    sp.add_argument("--end", type=float)
-    sp.add_argument("--limit", type=int)
-    sp.add_argument("--control", action="store_true",
-                    help="include infrastructure events")
+    for name, row in REPORTS.items():
+        sp = add(name, cmd_report,
+                 "workers strict store" if row.store else "workers strict",
+                 help=row.help)
+        sp.add_argument("trace")
+        _declare(sp, row.options)
 
-    sp = add("kmon", cmd_kmon, store=True,
-             help="timeline view (Figure 4)")
-    sp.add_argument("trace")
-    sp.add_argument("--width", type=int, default=96)
+    # What a row cannot say stays an explicit handler over it.
+    sub.choices["breakdown"].set_defaults(fn=cmd_breakdown)
+    sp = sub.choices["kmon"]
+    sp.set_defaults(fn=cmd_kmon)
     sp.add_argument("--mark", action="append")
     sp.add_argument("--zoom", type=float, nargs=2,
                     metavar=("START_S", "END_S"))
     sp.add_argument("--svg")
     sp.add_argument("--interactive", action="store_true",
                     help="command-driven session (zoom/mark/click/...)")
-    sp.add_argument("--symbols")
-
-    sp = add("locks", cmd_locks, store=True,
-             help="lock contention (Figure 7)")
-    sp.add_argument("trace")
-    sp.add_argument("--symbols")
-    sp.add_argument("--sort", default="time",
-                    choices=["time", "count", "spin", "max"])
-    sp.add_argument("--top", type=int, default=10)
-
-    sp = add("profile", cmd_profile, store=True,
-             help="PC-sample histogram (Figure 6)")
-    sp.add_argument("trace")
-    sp.add_argument("--symbols")
-    sp.add_argument("--pid", type=int)
-    sp.add_argument("--top", type=int, default=20)
-
-    sp = add("breakdown", cmd_breakdown, store=True,
-             help="per-process syscall/IPC breakdown (Figure 8)")
-    sp.add_argument("trace")
-    sp.add_argument("--symbols")
-    sp.add_argument("--pid", type=int)
-
-    sp = add("histogram", cmd_histogram,
-             help="event-frequency table (§4.2 path statistics)")
-    sp.add_argument("trace")
-    sp.add_argument("--top", type=int, default=30)
-
-    sp = add("memprofile", cmd_memprofile,
-             help="memory hot-spot report from hw counters (§2)")
-    sp.add_argument("trace")
-    sp.add_argument("--symbols")
-    sp.add_argument("--top", type=int, default=8)
-
-    sp = add("holds", cmd_holds,
-             help="lock hold-time analysis with preemption explanation (§2)")
-    sp.add_argument("trace")
-    sp.add_argument("--symbols")
-    sp.add_argument("--top", type=int, default=10)
-
-    sp = add("sched", cmd_sched, store=True,
-             help="scheduler stats + CPU time by process (§4.5)")
-    sp.add_argument("trace")
-    sp.add_argument("--symbols")
-    sp.add_argument("--top", type=int, default=10)
 
     sp = add("pack", cmd_pack,
              help="pack a trace into a compressed columnar store")
     sp.add_argument("trace")
     sp.add_argument("output", help="store directory to create")
-    sp.add_argument("--shard-events", type=int,
-                    default=DEFAULT_SHARD_EVENTS, metavar="N",
-                    help="target events per shard; shards are cut only "
-                         "at buffer boundaries (default %(default)s)")
-    sp.add_argument("--no-compress", action="store_true",
-                    help="write uncompressed npz shards")
-    sp.add_argument("--force", action="store_true",
-                    help="overwrite an existing store directory")
+    _declare(sp, _STORE_WRITE)
 
-    sp = sub.add_parser(
-        "query",
-        help="query a packed store with predicate pushdown")
-    sp.set_defaults(fn=cmd_query)
+    sp = add("query", cmd_query, "workers",
+             help="query a packed store with predicate pushdown")
     sp.add_argument("store", help="store directory (from repro-trace pack)")
-    sp.add_argument("--workers", type=int, default=1, metavar="N",
-                    help="read + decompress shards on N worker "
-                         "processes (0 = one per CPU core); results "
-                         "are identical")
     sp.add_argument("--cpu", type=int, action="append",
                     help="restrict to CPU N (repeatable)")
     sp.add_argument("--node", type=int, action="append",
@@ -1027,11 +863,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--top", type=int, default=30,
                     help="rows shown with --aggregate (default 30)")
 
-    sp = sub.add_parser(
-        "merge",
-        help="merge N per-node traces into one clock-aligned fleet "
-             "view (each a .k42 file, a store directory, or shm:NAME)")
-    sp.set_defaults(fn=cmd_merge)
+    sp = add("merge", cmd_merge, "strict",
+             help="merge N per-node traces into one clock-aligned fleet "
+                  "view (each a .k42 file, a store directory, or shm:NAME)")
     sp.add_argument("traces", nargs="+",
                     help="per-node traces; a .anchors.json sidecar "
                          "supplies node id + clock anchors, otherwise "
@@ -1040,35 +874,19 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("-o", "--output", metavar="DIR",
                     help="also pack the unified view into a store "
                          "directory (queryable with query --node)")
-    sp.add_argument("--shard-events", type=int,
-                    default=DEFAULT_SHARD_EVENTS, metavar="N",
-                    help="target events per shard in the packed store "
-                         "(default %(default)s)")
-    sp.add_argument("--no-compress", action="store_true",
-                    help="write uncompressed npz shards")
-    sp.add_argument("--force", action="store_true",
-                    help="overwrite an existing store directory")
-    add_tool(sp, help="render this tool's per-node + fleet-rollup "
-                      "report instead of the merge summary")
-    add_tool_options(sp)
-    sp.add_argument("--strict", action="store_true",
-                    help="stop at the first damage instead of "
-                         "resynchronizing past it")
+    _declare(sp, _STORE_WRITE)
+    add_tool_flags(sp, help="render this tool's per-node + fleet-rollup "
+                            "report instead of the merge summary")
 
-    sp = sub.add_parser(
-        "fleet-run",
-        help="launch K node workloads as local processes, then merge "
-             "their per-node traces into one fleet view")
-    sp.set_defaults(fn=cmd_fleet_run)
+    sp = add("fleet-run", cmd_fleet_run, "",
+             help="launch K node workloads as local processes, then merge "
+                  "their per-node traces into one fleet view")
     sp.add_argument("-o", "--out-dir", required=True, dest="out_dir",
                     help="directory for per-node traces + anchor "
                          "sidecars")
     sp.add_argument("--nodes", type=int, default=2, metavar="K",
                     help="node count (default 2)")
-    sp.add_argument("--start-method", choices=("fork", "spawn"),
-                    default=None, dest="start_method",
-                    help="multiprocessing start method of the node "
-                         "processes (default: platform default)")
+    _declare(sp, [_START_METHOD])
     sp.add_argument("--seed", type=int, default=2003,
                     help="master seed; per-node workload seeds and "
                          "clock offsets/rates derive from it")
@@ -1079,21 +897,18 @@ def build_parser() -> argparse.ArgumentParser:
                     help="workload threads per CPU (default 2)")
     sp.add_argument("--iterations", type=int, default=30,
                     help="workload iterations per thread (default 30)")
-    add_tool(sp, help="also render this tool over the merged view")
-    add_tool_options(sp)
+    add_tool_flags(sp, help="also render this tool over the merged view")
 
-    sp = sub.add_parser(
-        "follow",
-        help="follow a growing trace live (file tail, shm region, or "
-             "paced replay) and render a tool over a bounded window")
-    sp.set_defaults(fn=cmd_follow)
+    sp = add("follow", cmd_follow, "strict",
+             help="follow a growing trace live (file tail, shm region, or "
+                  "paced replay) and render a tool over a bounded window")
     sp.add_argument("trace", nargs="?",
                     help="trace file to tail (omit with --shm)")
     sp.add_argument("--shm", metavar="NAME",
                     help="follow a live shared-memory region instead of "
                          "a file (attach by segment name)")
-    add_tool(sp, default="kmon",
-             help="which analysis to render over the live window")
+    add_tool_flags(sp, default="kmon",
+                   help="which analysis to render over the live window")
     sp.add_argument("--replay", metavar="SPEED",
                     help="treat the (complete) trace as a live source "
                          "replayed at SPEED: instant, realtime, or Nx")
@@ -1117,10 +932,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--refresh", action="store_true",
                     help="print a snapshot to stderr after every poll "
                          "that brought data")
-    add_tool_options(sp)
-    sp.add_argument("--strict", action="store_true",
-                    help="stop at the first damage instead of "
-                         "resynchronizing past it")
 
     sp = add("compare", cmd_compare,
              help="diff two traces of the same workload (the §4 tuning loop)")
@@ -1128,11 +939,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("after")
     sp.add_argument("--symbols")
     sp.add_argument("--top", type=int, default=5)
-
-    sp = add("iostats", cmd_iostats,
-             help="I/O latency/volume/interrupt analysis (§2)")
-    sp.add_argument("trace")
-    sp.add_argument("--top", type=int, default=8)
 
     sp = add("crashdump", cmd_crashdump,
              help="recover the flight recorder from a memory image (§4.2)")
@@ -1160,11 +966,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--cpu", type=int, default=0)
     sp.add_argument("-o", "--output", required=True)
 
-    sp = sub.add_parser(
-        "check",
-        help="model-check the lockless reserve/commit protocol "
-             "(schedule exploration)")
-    sp.set_defaults(fn=cmd_check)
+    sp = add("check", cmd_check, "",
+             help="model-check the lockless reserve/commit protocol "
+                  "(schedule exploration)")
     # Geometry/config flags default to None so the CLI can tell an
     # explicit value from "use the mutant's recommended config".
     sp.add_argument("--writers", type=int, default=None, metavar="N",
@@ -1240,12 +1044,10 @@ def build_parser() -> argparse.ArgumentParser:
                     help="replay a saved schedule script and report "
                          "whether it still violates")
 
-    sp = sub.add_parser(
-        "shm-demo",
-        help="run the real cross-process scenario: N writer processes "
-             "log into one shared-memory segment while a collector "
-             "process drains it to a trace file")
-    sp.set_defaults(fn=cmd_shm_demo)
+    sp = add("shm-demo", cmd_shm_demo, "",
+             help="run the real cross-process scenario: N writer processes "
+                  "log into one shared-memory segment while a collector "
+                  "process drains it to a trace file")
     sp.add_argument("-o", "--output", required=True,
                     help="trace file the collector writes")
     sp.add_argument("--writers", type=int, default=2, metavar="N",
@@ -1261,10 +1063,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--num-buffers", type=int, default=8, metavar="N",
                     dest="num_buffers",
                     help="buffers per CPU ring (default 8)")
-    sp.add_argument("--start-method", choices=("fork", "spawn"),
-                    default=None, dest="start_method",
-                    help="multiprocessing start method (default: "
-                         "platform default)")
+    _declare(sp, [_START_METHOD])
     sp.add_argument("--post-drain", action="store_true", dest="post_drain",
                     help="start the collector only after writers "
                          "quiesce instead of racing them")

@@ -19,9 +19,9 @@ Pieces:
   store directories, drained shm regions), build a :class:`FleetView`
   (per-node originals + unified merged batch), pack it into a
   node-aware store.
-* :mod:`repro.fleet.launch` — pluggable launcher backends (local
-  subprocesses now; docker/mpi slots) that run K node workloads end to
-  end and produce the per-node traces plus anchor sidecars.
+* :mod:`repro.fleet.launch` — the launcher: K node workloads run end to
+  end as local subprocesses, producing the per-node traces plus anchor
+  sidecars.
 """
 
 from repro.fleet.align import (
@@ -41,15 +41,11 @@ from repro.fleet.merge import (
     write_anchor_sidecar,
 )
 from repro.fleet.launch import (
-    BACKENDS,
     FleetRunResult,
-    LaunchBackend,
-    LocalProcessBackend,
     NodeLocalClock,
     NodeRunResult,
     NodeSpec,
     fleet_run,
-    get_backend,
 )
 
 __all__ = [
@@ -68,10 +64,6 @@ __all__ = [
     "NodeSpec",
     "NodeRunResult",
     "NodeLocalClock",
-    "LaunchBackend",
-    "LocalProcessBackend",
-    "BACKENDS",
-    "get_backend",
     "FleetRunResult",
     "fleet_run",
 ]

@@ -1,12 +1,11 @@
-"""Pluggable fleet launchers: run K node workloads, get K traces.
+"""The fleet launcher: run K node workloads, get K traces.
 
-Modeled on the SHARP launcher pattern: one ``launch()`` entry point
-behind a backend ABC, with the local-subprocess backend as its one
-implementation.  Each launched node runs the standard
-deterministic contention workload (:func:`repro.workloads.run_contention`)
-but logs timestamps through a :class:`NodeLocalClock` — its own skewed
-offset/rate view of true time, the fleet analogue of a drifting tsc —
-then writes its ``.k42`` trace plus the ``.anchors.json`` sidecar that
+Nodes are local OS subprocesses (:func:`launch_local`).  Each one runs
+the standard deterministic contention workload
+(:func:`repro.workloads.run_contention`) but logs timestamps through a
+:class:`NodeLocalClock` — its own skewed offset/rate view of true time,
+the fleet analogue of a drifting tsc — then writes its ``.k42`` trace
+plus the ``.anchors.json`` sidecar that
 :func:`repro.fleet.merge.merge_paths` aligns with.
 
 The worker entry point (:func:`node_main`) is module-level and takes
@@ -19,7 +18,6 @@ from __future__ import annotations
 import multiprocessing
 import os
 import random
-from abc import ABC, abstractmethod
 from dataclasses import asdict, dataclass
 from typing import Any, Dict, List, Optional, Sequence
 
@@ -144,77 +142,47 @@ def node_main(spec_doc: Dict[str, Any], trace_path: str) -> None:
                                "clock_rate": spec.clock_rate})
 
 
-class LaunchBackend(ABC):
-    """One ``launch()`` behind which execution substrates plug in."""
-
-    name = "abstract"
-
-    @abstractmethod
-    def launch(self, specs: Sequence[NodeSpec],
-               out_dir: str) -> List[NodeRunResult]:
-        """Run every node spec; return where the artifacts landed."""
-
-
-class LocalProcessBackend(LaunchBackend):
-    """Nodes as local OS subprocesses (fork or spawn)."""
-
-    name = "local"
-
-    def __init__(self, start_method: Optional[str] = None,
-                 timeout_s: float = 300.0) -> None:
-        self.start_method = start_method
-        self.timeout_s = timeout_s
-
-    def launch(self, specs: Sequence[NodeSpec],
-               out_dir: str) -> List[NodeRunResult]:
-        os.makedirs(out_dir, exist_ok=True)
-        ctx = multiprocessing.get_context(self.start_method)
-        procs = []
-        results: List[NodeRunResult] = []
-        try:
-            for spec in specs:
-                paths = node_paths(out_dir, spec.node)
-                p = ctx.Process(
-                    target=node_main,
-                    args=(asdict(spec), paths["trace"]),
-                    name=f"fleet-node-{spec.node}",
-                )
-                p.start()
-                procs.append((spec, p, paths))
-            for spec, p, paths in procs:
-                p.join(self.timeout_s)
-                if p.is_alive():
-                    raise RuntimeError(
-                        f"node {spec.node} exceeded {self.timeout_s}s")
-                if p.exitcode != 0:
-                    raise RuntimeError(
-                        f"node {spec.node} exited with {p.exitcode}")
-                results.append(NodeRunResult(
-                    node=spec.node,
-                    trace_path=paths["trace"],
-                    anchors_path=paths["anchors"],
-                ))
-        finally:
-            for _spec, p, _paths in procs:
-                if p.is_alive():
-                    p.terminate()
-                    p.join(5)
-        return results
-
-
-BACKENDS: Dict[str, type] = {
-    LocalProcessBackend.name: LocalProcessBackend,
-}
-
-
-def get_backend(name: str, **kwargs: Any) -> LaunchBackend:
+def launch_local(
+    specs: Sequence[NodeSpec],
+    out_dir: str,
+    start_method: Optional[str] = None,
+    timeout_s: float = 300.0,
+) -> List[NodeRunResult]:
+    """Run every node spec as a local OS subprocess (fork or spawn);
+    return where the artifacts landed."""
+    os.makedirs(out_dir, exist_ok=True)
+    ctx = multiprocessing.get_context(start_method)
+    procs = []
+    results: List[NodeRunResult] = []
     try:
-        cls = BACKENDS[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown backend {name!r}; backends are {sorted(BACKENDS)}"
-        ) from None
-    return cls(**kwargs)
+        for spec in specs:
+            paths = node_paths(out_dir, spec.node)
+            p = ctx.Process(
+                target=node_main,
+                args=(asdict(spec), paths["trace"]),
+                name=f"fleet-node-{spec.node}",
+            )
+            p.start()
+            procs.append((spec, p, paths))
+        for spec, p, paths in procs:
+            p.join(timeout_s)
+            if p.is_alive():
+                raise RuntimeError(
+                    f"node {spec.node} exceeded {timeout_s}s")
+            if p.exitcode != 0:
+                raise RuntimeError(
+                    f"node {spec.node} exited with {p.exitcode}")
+            results.append(NodeRunResult(
+                node=spec.node,
+                trace_path=paths["trace"],
+                anchors_path=paths["anchors"],
+            ))
+    finally:
+        for _spec, p, _paths in procs:
+            if p.is_alive():
+                p.terminate()
+                p.join(5)
+    return results
 
 
 @dataclass
@@ -265,7 +233,6 @@ def make_specs(
 def fleet_run(
     out_dir: str,
     nodes: int = 2,
-    backend: str = "local",
     start_method: Optional[str] = None,
     seed: int = 2003,
     ncpus: int = 2,
@@ -279,10 +246,6 @@ def fleet_run(
                        workers_per_cpu=workers_per_cpu,
                        iterations=iterations, buffer_words=buffer_words,
                        num_buffers=num_buffers)
-    if backend == "local":
-        be: LaunchBackend = LocalProcessBackend(start_method=start_method)
-    else:
-        be = get_backend(backend)
-    results = be.launch(specs, out_dir)
+    results = launch_local(specs, out_dir, start_method=start_method)
     view = merge_paths([r.trace_path for r in results])
     return FleetRunResult(view=view, node_results=results, out_dir=out_dir)

@@ -29,12 +29,8 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.columnar import (
-    AnomalyColumns,
-    ColumnarTrace,
-    ColumnarTraceReader,
-    EventBatch,
-)
+from repro.core.columnar import AnomalyColumns, ColumnarTrace, EventBatch
+from repro.core.parallel import decode_records_columnar_parallel
 from repro.core.registry import EventRegistry, default_registry
 from repro.core.writer import load_records
 from repro.fleet.align import FleetAligner, NodeAnchors
@@ -210,9 +206,9 @@ class FleetView:
 def fleet_sections(
     view: FleetView,
     node_render: Callable[[ColumnarTrace], str],
-    rollup_render: Optional[Callable[[], str]] = None,
+    rollup_render: Callable[[], str],
 ) -> str:
-    """The uniform fleet report shape the four ported tools share.
+    """The fleet report shape every fleet-capable tool shares.
 
     A header with the fleet counts and skew bound, then one section per
     node rendered from the node's *original* trace (so each section is
@@ -232,10 +228,9 @@ def fleet_sections(
         lines.append(f"=== node {node}: {info['events']} events, "
                      f"cpus [{cpus}], {basis} clock ===")
         lines.append(node_render(view.node_trace(node)))
-    if rollup_render is not None:
-        lines.append("")
-        lines.append("=== fleet rollup ===")
-        lines.append(rollup_render())
+    lines.append("")
+    lines.append("=== fleet rollup ===")
+    lines.append(rollup_render())
     return "\n".join(lines)
 
 
@@ -284,17 +279,25 @@ def merge_traces(
     return FleetView(traces, aligner, registry=registry)
 
 
-def ingest_path(
+def ingest_source(
     path: str,
     registry: Optional[EventRegistry] = None,
     strict: bool = False,
-) -> ColumnarTrace:
-    """Decode one node's trace from any supported source shape.
+    workers: Optional[int] = 1,
+    store: bool = False,
+) -> Tuple[ColumnarTrace, Dict[str, Any]]:
+    """Decode one trace from any supported source shape.
 
-    ``shm:NAME`` drains a live shared-memory region through the PR 6
-    collector; a directory is opened as a packed store; anything else
-    is a ``.k42`` trace file.
+    The one place that decides the shape: ``shm:NAME`` drains a live
+    shared-memory region through the PR 6 collector; a store directory
+    (auto-detected, or asserted with ``store=True``) is read from its
+    shards with no word-stream decode; anything else is a ``.k42`` file.
+    Beside the trace come the facts a store manifest keeps about its
+    origin (``frames``, ``buffer_words``).  ``workers`` fans the decode
+    or the shard reads out (``None`` = one per core); same result.
     """
+    from repro.store import TraceStore, is_store
+
     reg = registry if registry is not None else default_registry()
     if path.startswith(_SHM_SCHEME):
         from repro.shm import ShmCollector, ShmTraceRegion
@@ -304,15 +307,28 @@ def ingest_path(
             records = ShmCollector(region).finalize()
         finally:
             region.close()
-        return ColumnarTraceReader(registry=reg,
-                                   strict=strict).decode_records(records)
-    from repro.store import TraceStore, is_store
+    elif store or is_store(path):
+        st = TraceStore(path, registry=reg, workers=workers)
+        return st.trace(), st.source
+    else:
+        records = load_records(path, strict=strict)
+    trace = decode_records_columnar_parallel(
+        records, registry=reg, workers=workers, strict=strict)
+    return trace, {
+        "frames": len(records),
+        "buffer_words": len(records[0].words) if records else 0,
+    }
 
-    if is_store(path):
-        return TraceStore(path, registry=reg).trace()
-    records = load_records(path, strict=strict)
-    return ColumnarTraceReader(registry=reg,
-                               strict=strict).decode_records(records)
+
+def ingest_path(
+    path: str,
+    registry: Optional[EventRegistry] = None,
+    strict: bool = False,
+    workers: Optional[int] = 1,
+    store: bool = False,
+) -> ColumnarTrace:
+    """:func:`ingest_source`'s trace alone."""
+    return ingest_source(path, registry, strict, workers, store)[0]
 
 
 def write_anchor_sidecar(path: str, node: int, anchors: NodeAnchors,

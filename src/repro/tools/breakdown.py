@@ -272,3 +272,20 @@ def format_breakdown(breakdown: ProcessBreakdown, top: Optional[int] = None) -> 
                 f"  {fn:<22} {cycles / CYCLES_PER_US:>12.2f} {calls:>7}"
             )
     return "\n".join(lines)
+
+
+class UnknownPid(LookupError):
+    """``--pid`` named a process the trace never ran."""
+
+
+def report(trace, sym, opts) -> str:
+    """The ``breakdown`` report: one Figure 8 table per process, or
+    ``opts.pid``'s alone (:class:`UnknownPid` if the trace never ran it)."""
+    from repro.ksim.ipc import FS_FUNCTION_NAMES
+
+    bds = process_breakdown(trace, sym.syscall_names, sym.process_names,
+                            FS_FUNCTION_NAMES)
+    if opts.pid is not None and opts.pid not in bds:
+        raise UnknownPid(f"no data for pid {opts.pid}")
+    pids = sorted(bds) if opts.pid is None else [opts.pid]
+    return "\n".join(format_breakdown(bds[pid]) + "\n" for pid in pids)

@@ -145,3 +145,9 @@ def format_hold_report(
             f"{h.duration / CYCLES_PER_US:>10.2f} {name:<26} {pid:>5}  {why}"
         )
     return "\n".join(lines)
+
+
+def report(trace, sym, opts) -> str:
+    """The ``holds`` report: the ``opts.top`` longest holds, explained."""
+    return format_hold_report(hold_times(trace), sym.lock_names,
+                              top=opts.top)

@@ -113,3 +113,8 @@ def format_io_report(report: IoReport, top: int = 8) -> str:
                 f"{op.latency / CYCLES_PER_US:.1f} us"
             )
     return "\n".join(lines)
+
+
+def report(trace, sym, opts) -> str:
+    """The ``iostats`` report: per-process I/O and ``opts.top`` slowest."""
+    return format_io_report(io_statistics(trace), top=opts.top)

@@ -386,53 +386,28 @@ class Timeline:
         return "\n".join(format_event(e) for e in events)
 
 
-def live_render(trace, width: int = 96) -> str:
-    """Render the timeline for a live window.
+def report(trace, sym, opts) -> str:
+    """The ``kmon`` report: the timeline, ``opts.width`` columns wide.
 
-    Identical to the post-mortem ``kmon`` rendering, except that an
-    empty window — no timestamped events have arrived yet — renders a
-    placeholder instead of raising, since for a live monitor that is a
-    normal transient state, not an error.
+    The one trace -> text entry, whatever the trace came from (a file,
+    a store, a live window, a fleet node).  A trace with no timestamped
+    events — the normal transient state of a live window — renders a
+    placeholder instead of raising.
     """
     try:
         tl = Timeline(trace)
     except ValueError:
         return "kmon: no timestamped events in the window yet"
-    return tl.render(width=width)
+    return tl.render(width=opts.width)
 
 
-def fleet_render(view, width: int = 96) -> str:
-    """Timelines for a merged fleet view: per node, then fleet-wide.
+def fleet_rollup(view, sym, opts) -> str:
+    """The fleet-wide timeline under a merged view's per-node sections.
 
-    The per-node sections render each node's original trace (identical
-    to running kmon on that node alone); the rollup timeline gives
-    every (node, cpu) stream its own lane on the common fleet clock,
-    with a legend decoding the lane ids.
+    Every (node, cpu) stream gets its own lane on the common fleet
+    clock, with a legend decoding the lane ids.
     """
-    from repro.fleet.merge import fleet_sections, lane_legend_line
+    from repro.fleet.merge import lane_legend_line
 
-    def rollup() -> str:
-        return (lane_legend_line(view) + "\n"
-                + live_render(view.rollup_trace(), width=width))
-
-    return fleet_sections(view, lambda t: live_render(t, width=width),
-                          rollup)
-
-
-def main(argv=None) -> int:
-    """Run kmon standalone: ``python -m repro.tools.kmon trace.k42``.
-
-    Delegates to the ``kmon`` subcommand of :mod:`repro.cli`, so all its
-    options — including ``--workers N`` parallel decoding — apply.
-    """
-    import sys
-
-    from repro.cli import main as cli_main
-
-    return cli_main(["kmon", *(argv if argv is not None else sys.argv[1:])])
-
-
-if __name__ == "__main__":  # pragma: no cover
-    import sys
-
-    sys.exit(main())
+    return (lane_legend_line(view) + "\n"
+            + report(view.rollup_trace(), sym, opts))

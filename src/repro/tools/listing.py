@@ -21,7 +21,7 @@ from repro.store.query import CYCLES_PER_SECOND, Predicate, select
 from repro.tools.context import _columnar_only
 
 __all__ = ["CYCLES_PER_SECOND", "event_listing", "format_event",
-           "format_listing", "main"]
+           "format_listing", "report"]
 
 
 def event_listing(
@@ -70,20 +70,14 @@ def format_listing(
     return "\n".join(format_event(e, name_width) for e in events)
 
 
-def main(argv: Optional[List[str]] = None) -> int:
-    """Run the listing tool standalone: ``python -m repro.tools.listing``.
-
-    Delegates to the ``list`` subcommand of :mod:`repro.cli`, so all its
-    options — including ``--workers N`` parallel decoding — apply.
-    """
-    import sys
-
-    from repro.cli import main as cli_main
-
-    return cli_main(["list", *(argv if argv is not None else sys.argv[1:])])
-
-
-if __name__ == "__main__":  # pragma: no cover
-    import sys
-
-    sys.exit(main())
+def report(trace, sym, opts) -> str:
+    """The ``list`` report: the listing narrowed by ``opts``' selection."""
+    return format_listing(
+        trace,
+        names=opts.name or None,
+        cpu=opts.cpu,
+        start=opts.start,
+        end=opts.end,
+        limit=opts.limit,
+        include_control=opts.control,
+    )

@@ -180,83 +180,42 @@ def format_lockstats(
     return "\n".join(lines)
 
 
-def live_render(
-    trace,
-    lock_names: Optional[Dict[int, str]] = None,
-    chains: Optional[Dict[int, Tuple[str, ...]]] = None,
-    sort_by: str = "time",
-    top: int = 10,
-) -> str:
-    """Render the Figure 7 table for a live window.
+def report(trace, sym, opts) -> str:
+    """The ``locks`` report: Figure 7, ``opts.top`` rows by ``opts.sort``.
 
-    Byte-identical to the post-mortem ``locks`` output for the same
-    events — a window with no contention events yet simply renders an
-    empty table.
+    The one trace -> text entry, whatever the trace came from; a trace
+    with no contention events renders an empty table.
     """
-    stats = lock_statistics(trace, sort_by=sort_by)
-    return format_lockstats(stats, lock_names, chains,
-                            top=top, sort_label=sort_by)
+    stats = lock_statistics(trace, sort_by=opts.sort)
+    return format_lockstats(stats, sym.lock_names, sym.chains,
+                            top=opts.top, sort_label=opts.sort)
 
 
-def fleet_render(
-    view,
-    lock_names: Optional[Dict[int, str]] = None,
-    chains: Optional[Dict[int, Tuple[str, ...]]] = None,
-    sort_by: str = "time",
-    top: int = 10,
-) -> str:
-    """Figure 7 tables for a merged fleet view.
+def fleet_rollup(view, sym, opts) -> str:
+    """The fleet-wide table under a merged view's per-node sections.
 
-    Per-node sections are identical to analyzing each node alone.  The
-    rollup ranks (node, lock) groups fleet-wide *without* merging lock
-    ids across nodes — lock id 3 on node 0 and lock id 3 on node 1 are
+    Ranks (node, lock) groups fleet-wide *without* merging lock ids
+    across nodes — lock id 3 on node 0 and lock id 3 on node 1 are
     different locks, so cross-node FIFO pairing would be wrong; rows
     keep their node id instead.
     """
-    from repro.fleet.merge import fleet_sections
-
-    def rollup() -> str:
-        rows = []
-        for node in view.nodes:
-            stats = lock_statistics(view.node_trace(node), sort_by=sort_by)
-            rows.extend((node, st) for st in stats)
-        rows.sort(key=lambda p: SORT_KEYS[sort_by](p[1]), reverse=True)
-        lines = [
-            f"top {top} contended locks fleet-wide by {sort_by} "
-            "(per-node lock namespaces)",
-            f"{'node':>4} {'time':>12} {'count':>7} {'spin':>11} "
-            f"{'max time':>12}  pid",
-        ]
-        for node, st in rows[:top]:
-            pid = f"{st.pid:#x}" if st.pid is not None else "?"
-            lines.append(
-                f"{node:>4} {st.total_wait_seconds:12.9f} {st.count:>7} "
-                f"{st.spins:>11} {st.max_wait_seconds:12.9f}  {pid}")
-            name = (lock_names or {}).get(st.lock_id)
-            if name:
-                lines.append(f"  lock: {name}")
-        return "\n".join(lines)
-
-    return fleet_sections(
-        view,
-        lambda t: live_render(t, lock_names, chains, sort_by, top=top),
-        rollup)
-
-
-def main(argv=None) -> int:
-    """Run lock analysis standalone: ``python -m repro.tools.lockstats``.
-
-    Delegates to the ``locks`` subcommand of :mod:`repro.cli`, so all its
-    options — including ``--workers N`` parallel decoding — apply.
-    """
-    import sys
-
-    from repro.cli import main as cli_main
-
-    return cli_main(["locks", *(argv if argv is not None else sys.argv[1:])])
-
-
-if __name__ == "__main__":  # pragma: no cover
-    import sys
-
-    sys.exit(main())
+    rows = []
+    for node in view.nodes:
+        stats = lock_statistics(view.node_trace(node), sort_by=opts.sort)
+        rows.extend((node, st) for st in stats)
+    rows.sort(key=lambda p: SORT_KEYS[opts.sort](p[1]), reverse=True)
+    lines = [
+        f"top {opts.top} contended locks fleet-wide by {opts.sort} "
+        "(per-node lock namespaces)",
+        f"{'node':>4} {'time':>12} {'count':>7} {'spin':>11} "
+        f"{'max time':>12}  pid",
+    ]
+    for node, st in rows[:opts.top]:
+        pid = f"{st.pid:#x}" if st.pid is not None else "?"
+        lines.append(
+            f"{node:>4} {st.total_wait_seconds:12.9f} {st.count:>7} "
+            f"{st.spins:>11} {st.max_wait_seconds:12.9f}  {pid}")
+        name = sym.lock_names.get(st.lock_id)
+        if name:
+            lines.append(f"  lock: {name}")
+    return "\n".join(lines)

@@ -122,3 +122,9 @@ def format_memory_report(report: MemoryReport, top: int = 8) -> str:
         )
         lines.append(f"miss density over time: [{strip}]")
     return "\n".join(lines)
+
+
+def report(trace, sym, opts) -> str:
+    """The ``memprofile`` report: the ``opts.top`` hottest processes."""
+    return format_memory_report(memory_profile(trace, sym.process_names),
+                                top=opts.top)

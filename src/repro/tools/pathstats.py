@@ -60,3 +60,9 @@ def relative_frequency(
     if denom == 0:
         return None
     return hist.get(numerator, 0) / denom
+
+
+def report(trace, sym, opts) -> str:
+    """The ``histogram`` report: the ``opts.top`` most frequent events."""
+    return "\n".join(f"{count:>8} {name}"
+                     for count, name in event_histogram(trace)[: opts.top])

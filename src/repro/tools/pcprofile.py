@@ -90,59 +90,18 @@ def format_profile(
     return "\n".join(lines)
 
 
-def live_render(
-    trace,
-    pc_names: Optional[Dict[int, str]] = None,
-    pid: Optional[int] = None,
-    top: Optional[int] = 20,
-) -> str:
-    """Render the Figure 6 histogram for a live window.
+def report(trace, sym, opts) -> str:
+    """The ``profile`` report: Figure 6, ``opts.top`` rows, ``opts.pid``.
 
-    Byte-identical to the post-mortem ``profile`` output for the same
-    events; a window with no PC samples yet renders an empty histogram.
+    The one trace -> text entry, whatever the trace came from; a trace
+    with no PC samples renders an empty histogram.
     """
-    hist = pc_profile(trace, pc_names, pid=pid)
-    return format_profile(hist, pid=pid, top=top)
+    hist = pc_profile(trace, sym.pc_names, pid=opts.pid)
+    return format_profile(hist, pid=opts.pid, top=opts.top)
 
 
-def fleet_render(
-    trace_view,
-    pc_names: Optional[Dict[int, str]] = None,
-    pid: Optional[int] = None,
-    top: Optional[int] = 20,
-) -> str:
-    """Figure 6 histograms for a merged fleet view.
-
-    Per-node sections are identical to profiling each node alone; the
-    rollup sums sample counts across the whole fleet (symbol names
-    resolve through the shared ``pc_names`` map).
-    """
-    from repro.fleet.merge import fleet_sections
-
-    def rollup() -> str:
-        hist = pc_profile(trace_view.rollup_trace(), pc_names, pid=pid)
-        return format_profile(hist, pid=pid, top=top)
-
-    return fleet_sections(
-        trace_view,
-        lambda t: live_render(t, pc_names, pid=pid, top=top),
-        rollup)
-
-
-def main(argv=None) -> int:
-    """Run the profiler standalone: ``python -m repro.tools.pcprofile``.
-
-    Delegates to the ``profile`` subcommand of :mod:`repro.cli`, so all
-    its options — including ``--workers N`` parallel decoding — apply.
-    """
-    import sys
-
-    from repro.cli import main as cli_main
-
-    return cli_main(["profile", *(argv if argv is not None else sys.argv[1:])])
-
-
-if __name__ == "__main__":  # pragma: no cover
-    import sys
-
-    sys.exit(main())
+def fleet_rollup(view, sym, opts) -> str:
+    """The fleet-wide histogram under a merged view's per-node sections:
+    sample counts summed across the fleet (symbol names resolve through
+    the shared ``pc_names`` map)."""
+    return report(view.rollup_trace(), sym, opts)

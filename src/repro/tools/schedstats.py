@@ -195,43 +195,24 @@ def format_sched_report(
     return "\n".join(lines)
 
 
-def live_render(
-    trace,
-    process_names: Optional[Dict[int, str]] = None,
-    top: int = 10,
-) -> str:
-    """Render the scheduler report for a live window.
+def report(trace, sym, opts) -> str:
+    """The ``sched`` report: per-CPU rates and ``opts.top`` processes.
 
-    Byte-identical to the post-mortem ``sched`` output for the same
-    events; a window with no scheduling events yet renders zero rates
-    over a zero span.
+    The one trace -> text entry, whatever the trace came from; a trace
+    with no scheduling events renders zero rates over a zero span.
     """
-    return format_sched_report(sched_statistics(trace), process_names,
-                               top=top)
+    return format_sched_report(sched_statistics(trace), sym.process_names,
+                               top=opts.top)
 
 
-def fleet_render(
-    view,
-    process_names: Optional[Dict[int, str]] = None,
-    top: int = 10,
-) -> str:
-    """Scheduler reports for a merged fleet view.
+def fleet_rollup(view, sym, opts) -> str:
+    """The fleet-wide report under a merged view's per-node sections.
 
-    Per-node sections are identical to analyzing each node alone.  The
-    rollup runs the same replay over the fleet lanes — each (node, cpu)
-    pair keeps its own lane, so busy-interval replay never mixes
-    streams — and prefixes the lane legend so lane numbers map back to
-    nodes.
+    The same replay over the fleet lanes — each (node, cpu) pair keeps
+    its own lane, so busy-interval replay never mixes streams — behind
+    the lane legend, so lane numbers map back to nodes.
     """
-    from repro.fleet.merge import fleet_sections, lane_legend_line
+    from repro.fleet.merge import lane_legend_line
 
-    def rollup() -> str:
-        return (lane_legend_line(view) + "\n"
-                + format_sched_report(
-                    sched_statistics(view.rollup_trace()),
-                    process_names, top=top))
-
-    return fleet_sections(
-        view,
-        lambda t: live_render(t, process_names, top=top),
-        rollup)
+    return (lane_legend_line(view) + "\n"
+            + report(view.rollup_trace(), sym, opts))

@@ -22,7 +22,6 @@ from repro.fleet import (
     FleetAligner,
     NodeAnchors,
     NodeSource,
-    get_backend,
     ingest_path,
     measured_fleet_skew,
     merge_paths,
@@ -31,16 +30,19 @@ from repro.fleet import (
     read_anchor_sidecar,
     write_anchor_sidecar,
 )
-from repro.fleet.launch import BACKENDS, fleet_run
+from repro.cli import build_parser, fleet_report
+from repro.fleet.launch import fleet_run
+from repro.reports import FLEET_TOOLS, REPORTS
 from repro.store import Predicate, TraceStore
 from repro.store.query import select
 
 from tests.core.test_parallel import assert_all_paths_identical
+from tests.live.test_pipeline import table_report
 
 
 @pytest.fixture(scope="module")
 def fleet(tmp_path_factory):
-    """A launched 2-node fleet (local backend, default start method)."""
+    """A launched 2-node fleet (local processes, default start method)."""
     out = str(tmp_path_factory.mktemp("fleet"))
     return fleet_run(out, nodes=2, iterations=12)
 
@@ -86,22 +88,6 @@ class TestLauncher:
     def test_every_decode_path_identical_per_node(self, fleet):
         for r in fleet.node_results:
             assert_all_paths_identical(load_records(r.trace_path))
-
-    def test_unknown_backend(self):
-        with pytest.raises(ValueError, match="unknown backend"):
-            get_backend("slurm")
-
-    def test_declared_slots_raise(self):
-        """Only implemented backends are registered; the former
-        docker/mpi slots are unknown names like any other."""
-        for name in ("docker", "mpi"):
-            with pytest.raises(ValueError, match="unknown backend"):
-                get_backend(name)
-        assert sorted(BACKENDS) == ["local"]
-
-    def test_fleet_run_rejects_unimplemented_backend(self, tmp_path):
-        with pytest.raises(ValueError, match="unknown backend"):
-            fleet_run(str(tmp_path / "d"), nodes=1, backend="docker")
 
 
 class TestMerge:
@@ -191,48 +177,37 @@ class TestMerge:
                        for n in fleet.view.nodes}, aligner)
 
 
-class TestToolPortIdentity:
-    """Per-node sections of every ported tool == standalone output."""
+def _port_case(tool):
+    # kmon keeps the non-default width its hand-written case used.
+    flags = ("--width", "60") if tool == "kmon" else ()
+    # What only this tool's rollup prints.
+    mark = {"kmon": "lanes:", "locks": "fleet-wide"}.get(tool, "")
 
-    def test_kmon(self, fleet):
-        from repro.tools.kmon import fleet_render, live_render
-
-        out = fleet_render(fleet.view, width=60)
+    def case(self, fleet):
+        alone_report = table_report(tool, *flags)
+        opts = build_parser().parse_args(
+            ["merge", "TRACE", "--tool", tool, *flags])
+        out = fleet_report(opts, fleet.view)
         for r in fleet.node_results:
-            alone = live_render(ingest_path(r.trace_path), width=60)
-            assert live_render(fleet.view.node_trace(r.node),
-                               width=60) == alone
+            alone = alone_report(ingest_path(r.trace_path))
+            assert alone_report(fleet.view.node_trace(r.node)) == alone
             assert alone in out
         assert "=== fleet rollup ===" in out
-        assert "lanes:" in out
+        assert mark in out
+    return case
 
-    def test_lockstats(self, fleet):
-        from repro.tools.lockstats import fleet_render, live_render
 
-        out = fleet_render(fleet.view)
-        for r in fleet.node_results:
-            alone = live_render(ingest_path(r.trace_path))
-            assert live_render(fleet.view.node_trace(r.node)) == alone
-            assert alone in out
-        assert "fleet-wide" in out
+class TestToolPortIdentity:
+    """Per-node sections of every ported tool == standalone output.
 
-    def test_pcprofile(self, fleet):
-        from repro.tools.pcprofile import fleet_render, live_render
+    One case per ``merge --tool`` row of the CLI table, named after the
+    row's tool module (``test_kmon``, ``test_lockstats``, ...), so a row
+    added to the table is covered without an edit here.
+    """
 
-        out = fleet_render(fleet.view)
-        for r in fleet.node_results:
-            alone = live_render(ingest_path(r.trace_path))
-            assert live_render(fleet.view.node_trace(r.node)) == alone
-            assert alone in out
-
-    def test_schedstats(self, fleet):
-        from repro.tools.schedstats import fleet_render, live_render
-
-        out = fleet_render(fleet.view)
-        for r in fleet.node_results:
-            alone = live_render(ingest_path(r.trace_path))
-            assert live_render(fleet.view.node_trace(r.node)) == alone
-            assert alone in out
+    for _tool in FLEET_TOOLS:
+        locals()[f"test_{REPORTS[_tool].module}"] = _port_case(_tool)
+    del _tool
 
     def test_rollup_lanes_cover_fleet(self, fleet):
         roll = fleet.view.rollup_trace()

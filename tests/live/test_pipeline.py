@@ -15,20 +15,27 @@ import time
 import numpy as np
 import pytest
 
+from repro.cli import build_parser
 from repro.core.columnar import decode_records_columnar
 from repro.core.registry import default_registry
 from repro.core.writer import save_records
+from repro.ksim.kernel import SymbolTable
 from repro.live.monitor import LiveMonitor
 from repro.live.source import Replayer, ShmFollower
-from repro.tools import kmon, lockstats, pcprofile, schedstats
+from repro.reports import FLEET_TOOLS, entry
 from repro.workloads import run_contention
 
-TOOL_RENDERERS = {
-    "kmon": lambda t: kmon.live_render(t),
-    "locks": lambda t: lockstats.live_render(t),
-    "profile": lambda t: pcprofile.live_render(t),
-    "sched": lambda t: schedstats.live_render(t),
-}
+
+def table_report(tool, *flags):
+    """``trace -> str``: ``tool``'s entry in the CLI table, under the
+    options its post-mortem subcommand parses from ``flags``."""
+    opts = build_parser().parse_args([tool, "TRACE", *flags])
+    return lambda trace: entry(tool)(trace, SymbolTable(), opts)
+
+
+# Every row `follow --tool` offers; a row added to the table is covered
+# here without an edit.
+TOOL_RENDERERS = {tool: table_report(tool) for tool in FLEET_TOOLS}
 
 
 @pytest.fixture(scope="module")
@@ -278,10 +285,7 @@ class TestShmCrossProcess:
 
 
 class TestFollowCli:
-    @pytest.mark.parametrize("tool,cmd", [
-        ("kmon", "kmon"), ("locks", "locks"),
-        ("profile", "profile"), ("sched", "sched"),
-    ])
+    @pytest.mark.parametrize("tool,cmd", [(t, t) for t in FLEET_TOOLS])
     def test_replay_instant_matches_postmortem_cli(
             self, tmp_path, capsys, contention_records, tool, cmd):
         """`follow X --replay instant --tool T` prints byte-identical

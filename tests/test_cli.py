@@ -293,6 +293,30 @@ def test_strict_flag_stops_at_first_garble(artifacts, capsys, tmp_path):
     assert events(loose) > events(strict)
 
 
+def test_doctor_strict_decodes_once(artifacts, capsys, tmp_path, monkeypatch):
+    """``doctor`` decodes strictly to count what recovery salvaged; under
+    ``--strict`` that decode *is* the report's, so there is one."""
+    import repro.cli as cli
+
+    bad = str(tmp_path / "bad.k42")
+    assert main(["inject", artifacts["trace"], bad,
+                 "--kind", "torn-event", "--seed", "5"]) == 0
+    capsys.readouterr()
+    real, calls = cli.decode_records_columnar_parallel, []
+    monkeypatch.setattr(
+        cli, "decode_records_columnar_parallel",
+        lambda *a, **kw: calls.append(kw["strict"]) or real(*a, **kw))
+    assert main(["doctor", bad]) == 1
+    loose = capsys.readouterr()
+    assert calls == [True, False] and "recovery salvaged" in loose.out
+    del calls[:]
+    assert main(["doctor", bad, "--strict"]) == 1
+    strict = capsys.readouterr()
+    assert calls == [True]
+    assert "recovery salvaged" not in strict.out and strict.err == ""
+    assert strict.out.splitlines()[:4] == loose.out.splitlines()[:4]
+
+
 def _one_error_line(capsys, path):
     """stdout empty; stderr exactly one ``error:`` line naming the file."""
     out, err = capsys.readouterr()
@@ -337,6 +361,23 @@ def test_missing_path_is_an_error_line(artifacts, capsys, tmp_path, argv):
              "OUT": str(tmp_path / "out")}
     assert main([names.get(a, a) for a in argv]) == 2
     _one_error_line(capsys, missing)
+
+
+@pytest.mark.parametrize("argv", [
+    ["follow"], ["pack", "TRACE", "STORE"], ["merge", "TRACE", "-o", "STORE"],
+], ids=lambda argv: "-".join(a for a in argv if a.islower()))
+def test_refusal_is_an_error_line(artifacts, capsys, tmp_path, argv):
+    """The exit-2 refusals that name no input file — nothing to follow,
+    a store already where ``pack``/``merge -o`` would write — end in the
+    same one line as an unreadable input."""
+    store = str(tmp_path / "held.store")
+    assert main(["pack", artifacts["trace"], store]) == 0
+    capsys.readouterr()
+    names = {"TRACE": artifacts["trace"], "STORE": store}
+    assert main([names.get(a, a) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("repro-trace: error: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 _COLUMNAR_COMMANDS = ("info", "list", "kmon", "locks", "profile",

@@ -18,6 +18,22 @@ def test_generated_event_reference_is_fresh():
         )
 
 
+def test_generated_cli_inventory_is_fresh():
+    """docs/cli.md must match ``build_parser()``: a flag added, dropped
+    or re-defaulted shows up in review as a diff of that file."""
+    import importlib.util
+
+    spec = importlib.util.spec_from_file_location(
+        "docs_generate", REPO / "docs" / "generate.py")
+    generate = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(generate)
+    path = REPO / "docs" / "cli.md"
+    assert path.exists(), "run python docs/generate.py"
+    assert path.read_text().strip() == generate.cli_markdown().strip(), (
+        "docs/cli.md is stale; regenerate with python docs/generate.py"
+    )
+
+
 def test_markdown_docs_exist_and_nonempty():
     for name in ("README.md", "DESIGN.md", "EXPERIMENTS.md",
                  "docs/trace-format.md", "docs/architecture.md",
