@@ -6,11 +6,12 @@ such primitive, so this package provides two stand-ins:
 
 * :class:`~repro.atomic.primitives.AtomicWord` /
   :class:`~repro.atomic.primitives.AtomicArray` — thread-safe emulated
-  hardware atomics.  Each individual operation (load, store,
-  compare-and-store, fetch-and-add) is made atomic with a micro-lock that
-  is *internal to the primitive*, exactly as a hardware instruction is
-  atomic internally.  No lock is ever held across the reserve/log/commit
-  sequence, which is what "lockless" means in the paper.
+  hardware atomics.  Loads are plain reads; only read-modify-writes
+  (store, compare-and-store, fetch-and-add) take a micro-lock that is
+  *internal to the primitive*, as a hardware instruction is atomic
+  internally — the argument :mod:`repro.shm.atomics` makes too.  No lock
+  is ever held across the reserve/log/commit sequence, which is what
+  "lockless" means in the paper.
 
 * :class:`~repro.atomic.simatomic.SimAtomicWord` — a deterministic variant
   for the discrete-event simulator and for property tests, with an

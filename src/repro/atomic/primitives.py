@@ -2,6 +2,13 @@
 
 Semantics follow the 64-bit unsigned machine word: all values are reduced
 modulo 2**64, and ``fetch_and_add`` wraps silently the way hardware does.
+
+Loads are plain reads: an aligned word load is atomic, and every load in
+the protocol feeds a compare-and-store that revalidates it (the argument
+:mod:`repro.shm.atomics` makes too).  Only read-modify-writes take the
+micro-lock.  ``store`` is one of them on purpose: a store landing between
+a CAS's compare and its write would be lost, where on hardware it
+cancels the reservation instead.
 """
 
 from __future__ import annotations
@@ -14,8 +21,8 @@ _WORD_MASK = (1 << 64) - 1
 class AtomicWord:
     """A single 64-bit word with atomic operations.
 
-    The internal lock emulates the atomicity guarantee of a hardware
-    instruction; callers never see or hold it.  This is the documented
+    The internal lock emulates the atomicity of a hardware read-modify-
+    write; callers never see or hold it.  This is the documented
     substitution for PowerPC ``lwarx``/``stwcx.`` (see DESIGN.md §2).
     """
 
@@ -26,14 +33,16 @@ class AtomicWord:
         self._lock = threading.Lock()
 
     def load(self) -> int:
-        """Atomically read the current value."""
-        with self._lock:
-            return self._value
+        """Read the current value (a plain, lock-free read)."""
+        return self._value
 
     def store(self, value: int) -> None:
         """Atomically overwrite the current value."""
-        with self._lock:
+        self._lock.acquire()
+        try:
             self._value = value & _WORD_MASK
+        finally:
+            self._lock.release()
 
     def compare_and_store(self, expected: int, new: int) -> bool:
         """Atomically set the word to ``new`` iff it still equals ``expected``.
@@ -44,18 +53,25 @@ class AtomicWord:
         """
         expected &= _WORD_MASK
         new &= _WORD_MASK
-        with self._lock:
+        lock = self._lock
+        lock.acquire()
+        try:
             if self._value != expected:
                 return False
             self._value = new
             return True
+        finally:
+            lock.release()
 
     def fetch_and_add(self, delta: int) -> int:
         """Atomically add ``delta``; return the *previous* value."""
-        with self._lock:
+        self._lock.acquire()
+        try:
             old = self._value
             self._value = (old + delta) & _WORD_MASK
             return old
+        finally:
+            self._lock.release()
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"AtomicWord({self.load():#x})"
@@ -81,32 +97,40 @@ class AtomicArray:
     def __len__(self) -> int:
         return len(self._values)
 
-    def _lock_for(self, index: int) -> threading.Lock:
-        return self._locks[index % self._nstripes]
-
     def load(self, index: int) -> int:
-        with self._lock_for(index):
-            return self._values[index]
+        return self._values[index]
 
     def store(self, index: int, value: int) -> None:
-        with self._lock_for(index):
+        lock = self._locks[index % self._nstripes]
+        lock.acquire()
+        try:
             self._values[index] = value & _WORD_MASK
+        finally:
+            lock.release()
 
     def compare_and_store(self, index: int, expected: int, new: int) -> bool:
         expected &= _WORD_MASK
         new &= _WORD_MASK
-        with self._lock_for(index):
+        lock = self._locks[index % self._nstripes]
+        lock.acquire()
+        try:
             if self._values[index] != expected:
                 return False
             self._values[index] = new
             return True
+        finally:
+            lock.release()
 
     def fetch_and_add(self, index: int, delta: int) -> int:
-        with self._lock_for(index):
+        lock = self._locks[index % self._nstripes]
+        lock.acquire()
+        try:
             old = self._values[index]
             self._values[index] = (old + delta) & _WORD_MASK
             return old
+        finally:
+            lock.release()
 
     def snapshot(self) -> list[int]:
         """Non-atomic (per-element atomic) copy of all values."""
-        return [self.load(i) for i in range(len(self._values))]
+        return list(self._values)

@@ -219,10 +219,6 @@ class TraceControl:
     def slot_of(self, seq: int) -> int:
         return seq % self.num_buffers
 
-    def pos_of(self, index: int) -> int:
-        """Physical word offset of a reservation index (INDEXMASK)."""
-        return index & self.index_mask
-
     def buffer_of(self, index: int) -> int:
         """Buffer sequence number containing ``index``."""
         return index // self.buffer_words
@@ -400,14 +396,3 @@ class TraceControl:
     def zero_slot(self, slot: int) -> None:
         start = slot * self.buffer_words
         self.array[start : start + self.buffer_words] = self._zero_buffer
-
-    def reset(self) -> None:
-        """Reset to the pristine state (index 0, empty ring)."""
-        self.array[:] = [0] * self.total_words
-        self.index.store(0)
-        self.booked_seq.store(0)
-        for slot in range(self.num_buffers):
-            self.committed.store(slot, 0)
-        self.slot_seq[:] = [0] * self.num_buffers
-        self.completed.clear()
-        self._written.clear()

@@ -417,11 +417,6 @@ class EventBatch:
     def control_mask(self) -> np.ndarray:
         return self.major == _CTRL
 
-    def filler_mask(self) -> np.ndarray:
-        return self.control_mask() & (
-            (self.minor == _FILLER) | (self.minor == _FILLER_EXT)
-        )
-
     def mask(
         self,
         major: Optional[int] = None,

@@ -68,6 +68,8 @@ class TraceLogger:
         self.registry = registry
         self.commit_counts = commit_counts
         self.cpu = control.cpu
+        #: Largest event: bounded by the 10-bit length field and the buffer.
+        self._max_words = min(MAX_EVENT_WORDS, control.buffer_words)
 
     # ------------------------------------------------------------------
     # Fast-path logging API (per-major constant-arity macros, §3.2)
@@ -127,13 +129,10 @@ class TraceLogger:
         """
         ctl = self.control
         length = len(data) + 1  # +1 for the header word
-        if length > MAX_EVENT_WORDS:
+        if length > self._max_words:
             raise EventTooLargeError(
-                f"event of {length} words exceeds the 10-bit length field"
-            )
-        if length > ctl.buffer_words:
-            raise EventTooLargeError(
-                f"event of {length} words exceeds buffer of {ctl.buffer_words}"
+                f"event of {length} words exceeds the {self._max_words}-word "
+                "limit (10-bit length field, buffer size)"
             )
         index, ts = self._reserve(length)
         arr = ctl.array

@@ -106,12 +106,6 @@ class TraceFileFollower:
         """A file never announces completion; callers stop on idleness."""
         return False
 
-    @property
-    def pending_bytes(self) -> int:
-        """Bytes on disk past the cursor (an incomplete frame, or 0)."""
-        self.fh.seek(0, io.SEEK_END)
-        return self.fh.tell() - max(self._cursor, _FILE_HEADER.size)
-
     def poll(self) -> List[BufferRecord]:
         """Every frame that became whole since the last poll."""
         if not self._ensure_header():

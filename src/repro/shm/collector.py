@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import BinaryIO, Dict, List, Optional
+from typing import Dict, List, Optional
 
 from repro.core.buffers import BufferRecord, decode_commit_word
 from repro.core.writer import TraceFileWriter
@@ -60,15 +60,6 @@ class DrainStats:
     #: polls re-observed it, so the stat is comparable across poll rates
     held: int = 0
     next_seq: Dict[int, int] = field(default_factory=dict)
-
-    def merge_from(self, other: "DrainStats") -> None:
-        self.frames += other.frames
-        self.partial_frames += other.partial_frames
-        self.dropped += other.dropped
-        self.polls += other.polls
-        self.unstable_copies += other.unstable_copies
-        self.held += other.held
-        self.next_seq.update(other.next_seq)
 
 
 class ShmCollector:
@@ -244,7 +235,3 @@ class ShmCollector:
             return self.drain_to(
                 TraceFileWriter(fh, self.region.layout.buffer_words), **kw)
 
-
-def open_trace_writer(fh: BinaryIO, buffer_words: int) -> TraceFileWriter:
-    """Tiny alias kept for symmetry with the reader-side helpers."""
-    return TraceFileWriter(fh, buffer_words)

@@ -60,10 +60,17 @@ def load_shard(path: str) -> Dict[str, np.ndarray]:
 
 
 def write_manifest(dirpath: str, doc: Dict[str, Any]) -> None:
+    """Write the manifest atomically: a killed writer leaves the old one."""
     path = os.path.join(dirpath, MANIFEST_NAME)
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w") as fh:
+            json.dump(doc, fh, indent=1)
+            fh.write("\n")
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
 
 
 def read_manifest(dirpath: str) -> Dict[str, Any]:

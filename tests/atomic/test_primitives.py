@@ -1,10 +1,38 @@
 """Unit and concurrency tests for the emulated hardware atomics."""
 
+import sys
 import threading
 
 import pytest
 
 from repro.atomic import AtomicArray, AtomicWord
+
+
+@pytest.fixture
+def tiny_switch_interval():
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    yield
+    sys.setswitchinterval(old)
+
+
+def _cas_increment_from_threads(load, cas, n_threads=8, n_iters=1500):
+    """Load-then-CAS retry increments, the reserve loop's shape: the load
+    is lock-free, so only the CAS keeps the count exact."""
+
+    def work():
+        for _ in range(n_iters):
+            while True:
+                cur = load()
+                if cas(cur, cur + 1):
+                    break
+
+    threads = [threading.Thread(target=work) for _ in range(n_threads)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    return n_threads * n_iters
 
 
 class TestAtomicWord:
@@ -89,6 +117,11 @@ class TestAtomicWord:
         assert w.load() >= 5000
         assert sum(wins) == w.load()
 
+    def test_lock_free_load_cas_increment_exact(self, tiny_switch_interval):
+        w = AtomicWord()
+        expected = _cas_increment_from_threads(w.load, w.compare_and_store)
+        assert w.load() == expected
+
 
 class TestAtomicArray:
     def test_length_and_defaults(self):
@@ -136,3 +169,9 @@ class TestAtomicArray:
         for t in threads:
             t.join()
         assert sum(a.snapshot()) == 8 * 3000
+
+    def test_lock_free_load_cas_increment_exact(self, tiny_switch_interval):
+        a = AtomicArray(4)
+        expected = _cas_increment_from_threads(
+            lambda: a.load(2), lambda old, new: a.compare_and_store(2, old, new))
+        assert a.snapshot() == [0, 0, expected, 0]

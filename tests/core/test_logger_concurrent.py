@@ -6,7 +6,10 @@ situation arises from multiple threads on one CPU plus interrupt-level
 logging; here threads stand in for the interleaving.
 """
 
+import sys
 import threading
+
+import pytest
 
 from repro.core.buffers import TraceControl
 from repro.core.logger import TraceLogger
@@ -116,8 +119,6 @@ class TestConcurrentLogging:
         """With 8 threads racing one index, some CAS attempts must fail —
         otherwise the test isn't exercising the lockless path at all.
         A tiny GIL switch interval forces real interleaving."""
-        import sys
-
         old = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -142,6 +143,31 @@ class TestConcurrentLogging:
         trace = reader.decode_records(control.snapshot())
         evs = [e for e in trace.events(0) if e.major == Major.TEST]
         assert len(evs) > 0
+
+
+class TestConcurrentLoggingForcedSwitch:
+    """The exactness tests again with a 1 us GIL switch interval.
+
+    ``AtomicWord.load``/``AtomicArray.load`` take no lock, so a thread can
+    be switched out between the load and the compare-and-store that
+    consumes it; these runs force that window open often and rely on the
+    CAS to reject every stale read.
+    """
+
+    @pytest.fixture(autouse=True)
+    def _tiny_switch_interval(self):
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        yield
+        sys.setswitchinterval(old)
+
+    test_no_events_lost = TestConcurrentLogging.test_no_events_lost
+    test_per_thread_event_counts_exact = \
+        TestConcurrentLogging.test_per_thread_event_counts_exact
+    test_timestamps_monotonic_under_contention = \
+        TestConcurrentLogging.test_timestamps_monotonic_under_contention
+    test_committed_counts_match_buffers = \
+        TestConcurrentLogging.test_committed_counts_match_buffers
 
 
 class TestMultiCpuConcurrent:

@@ -15,7 +15,7 @@ from repro.store import (
     pack_records,
     pack_trace,
 )
-from repro.store.format import MANIFEST_NAME, read_manifest
+from repro.store.format import MANIFEST_NAME, read_manifest, write_manifest
 from repro.workloads import run_contention
 from tests.core.test_columnar import _corrupt, _event_tuple
 from tests.core.test_parallel import as_comparable, build_records
@@ -156,6 +156,25 @@ class TestStoreDirectory:
             json.dump(manifest, fh)
         with pytest.raises(StoreFormatError):
             TraceStore(target)
+
+    def test_killed_manifest_write_leaves_old_manifest(
+            self, contention_records, tmp_path, monkeypatch):
+        # A pack/merge killed mid-write must not tear manifest.json.
+        target = str(tmp_path / "s")
+        pack_records(contention_records, target)
+        before = read_manifest(target)
+        files = sorted(os.listdir(target))
+
+        def torn_dump(doc, fh, **kw):
+            fh.write(json.dumps(doc, **kw)[:40])
+            raise RuntimeError("killed mid-write")
+
+        monkeypatch.setattr(json, "dump", torn_dump)
+        with pytest.raises(RuntimeError, match="killed"):
+            write_manifest(target, dict(before, shards=[]))
+        monkeypatch.undo()
+        assert read_manifest(target) == before
+        assert sorted(os.listdir(target)) == files  # no temp file left
 
     def test_cache_shards_returns_same_objects(
             self, contention_records, tmp_path):
