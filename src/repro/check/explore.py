@@ -164,7 +164,7 @@ def explore_random(
     sequential bugs with a trivial counterexample.
     """
     result = ExploreResult(passed=True, mode="random", seed=seed)
-    ntasks = config.writers + (1 if config.reader else 0)
+    ntasks = config.writers + config.rivals + (1 if config.reader else 0)
     horizon = 64
     for i in range(schedules):
         rng = random.Random(f"{seed}:{i}")

@@ -93,6 +93,14 @@ class CheckConfig:
     #: In shm mode, >0 spawns a collector task that polls mid-schedule
     #: this many times (each poll is a scheduling point).
     collector_steps: int = 0
+    #: In shm mode: extra single-writer processes, each with its own
+    #: pid, that bind CPU 0's lane from inside the schedule.  A rival
+    #: logs only if its claim wins (the lane's owner died); otherwise it
+    #: is refused.  Rivals are never killed.
+    rivals: int = 0
+    #: Rivals reuse CPU 0's owner pid: each is born only once that
+    #: process has died (a pid is free only then).
+    pid_reuse: bool = False
 
     def validate(self) -> None:
         if self.writers < 1:
@@ -108,10 +116,16 @@ class CheckConfig:
             raise ConfigError("shm_cpus must be >= 1")
         if self.collector_steps < 0:
             raise ConfigError("collector_steps must be >= 0")
-        if not self.shm and (self.shm_cpus > 1 or self.collector_steps):
+        if self.rivals < 0:
+            raise ConfigError("rivals must be >= 0")
+        if not self.shm and (self.shm_cpus > 1 or self.collector_steps
+                             or self.rivals):
             raise ConfigError(
-                "shm_cpus/collector_steps are only meaningful with shm=True"
+                "shm_cpus/collector_steps/rivals are only meaningful with "
+                "shm=True"
             )
+        if self.pid_reuse and not self.rivals:
+            raise ConfigError("pid_reuse needs rivals >= 1")
         event_words = self.data_words + 1
         overhead = 4 + self.data_words  # anchor + start + worst filler
         if self.buffer_words <= overhead:
@@ -120,10 +134,12 @@ class CheckConfig:
                 f"per-buffer overhead of {overhead}"
             )
         # Wrap-free check per CPU: in shm mode writers are spread over
-        # shm_cpus rings round-robin, so each ring carries only its share.
+        # shm_cpus rings round-robin, so each ring carries only its share
+        # (plus the rivals, on CPU 0).
         ncpus = self.shm_cpus if self.shm else 1
         per_cpu = max(
-            len(range(c, self.writers, ncpus)) for c in range(ncpus)
+            len(range(c, self.writers, ncpus)) + (self.rivals if c == 0 else 0)
+            for c in range(ncpus)
         )
         payload = 4 + per_cpu * self.events * event_words
         useful = self.buffer_words - overhead
@@ -136,14 +152,15 @@ class CheckConfig:
             )
 
     def payloads(self) -> List[List[List[int]]]:
-        """Issued data words: ``payloads[writer][event] -> [words]``."""
+        """Issued data words: ``payloads[writer][event] -> [words]``
+        (rival ``r`` is writer ``writers + r``)."""
         return [
             [
                 [((w + 1) << 20) | ((k + 1) << 8) | (j + 1)
                  for j in range(self.data_words)]
                 for k in range(self.events)
             ]
-            for w in range(self.writers)
+            for w in range(self.writers + self.rivals)
         ]
 
 
@@ -389,7 +406,7 @@ class CheckedSystem:
                 continue
             w = int(cols.minor[off]) - 1
             data = cols.arr[off + 1:off + cols.length[off]].tolist()
-            if not (0 <= w < self.config.writers):
+            if not (0 <= w < len(self.payloads)):
                 raise InvariantViolation(
                     f"{who}-fabricated-event",
                     f"TEST event for unknown writer {w + 1} in seq {seq}",

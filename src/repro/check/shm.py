@@ -30,16 +30,27 @@ Beyond the base invariants, shm mode checks the collector seam:
   buffer whose committed count covers its fill must decode garble-free
   with genuine events.
 
-Two shm-specific mutants validate that the checker actually watches
+Lane ownership (:mod:`repro.shm.lanes`) is checked too.  Each simulated
+process has its own pid and liveness: the writers bound to one CPU are
+threads of that CPU's process, which claims the lane at setup, and
+``rivals`` are single-writer processes that claim CPU 0's lane inside
+the schedule.  A process is alive while any of its tasks still runs.
+After every step:
+
+* **lane-owned-twice** — no lane is held by two live processes;
+* **lane-generation** — a lane's owner generation only ever steps by
+  one, so a takeover is always generation + 1.
+
+Three shm-specific mutants validate that the checker actually watches
 this seam (see :data:`SHM_MUTANTS`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.check.coop import CoopRuntime
+from repro.check.coop import READY, CoopRuntime
 from repro.check.harness import (
     CheckConfig,
     CheckedSystem,
@@ -56,6 +67,7 @@ from repro.core.mask import TraceMask
 from repro.core.stream import scan_buffer
 from repro.shm.atomics import ShmWordsView
 from repro.shm.collector import ShmCollector
+from repro.shm.lanes import GENERATION_SHIFT, LaneOwner, ShmLaneBusy
 from repro.shm.region import ShmTraceRegion
 
 
@@ -118,6 +130,29 @@ class MissedFlushCollector(ShmCollector):
         return self.poll(lag=0)  # BUG: partial buffers never flushed
 
 
+class UnlockedClaimOwner(LaneOwner):
+    """MUTANT: the lane claim loads the owner word, then plainly stores.
+
+    Two claimers that load the same owner word both win: each believes
+    it owns the lane and logs under the thread lock alone.
+    """
+
+    def _take(self, word, cur: int, new: int) -> bool:
+        word.store(new)  # BUG: a claim between the load and here is lost
+        return True
+
+
+@dataclass
+class _SimProcess:
+    """One simulated OS process: its pid, its lanes, its tasks."""
+
+    pid: int
+    owner: LaneOwner
+    tids: List[int] = field(default_factory=list)
+    #: False until a pid-reusing rival finds the pid free.
+    born: bool = True
+
+
 @dataclass
 class ShmMutantSpec:
     """A registered shm-seam mutant (attach/drain bug, not a logger bug)."""
@@ -146,6 +181,13 @@ SHM_MUTANTS: Dict[str, ShmMutantSpec] = {
             {"shm": True, "writers": 1, "events": 1,
              "preemption_bound": 0},
         ),
+        ShmMutantSpec(
+            "unlocked-lane-claim",
+            "lane claim loads the owner word, then stores it without a CAS",
+            ("lane-owned-twice",),
+            {"shm": True, "writers": 1, "events": 1, "rivals": 2,
+             "preemption_bound": 2},
+        ),
     )
 }
 
@@ -156,7 +198,8 @@ class ShmCheckedSystem(CheckedSystem):
     Mirrors the :class:`CheckedSystem` interface the schedule driver
     uses (``runtime``, ``after_step``, ``final_checks``, ``close``) but
     builds everything over one :class:`ShmTraceRegion`: writer ``w``
-    attaches the segment independently and binds CPU ``w % shm_cpus``.
+    attaches the segment independently and binds CPU ``w % shm_cpus``
+    as a thread of that CPU's simulated process.
     Logger mutants from :data:`~repro.check.mutants.MUTANTS` compose
     with shm mode (the mutant logger simply runs over shm-backed
     words); shm-specific mutants are wired here.
@@ -184,6 +227,10 @@ class ShmCheckedSystem(CheckedSystem):
                        for _ in range(ncpus)]
         self._index_prev = [0] * ncpus
         self._booked_prev = [0] * ncpus
+        self._generation_prev = [0] * ncpus
+        self.processes: List[_SimProcess] = []
+        #: Writers that log nothing by design: refused or unborn rivals.
+        self.silent: Set[int] = set()
         self._closed = False
 
         self.region = ShmTraceRegion.create(
@@ -204,10 +251,14 @@ class ShmCheckedSystem(CheckedSystem):
             logger_mutant = (
                 config.mutant if config.mutant in MUTANTS else None
             )
+            by_cpu: Dict[int, _SimProcess] = {}
             for w in range(config.writers):
                 cpu = w % ncpus
-                wregion = ShmTraceRegion.attach(self.region.name)
-                self._attached.append(wregion)
+                if cpu not in by_cpu:
+                    by_cpu[cpu] = self._process(100 + cpu)
+                proc = by_cpu[cpu]
+                wregion = self._attach(proc)
+                wregion.claim(cpu)
                 view_cpu = cpu
                 if (config.mutant == "stale-attach-offset"
                         and w == config.writers - 1 and cpu != 0):
@@ -218,7 +269,17 @@ class ShmCheckedSystem(CheckedSystem):
                 ctl = self._make_control(wregion, cpu, view_cpu)
                 logger = make_logger(logger_mutant, ctl, self.mask,
                                      self.clock)
-                self.runtime.spawn(f"w{w}", self._make_writer(logger, w))
+                task = self.runtime.spawn(f"w{w}",
+                                          self._make_writer(logger, w))
+                proc.tids.append(task.tid)
+            for r in range(config.rivals):
+                w = config.writers + r
+                proc = self._process(by_cpu[0].pid if config.pid_reuse
+                                     else 200 + r)
+                proc.born = not config.pid_reuse
+                task = self.runtime.spawn(
+                    f"r{r}", self._make_rival(proc, self._attach(proc), w))
+                proc.tids.append(task.tid)
 
             collector_cls = (
                 MissedFlushCollector
@@ -239,6 +300,26 @@ class ShmCheckedSystem(CheckedSystem):
             raise
 
     # -- wiring ----------------------------------------------------------
+    def _process(self, pid: int) -> _SimProcess:
+        cls = (UnlockedClaimOwner if self.config.mutant == "unlocked-lane-claim"
+               else LaneOwner)
+        proc = _SimProcess(pid, cls(pid, alive=self._pid_alive))
+        self.processes.append(proc)
+        return proc
+
+    def _attach(self, proc: _SimProcess) -> ShmTraceRegion:
+        region = ShmTraceRegion.attach(self.region.name)
+        region.lane_owner = proc.owner
+        self._attached.append(region)
+        return region
+
+    def _alive(self, proc: _SimProcess) -> bool:
+        return proc.born and any(self.runtime.tasks[t].state == READY
+                                 for t in proc.tids)
+
+    def _pid_alive(self, pid: int) -> bool:
+        return any(self._alive(p) for p in self.processes if p.pid == pid)
+
     def _make_control(self, region: ShmTraceRegion, cpu: int,
                       view_cpu: int) -> TraceControl:
         probe = self.probes[cpu]
@@ -274,6 +355,31 @@ class ShmCheckedSystem(CheckedSystem):
         def fn() -> None:
             for data in events:
                 logger.log_words(Major.TEST, w + 1, data)
+        return fn
+
+    def _make_rival(self, proc: _SimProcess, region: ShmTraceRegion,
+                    w: int):
+        """A process that binds CPU 0's lane mid-schedule, logs if its
+        claim wins, then exits (closing its attach releases the lane)."""
+        events = self.payloads[w]
+        original = self.processes[0]
+
+        def fn() -> None:
+            if not proc.born:
+                if self._alive(original):
+                    self.silent.add(w)  # the pid is taken: never born
+                    return
+                proc.born = True
+            try:
+                region.claim(0, yield_fn=self.runtime.yield_point)
+            except ShmLaneBusy:
+                self.silent.add(w)
+                return
+            logger = make_logger(None, self._make_control(region, 0, 0),
+                                 self.mask, self.clock)
+            for data in events:
+                logger.log_words(Major.TEST, w + 1, data)
+            region.close()
         return fn
 
     def _collector_fn(self):
@@ -332,6 +438,31 @@ class ShmCheckedSystem(CheckedSystem):
 
     # -- invariants --------------------------------------------------------
     def after_step(self, step: int) -> Optional[Violation]:
+        return self._check_lanes(step) or self._check_rings(step)
+
+    def _check_lanes(self, step: int) -> Optional[Violation]:
+        seg = self.region.seglock.key
+        for cpu in range(self.region.layout.ncpus):
+            owners = [p.pid for p in self.processes
+                      if self._alive(p) and p.owner.holds(seg + (cpu,))]
+            if len(owners) > 1:
+                return Violation(
+                    "lane-owned-twice",
+                    f"cpu {cpu}'s lane is held by live processes {owners} "
+                    f"at once", step,
+                )
+            gen = self.region.owner_word(cpu).peek() >> GENERATION_SHIFT
+            prev = self._generation_prev[cpu]
+            if gen not in (prev, prev + 1):
+                return Violation(
+                    "lane-generation",
+                    f"cpu {cpu}'s owner generation moved {prev} -> {gen}; "
+                    f"a claim must step it by exactly one", step,
+                )
+            self._generation_prev[cpu] = gen
+        return None
+
+    def _check_rings(self, step: int) -> Optional[Violation]:
         lay = self.region.layout
         for cpu in range(lay.ncpus):
             index = self.region.index_word(cpu).peek()
@@ -443,7 +574,7 @@ class ShmCheckedSystem(CheckedSystem):
                     f"{a.detail}",
                 )
         got: Dict[int, List[List[int]]] = {
-            w: [] for w in range(self.config.writers)
+            w: [] for w in range(len(self.payloads))
         }
         for cpu in range(self.config.shm_cpus):
             times: List[int] = []
@@ -453,7 +584,7 @@ class ShmCheckedSystem(CheckedSystem):
                 if ev.major != Major.TEST:
                     continue
                 w = ev.minor - 1
-                if not (0 <= w < self.config.writers):
+                if w not in got:
                     raise InvariantViolation(
                         "fabricated-event",
                         f"decoded TEST event for unknown writer {ev.minor}",
@@ -467,6 +598,8 @@ class ShmCheckedSystem(CheckedSystem):
                         f"in the drained trace: {a} then {b}",
                     )
         for w, issued in enumerate(self.payloads):
+            if w in self.silent:
+                issued = []
             if got[w] != issued:
                 raise InvariantViolation(
                     "lost-or-reordered-events",
@@ -568,4 +701,5 @@ __all__ = [
     "SHM_MUTANTS",
     "ShmCheckedSystem",
     "ShmMutantSpec",
+    "UnlockedClaimOwner",
 ]

@@ -589,12 +589,13 @@ def cmd_check(args) -> int:
         "num_buffers": 8, "kills": 0, "reader": False, "reader_steps": 3,
         "preemption_bound": 2,
         "shm": False, "shm_cpus": 1, "collector_steps": 0,
+        "rivals": 0, "pid_reuse": False,
     }
     if spec is not None:
         defaults.update(spec.config)
 
-    def pick(name):
-        value = getattr(args, name)
+    def pick(name):  # rivals/pid_reuse have no flag: a mutant sets them
+        value = getattr(args, name, None)
         return defaults[name] if value is None else value
 
     preemption_bound = pick("preemption_bound")
@@ -611,6 +612,8 @@ def cmd_check(args) -> int:
         shm=bool(pick("shm")),
         shm_cpus=pick("shm_cpus"),
         collector_steps=pick("collector_steps"),
+        rivals=pick("rivals"),
+        pid_reuse=pick("pid_reuse"),
     )
     try:
         cfg.validate()
@@ -619,7 +622,9 @@ def cmd_check(args) -> int:
         return 2
 
     shm_note = (f" shm=True shm-cpus={cfg.shm_cpus} "
-                f"collector-steps={cfg.collector_steps}" if cfg.shm else "")
+                f"collector-steps={cfg.collector_steps}"
+                + (f" rivals={cfg.rivals}" if cfg.rivals else "")
+                if cfg.shm else "")
     print(f"mode={args.mode} writers={cfg.writers} events={cfg.events} "
           f"data-words={cfg.data_words} buffer-words={cfg.buffer_words} "
           f"num-buffers={cfg.num_buffers} kills={cfg.kills} "

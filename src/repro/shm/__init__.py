@@ -19,6 +19,8 @@ Pieces:
 * :mod:`repro.shm.region` — segment layout, create/attach-by-name,
   per-CPU :class:`~repro.core.buffers.TraceControl` views, the shared
   monotonic clock.
+* :mod:`repro.shm.lanes` — lane ownership: one process binds each CPU's
+  lane, and an owned lane's compare-and-store skips the ``fcntl`` lock.
 * :mod:`repro.shm.collector` — drains committed buffers out of the
   shared ring into :class:`~repro.core.buffers.BufferRecord` frames /
   ``.k42`` trace files.
@@ -38,6 +40,7 @@ from repro.shm.atomics import (
     SegmentLock,
 )
 from repro.shm.collector import DrainStats, ShmCollector
+from repro.shm.lanes import ShmLaneBusy
 from repro.shm.region import SharedShmClock, ShmLayout, ShmTraceRegion
 from repro.shm.procs import ShmWorkloadResult, run_shm_workload
 
@@ -46,6 +49,7 @@ __all__ = [
     "ShmAtomicArray",
     "ShmWordsView",
     "SegmentLock",
+    "ShmLaneBusy",
     "ShmLayout",
     "ShmTraceRegion",
     "SharedShmClock",

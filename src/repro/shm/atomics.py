@@ -17,6 +17,13 @@ process-local :class:`threading.Lock` — one per backing file, shared by
 every attach in the process via a module registry — serializes threads,
 and the ``fcntl`` byte-range lock serializes processes.
 
+The second layer is only needed where two processes can write the same
+word.  One process binds each CPU's lane, and the binding is enforced
+(:mod:`repro.shm.lanes`), so the words of a lane this process owns take
+a :class:`~repro.shm.lanes.LaneLock` — the thread layer alone — while
+every other word keeps the full :class:`SegmentLock`.  The classes here
+take whichever lock they are handed.
+
 ``load`` takes no lock: an aligned 8-byte load is atomic on the modeled
 hardware (and in practice: CPython reads the slot with one 8-byte
 ``memcpy``).  The protocol is robust to this anyway — every load feeds
@@ -75,8 +82,8 @@ class SegmentLock:
     """The per-segment micro-lock: fcntl record locks + a thread lock.
 
     One instance per attach; instances in the same process attached to
-    the same segment share the registry thread lock, instances in
-    different processes meet at the fcntl byte-range lock.
+    the same segment share the registry thread lock (``thread_lock``),
+    instances in different processes meet at the fcntl byte-range lock.
     """
 
     def __init__(self, seg_name: str) -> None:
@@ -84,18 +91,19 @@ class SegmentLock:
         self._sidecar = not self.path.startswith("/dev/shm/")
         self._fd = os.open(self.path, os.O_RDWR | os.O_CREAT, 0o600)
         st = os.fstat(self._fd)
-        key = (st.st_dev, st.st_ino)
+        #: Names the segment within this host: (st_dev, st_ino).
+        self.key = (st.st_dev, st.st_ino)
         with _THREAD_LOCKS_GUARD:
-            self._thread_lock = _THREAD_LOCKS.setdefault(
-                key, threading.Lock())
+            self.thread_lock = _THREAD_LOCKS.setdefault(
+                self.key, threading.Lock())
 
     def acquire(self, byte_off: int) -> None:
-        self._thread_lock.acquire()
+        self.thread_lock.acquire()
         try:
             if fcntl is not None:
                 fcntl.lockf(self._fd, fcntl.LOCK_EX, 8, byte_off, os.SEEK_SET)
         except BaseException:  # pragma: no cover - keep the pair balanced
-            self._thread_lock.release()
+            self.thread_lock.release()
             raise
 
     def release(self, byte_off: int) -> None:
@@ -103,7 +111,7 @@ class SegmentLock:
             if fcntl is not None:
                 fcntl.lockf(self._fd, fcntl.LOCK_UN, 8, byte_off, os.SEEK_SET)
         finally:
-            self._thread_lock.release()
+            self.thread_lock.release()
 
     def close(self) -> None:
         """Release the fd (idempotent).  Per POSIX, closing drops any

@@ -17,6 +17,7 @@ drained trace is complete event-by-event.
 
 from __future__ import annotations
 
+import contextlib
 import multiprocessing
 import time
 from dataclasses import dataclass, field
@@ -25,6 +26,11 @@ from typing import Dict, List, Optional
 from repro.core.majors import Major
 from repro.shm.collector import ShmCollector
 from repro.shm.region import ShmTraceRegion
+
+#: How long a writer waits at the start barrier for its peers.  A peer
+#: that fails before the barrier aborts it, so this only bounds the wait
+#: on one that died without running its handler (SIGKILL).
+BARRIER_TIMEOUT_S = 30.0
 
 
 def expected_payloads(writers: int, events: int,
@@ -54,16 +60,23 @@ def writer_main(
 
     ``barrier`` (a ``multiprocessing.Barrier`` over all writers) makes
     every writer start logging at once — maximum contention on the CAS.
-    ``forever`` loops until killed, for the SIGKILL hygiene tests.
-    Returns the number of events logged (also its exit code source for
-    callers that care).
+    A writer that fails to attach or bind breaks the barrier, so its
+    peers fail fast instead of waiting for it.  ``forever`` loops until
+    killed, for the SIGKILL hygiene tests.  Returns the number of events
+    logged (also its exit code source for callers that care).
     """
-    region = ShmTraceRegion.attach(name)
-    try:
-        logger = region.logger(cpu)
-        payloads = expected_payloads(cpu + 1, events, data_words)[cpu]
-        if barrier is not None:
-            barrier.wait()
+    payloads = expected_payloads(cpu + 1, events, data_words)[cpu]
+    with contextlib.ExitStack() as stack:
+        try:
+            region = ShmTraceRegion.attach(name)
+            stack.callback(region.close)
+            logger = region.logger(cpu)
+            if barrier is not None:
+                barrier.wait(BARRIER_TIMEOUT_S)
+        except BaseException:
+            if barrier is not None:
+                barrier.abort()
+            raise
         logged = 0
         while True:
             for data in payloads:
@@ -71,8 +84,6 @@ def writer_main(
                 logged += 1
             if not forever:
                 return logged
-    finally:
-        region.close()
 
 
 def collector_main(
@@ -185,11 +196,11 @@ def run_shm_workload(
             collector_proc = start_collector()
         for p in procs:
             p.join(timeout_s)
-            if p.is_alive():
-                raise TimeoutError(f"writer {p.name} did not finish")
-            if p.exitcode != 0:
-                raise RuntimeError(
-                    f"writer {p.name} exited with code {p.exitcode}")
+        failed = [f"{p.name} " + ("did not finish" if p.is_alive()
+                                  else f"exited with code {p.exitcode}")
+                  for p in procs if p.is_alive() or p.exitcode != 0]
+        if failed:
+            raise RuntimeError("writers failed: " + "; ".join(failed))
         region.set_done()
         if collector_proc is None:
             collector_proc = start_collector()

@@ -14,12 +14,14 @@ Layout (64-bit little-endian words)::
 
     header    : magic | version | ncpus | buffer_words | num_buffers
               | tick_ns | clock_origin_ns | flags | reserved...   (16 words)
-    cpu ctrl  : index | booked_seq | reserved x2
+    cpu ctrl  : index | booked_seq | owner | reserved
               | committed[num_buffers] | slot_seq[num_buffers]    (per CPU)
     trace mem : buffer_words * num_buffers words                  (per CPU)
 
 All per-CPU state is contiguous and CPU blocks are disjoint, preserving
-the paper's no-shared-cache-lines property at segment granularity.
+the paper's no-shared-cache-lines property at segment granularity.  A
+CPU's block and trace memory form its *lane*; the owner word names the
+one process bound to it as a writer (:mod:`repro.shm.lanes`).
 
 Timestamps must agree across processes, so the creator stamps a
 ``time.monotonic_ns`` origin into the header and every process derives
@@ -29,10 +31,11 @@ per-process ``WallClock`` origins would skew each writer's stream.
 
 from __future__ import annotations
 
+import threading
 import time
 from dataclasses import dataclass
 from multiprocessing import shared_memory
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 from repro.core.buffers import Mode, TraceControl
 from repro.core.logger import TraceLogger
@@ -46,6 +49,7 @@ from repro.shm.atomics import (
     ShmWordsView,
     YieldFn,
 )
+from repro.shm.lanes import Lane, LaneOwner
 
 #: ``b"K42SHM01"`` read as a little-endian 64-bit word.
 SEGMENT_MAGIC = int.from_bytes(b"K42SHM01", "little")
@@ -68,7 +72,8 @@ FLAG_DONE = 1
 # Per-CPU control block word indices (before the committed counts).
 _C_INDEX = 0
 _C_BOOKED = 1
-_C_FIXED_WORDS = 4  # index, booked_seq, 2 reserved
+_C_OWNER = 2
+_C_FIXED_WORDS = 4  # index, booked_seq, owner, 1 reserved
 
 
 class ShmFormatError(ValueError):
@@ -118,6 +123,9 @@ class ShmLayout:
 
     def booked_word(self, cpu: int) -> int:
         return self.cpu_base(cpu) + _C_BOOKED
+
+    def owner_word(self, cpu: int) -> int:
+        return self.cpu_base(cpu) + _C_OWNER
 
     def committed_words(self, cpu: int) -> int:
         return self.cpu_base(cpu) + _C_FIXED_WORDS
@@ -183,9 +191,14 @@ class ShmTraceRegion:
     Create in one process, :meth:`attach` by name from any other; both
     hand out :class:`~repro.core.buffers.TraceControl` /
     :class:`~repro.core.logger.TraceLogger` objects whose control state
-    lives in the segment.  Exactly one process should bind each CPU as a
-    writer at a time (the per-process CPU binding of the writer API);
-    readers — the collector — may watch any CPU concurrently.
+    lives in the segment.  Exactly one process binds each CPU as a
+    writer at a time, and :meth:`logger` enforces it: its claim raises
+    :class:`~repro.shm.lanes.ShmLaneBusy` when another live process owns
+    the lane.  Readers — the collector — may watch any CPU concurrently.
+
+    ``lane_owner`` is the process claims are made as; ``None`` is this
+    OS process, looked up at each claim so a forked child is itself.
+    The model checker sets one per simulated process.
     """
 
     def __init__(self, shm: shared_memory.SharedMemory, layout: ShmLayout,
@@ -196,6 +209,9 @@ class ShmTraceRegion:
         self.clock_origin_ns = clock_origin_ns
         self.owner = owner
         self.seglock = SegmentLock(shm.name)
+        self.lane_owner: Optional[LaneOwner] = None
+        self._bound: Dict[int, Lane] = {}
+        self._bound_guard = threading.Lock()
         self._closed = False
 
     @property
@@ -220,7 +236,9 @@ class ShmTraceRegion:
         ``start_anchors`` logs the sequence-0 timestamp anchor into
         every CPU's buffer — the job of :meth:`TraceLogger.start`, done
         once here by the creator so attaching writers never race over
-        it.  ``clock`` overrides the shared clock (the model checker
+        it.  The anchors go through the unowned (fully locked) path and
+        every lane is left unowned, free for the writers to claim.
+        ``clock`` overrides the shared clock (the model checker
         passes its step clock); writers attaching later always derive
         :class:`SharedShmClock` from the header, so an override only
         makes sense when every participant is handed the same object.
@@ -239,8 +257,11 @@ class ShmTraceRegion:
         region._poke_header(_H_TICK_NS, tick_ns)
         region._poke_header(_H_CLOCK_ORIGIN, origin_ns)
         if start_anchors:
+            mask = TraceMask()
+            mask.enable_all()
+            clock = clock if clock is not None else region.clock()
             for cpu in range(ncpus):
-                region.logger(cpu, clock=clock).start()
+                TraceLogger(region.control(cpu), mask, clock).start()
         return region
 
     @classmethod
@@ -273,10 +294,15 @@ class ShmTraceRegion:
                    owner=False)
 
     def close(self) -> None:
-        """Detach from the segment (idempotent; keeps the segment alive)."""
+        """Detach from the segment (idempotent; keeps the segment alive).
+        Releases the lanes this attach bound once no other attach of
+        the process holds them."""
         if self._closed:
             return
         self._closed = True
+        for cpu, lane in self._bound.items():
+            lane.owner.release(lane, self.owner_word(cpu))
+        self._bound.clear()
         self.seglock.close()
         self.shm.close()
 
@@ -349,11 +375,41 @@ class ShmTraceRegion:
         return ShmWordsView(self.shm.buf, 8 * self.layout.trace_words(cpu),
                             self.layout.total_words_per_cpu)
 
+    def _lock(self, cpu: int):
+        lane = self._bound.get(cpu)
+        return self.seglock if lane is None else lane.lock
+
     def index_word(self, cpu: int, *, yield_fn: Optional[YieldFn] = None,
                    observer: Optional[Observer] = None) -> ShmAtomicWord:
         return ShmAtomicWord(self.shm.buf, 8 * self.layout.index_word(cpu),
-                             self.seglock, name=f"cpu{cpu}.index",
+                             self._lock(cpu), name=f"cpu{cpu}.index",
                              yield_fn=yield_fn, observer=observer)
+
+    def owner_word(self, cpu: int, *, yield_fn: Optional[YieldFn] = None,
+                   observer: Optional[Observer] = None) -> ShmAtomicWord:
+        """The lane's owner word; always under the full segment lock."""
+        return ShmAtomicWord(self.shm.buf, 8 * self.layout.owner_word(cpu),
+                             self.seglock, name=f"cpu{cpu}.owner",
+                             yield_fn=yield_fn, observer=observer)
+
+    def claim(self, cpu: int, *, yield_fn: Optional[YieldFn] = None,
+              observer: Optional[Observer] = None) -> Lane:
+        """Bind ``cpu``'s lane to this process for this attach.
+
+        Idempotent per attach, and one claim per process however many
+        attaches bind the lane.  Raises
+        :class:`~repro.shm.lanes.ShmLaneBusy` if another live process
+        owns it.  From then on :meth:`control` hands out the lane's
+        words under its :class:`~repro.shm.lanes.LaneLock`.
+        """
+        owner = self.lane_owner or LaneOwner.current()
+        with self._bound_guard:
+            lane = self._bound.get(cpu)
+            if lane is None or lane.owner is not owner:
+                lane = owner.claim(self, cpu, yield_fn=yield_fn,
+                                   observer=observer)
+                self._bound[cpu] = lane
+            return lane
 
     def slot_seq_view(self, cpu: int) -> ShmWordsView:
         return ShmWordsView(self.shm.buf,
@@ -366,7 +422,7 @@ class ShmTraceRegion:
                         ) -> ShmAtomicArray:
         return ShmAtomicArray(self.shm.buf,
                               8 * self.layout.committed_words(cpu),
-                              self.layout.num_buffers, self.seglock,
+                              self.layout.num_buffers, self._lock(cpu),
                               name=f"cpu{cpu}.committed",
                               yield_fn=yield_fn, observer=observer)
 
@@ -384,9 +440,12 @@ class ShmTraceRegion:
         Defaults to flight mode: a cross-process writer has no local
         write-out queue — the collector process infers completed buffers
         from the shared index instead, so nothing writer-side may depend
-        on in-process completion callbacks.  ``array`` substitutes the
-        trace-memory view (the checker's double-write instrumentation);
-        ``yield_fn``/``observer`` thread through to every shm atomic.
+        on in-process completion callbacks.  Its atomics take the lane's
+        :class:`~repro.shm.lanes.LaneLock` once this attach has claimed
+        the lane (:meth:`claim`), the full segment lock otherwise.
+        ``array`` substitutes the trace-memory view (the checker's
+        double-write instrumentation); ``yield_fn``/``observer`` thread
+        through to every shm atomic.
         """
         ctl = TraceControl(
             cpu=cpu,
@@ -396,7 +455,7 @@ class ShmTraceRegion:
         )
         lay = self.layout
         buf = self.shm.buf
-        booked = ShmAtomicWord(buf, 8 * lay.booked_word(cpu), self.seglock,
+        booked = ShmAtomicWord(buf, 8 * lay.booked_word(cpu), self._lock(cpu),
                                name=f"cpu{cpu}.booked_seq",
                                yield_fn=yield_fn, observer=observer)
         return ctl.adopt_state(
@@ -423,15 +482,18 @@ class ShmTraceRegion:
     ) -> TraceLogger:
         """A ready-to-log :class:`TraceLogger` bound to one CPU.
 
-        This *is* the writer-process API: attach by name, bind a CPU,
-        log.  Attaching processes must not call ``start()`` — the
-        creator already anchored buffer 0.  They do get a fresh
-        full-width timestamp anchor, though: a writer can attach
+        This *is* the writer-process API: attach by name, bind a CPU
+        (:meth:`claim`, which may raise
+        :class:`~repro.shm.lanes.ShmLaneBusy`), log.  Attaching
+        processes must not call ``start()`` — the creator already
+        anchored buffer 0.  They do get a fresh full-width timestamp
+        anchor, though: a writer can attach
         arbitrarily long after the creator's buffer-0 anchor, and a
         forward gap of 2^31 clock ticks inside one buffer would
         otherwise read as a backwards wrap (``fresh_anchor=False``
         opts out for callers that manage anchoring themselves).
         """
+        self.claim(cpu, yield_fn=yield_fn, observer=observer)
         if mask is None:
             mask = TraceMask()
             mask.enable_all()

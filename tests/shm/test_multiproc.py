@@ -20,15 +20,16 @@ import os
 import signal
 import subprocess
 import sys
-import tempfile
 import textwrap
+import threading
 import time
 
 import pytest
 
 from repro.core.majors import Major
+from repro.core.stream import TraceReader
 from repro.core.writer import load_records
-from repro.shm import ShmTraceRegion, run_shm_workload
+from repro.shm import ShmCollector, ShmLaneBusy, ShmTraceRegion, run_shm_workload
 from repro.shm.procs import expected_payloads, writer_main
 from tests.core.test_parallel import assert_all_paths_identical
 
@@ -118,34 +119,36 @@ class TestCrossProcess:
 
 
 class TestContention:
-    def test_interleaved_attach_same_cpu_from_two_processes(self, tmp_path):
-        """Two processes hammering the SAME cpu's ring: the CAS must
-        serialize them so no event is lost or torn.  (The writer API
-        binds one process per CPU; this stresses the primitive anyway —
-        it is exactly the paper's many-threads-one-CPU-buffer case.)"""
-        method = START_METHODS[0]
-        ctx = multiprocessing.get_context(method)
+    """Who races whom on a CAS.  Binding a lane is exclusive, so an owned
+    lane's CAS only ever races threads of its owner; two processes still
+    race on unowned words (the claim word), under the fcntl lock."""
+
+    def test_two_threads_hammer_one_owned_lane(self):
+        """The paper's many-threads-one-CPU case: two threads of the
+        owning process log into one lane; each stream arrives exact."""
         region = ShmTraceRegion.create(ncpus=1, buffer_words=64,
                                        num_buffers=64)
+        attached = ShmTraceRegion.attach(region.name)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
         try:
-            barrier = ctx.Barrier(2)
-            # Both processes log writer-0's payload stream; minor 1 and 2
-            # distinguish them in the decode.
-            procs = [
-                ctx.Process(target=_contend_main,
-                            args=(region.name, minor, 200, barrier))
-                for minor in (1, 2)
-            ]
-            for p in procs:
-                p.start()
-            for p in procs:
-                p.join(60)
-                assert p.exitcode == 0
-            region.set_done()
-            from repro.shm import ShmCollector
-            records = ShmCollector(region).finalize()
-            from repro.core.stream import TraceReader
-            trace = TraceReader(check_committed=True).decode_records(records)
+            loggers = [attached.logger(0) for _ in range(2)]
+            barrier = threading.Barrier(2, timeout=30)
+
+            def work(minor, logger):
+                barrier.wait()
+                for i in range(CONTEND_EVENTS):
+                    logger.log_words(Major.TEST, minor, [i])
+
+            threads = [threading.Thread(target=work, args=(minor, lg))
+                       for minor, lg in zip((1, 2), loggers)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(60)
+                assert not t.is_alive()
+            trace = TraceReader(check_committed=True).decode_records(
+                ShmCollector(region).finalize())
             assert [a.kind for a in trace.anomalies
                     if a.kind != "missing-anchor"] == []
             per_minor = {1: [], 2: []}
@@ -153,21 +156,135 @@ class TestContention:
                 if e.major == Major.TEST:
                     per_minor[e.minor].append(list(e.data))
             for minor in (1, 2):
-                assert per_minor[minor] == [[i] for i in range(200)]
+                assert per_minor[minor] == [[i] for i in
+                                            range(CONTEND_EVENTS)]
+        finally:
+            sys.setswitchinterval(interval)
+            attached.close()
+            region.close()
+            region.unlink()
+
+    def test_two_processes_increment_one_unowned_word(self):
+        """Load-then-CAS increments from two processes on the claim
+        word's path: the fcntl micro-lock must lose no update."""
+        ctx = multiprocessing.get_context(START_METHODS[0])
+        region = ShmTraceRegion.create(ncpus=1, buffer_words=8,
+                                       num_buffers=2)
+        try:
+            barrier = ctx.Barrier(2)
+            procs = [ctx.Process(target=_increment_main,
+                                 args=(region.name, INCREMENTS, barrier))
+                     for _ in range(2)]
+            for p in procs:
+                p.start()
+            for p in procs:
+                p.join(60)
+                assert not p.is_alive()
+                assert p.exitcode == 0
+            assert region.owner_word(0).peek() == 2 * INCREMENTS
         finally:
             region.close()
             region.unlink()
 
+    def test_two_processes_race_to_bind_lane_0(self):
+        """Exactly one process binds and logs; the other is refused
+        with ShmLaneBusy naming the winner — while the winner still
+        holds the lane, so within seconds, not after it exits."""
+        ctx = multiprocessing.get_context(START_METHODS[0])
+        region = ShmTraceRegion.create(ncpus=1, buffer_words=64,
+                                       num_buffers=16)
+        procs = []
+        try:
+            barrier, results, release = ctx.Barrier(2), ctx.Queue(), \
+                ctx.Event()
+            procs = [ctx.Process(target=_bind_main,
+                                 args=(region.name, CONTEND_EVENTS, barrier,
+                                       results, release))
+                     for _ in range(2)]
+            for p in procs:
+                p.start()
+            got = sorted(results.get(timeout=30) for _ in procs)
+            release.set()
+            for p in procs:
+                p.join(30)
+                assert not p.is_alive()
+                assert p.exitcode == 0
+            (bound, winner, _), (busy, _loser, named) = got
+            assert (bound, busy) == ("bound", "busy")
+            assert named == winner
+            trace = TraceReader(check_committed=True).decode_records(
+                ShmCollector(region).finalize())
+            assert [list(e.data) for e in trace.events(0)
+                    if e.major == Major.TEST] == \
+                [[i] for i in range(CONTEND_EVENTS)]
+        finally:
+            release.set()
+            for p in procs:
+                if p.is_alive():
+                    p.terminate()
+                    p.join(5)
+            region.close()
+            region.unlink()
 
-def _contend_main(name, minor, events, barrier):
+
+CONTEND_EVENTS = 200
+INCREMENTS = 2000
+
+
+def _increment_main(name, n, barrier):
     region = ShmTraceRegion.attach(name)
     try:
-        logger = region.logger(0)
-        barrier.wait()
-        for i in range(events):
-            logger.log_words(Major.TEST, minor, [i])
+        word = region.owner_word(0)  # nobody claims lane 0 here
+        barrier.wait(30)
+        for _ in range(n):
+            while True:
+                old = word.load()
+                if word.compare_and_store(old, old + 1):
+                    break
     finally:
         region.close()
+
+
+def _bind_main(name, events, barrier, results, release):
+    region = ShmTraceRegion.attach(name)
+    try:
+        barrier.wait(30)
+        try:
+            logger = region.logger(0)
+        except ShmLaneBusy as exc:
+            results.put(("busy", os.getpid(), exc.pid))
+            return
+        for i in range(events):
+            logger.log_words(Major.TEST, 1, [i])
+        results.put(("bound", os.getpid(), None))
+        release.wait(30)
+    finally:
+        region.close()
+
+
+class TestStartBarrier:
+    def test_writer_failing_before_barrier_does_not_hang_peers(
+            self, tmp_path, monkeypatch):
+        """A writer whose bind fails breaks the start barrier, so its
+        peers exit at once and the run names every failed writer."""
+        if "fork" not in START_METHODS:
+            pytest.skip("the failing bind is planted through fork")
+        bind = ShmTraceRegion.logger
+
+        def failing_bind(self, cpu, **kw):
+            if cpu == 1:
+                raise ShmLaneBusy(self.name, cpu, 1)
+            return bind(self, cpu, **kw)
+
+        monkeypatch.setattr(ShmTraceRegion, "logger", failing_bind)
+        t0 = time.monotonic()
+        with pytest.raises(RuntimeError) as err:
+            run_shm_workload(str(tmp_path / "failed.k42"), writers=3,
+                             events=50, buffer_words=64, num_buffers=8,
+                             start_method="fork")
+        assert time.monotonic() - t0 < 20
+        for cpu in range(3):
+            assert f"shm-writer-{cpu} exited with code" in str(err.value)
 
 
 class TestResourceHygiene:
@@ -256,7 +373,6 @@ class TestResourceHygiene:
             os.kill(p.pid, signal.SIGKILL)
             p.join(30)
             region.set_done()
-            from repro.shm import ShmCollector
             stats = ShmCollector(region).drain_to_file(out, timeout_s=10)
             assert stats.frames > 0
         finally:
