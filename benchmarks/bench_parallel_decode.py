@@ -86,7 +86,7 @@ def _as_comparable(trace):
              tuple(e.data), e.time, e.spec.name if e.spec else None)
             for e in evs
         ]
-        for cpu, evs in trace.events_by_cpu.items()
+        for cpu, evs in trace.to_trace().events_by_cpu.items()
     }
     anomalies = [(a.cpu, a.seq, a.offset, a.kind, a.detail)
                  for a in trace.anomalies]

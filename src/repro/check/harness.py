@@ -461,7 +461,7 @@ class CheckedSystem:
         got: Dict[int, List[List[int]]] = {w: [] for w in
                                            range(self.config.writers)}
         times: List[int] = []
-        for ev in batched.events(0):
+        for ev in batched.cpu_batch(0).events():
             if ev.time is not None:
                 times.append(ev.time)
             if ev.major != Major.TEST:
@@ -557,14 +557,14 @@ class CheckedSystem:
             self._check_test_events(scan, rec.seq, last_k, "final")
 
     def _compare_paths(self, batched, scalar) -> None:
-        def flat(trace):
+        def flat(events):
             return [
                 (e.cpu, e.seq, e.offset, e.ts32, e.major, e.minor,
                  [int(x) for x in e.data], e.time)
-                for e in trace.events(0)
+                for e in events
             ]
 
-        if flat(batched) != flat(scalar):
+        if flat(batched.cpu_batch(0).events()) != flat(scalar.events(0)):
             raise InvariantViolation(
                 "scalar-batch-divergence",
                 "the reference walk and the batched decoder disagree on "

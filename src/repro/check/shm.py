@@ -578,7 +578,7 @@ class ShmCheckedSystem(CheckedSystem):
         }
         for cpu in range(self.config.shm_cpus):
             times: List[int] = []
-            for ev in batched.events(cpu):
+            for ev in batched.cpu_batch(cpu).events():
                 if ev.time is not None:
                     times.append(ev.time)
                 if ev.major != Major.TEST:
@@ -679,15 +679,16 @@ class ShmCheckedSystem(CheckedSystem):
             self._check_test_events(scan, rec.seq, last_k, "final")
 
     def _compare_paths_all(self, batched, scalar) -> None:
-        def flat(trace):
+        def flat(events_of):
             return [
                 (e.cpu, e.seq, e.offset, e.ts32, e.major, e.minor,
                  [int(x) for x in e.data], e.time)
                 for cpu in range(self.config.shm_cpus)
-                for e in trace.events(cpu)
+                for e in events_of(cpu)
             ]
 
-        if flat(batched) != flat(scalar):
+        if flat(lambda cpu: batched.cpu_batch(cpu).events()) \
+                != flat(scalar.events):
             raise InvariantViolation(
                 "scalar-batch-divergence",
                 "the reference walk and the batched decoder disagree on "

@@ -63,6 +63,8 @@ import argparse
 import sys
 from typing import Callable, List, Optional
 
+import numpy as np
+
 from repro.core.parallel import decode_records_columnar_parallel
 from repro.core.registry import default_registry
 from repro.core.writer import load_records
@@ -141,8 +143,6 @@ def fleet_report(args, view) -> str:
 
 
 def cmd_info(args) -> int:
-    import numpy as np
-
     trace, source = _ingest(args)
     print(f"trace file: {args.trace}")
     print(f"frames: {source.get('frames', 0)}  "
@@ -291,11 +291,11 @@ def cmd_crashdump(args) -> int:
         for issue in dump.issues:
             print(f"dump issue (cpu section {issue.cpu}): {issue.detail}",
                   file=sys.stderr)
-    trace = _decode(dump.records, _workers(args), strict=args.strict)
-    events = [e for e in trace.all_events() if not e.is_control]
-    print(f"flight recorder: {len(events)} events recovered from "
+    b = _decode(dump.records, _workers(args), strict=args.strict).batch()
+    rows = np.flatnonzero(~b.control_mask())
+    print(f"flight recorder: {len(rows)} events recovered from "
           f"{len(dump.records)} buffers on {dump.ncpus} cpus")
-    for e in events[-args.last:]:
+    for e in b.events(rows[-args.last:]):
         print(format_event(e))
     return 0 if dump.intact else 1
 
@@ -330,7 +330,7 @@ def cmd_doctor(args) -> int:
     trace = (strict_trace if args.strict
              else _decode(records, _workers(args)))
     report = verify_trace(trace)
-    n_strict = len(strict_trace.all_events())
+    n_strict = len(strict_trace.batch())
     print(report.describe())
     if not args.strict and report.total_events > n_strict:
         print(f"recovery salvaged {report.total_events - n_strict} events "
@@ -706,11 +706,12 @@ def cmd_shm_demo(args) -> int:
     dropped = int(stats.get("dropped", 0))
     trace = _decode(load_records(args.output))
     anomalies = [a for a in trace.anomalies if a.kind != "missing-anchor"]
-    got = {w: 0 for w in range(args.writers)}
-    for cpu in range(args.writers):
-        for ev in trace.events(cpu):
-            if ev.major == 1 and 1 <= ev.minor <= args.writers:  # Major.TEST
-                got[ev.minor - 1] += 1
+    b = trace.batch()
+    # Writer w logs TEST events with minor w + 1 on CPU w.
+    mine = ((b.major == 1) & (b.minor >= 1) & (b.minor <= args.writers)
+            & (b.cpu < args.writers))
+    got = dict(enumerate(np.bincount(b.minor[mine] - 1,
+                                     minlength=args.writers).tolist()))
     total = sum(got.values())
     print(f"decoded {total}/{result.events_total} TEST events, "
           f"{len(anomalies)} anomalies")
@@ -734,11 +735,20 @@ def cmd_shm_demo(args) -> int:
 
 
 def cmd_export_ltt(args) -> int:
+    """Export one CPU; a stream the format cannot encode (time stepping
+    backwards past damage) is refused before the output is written."""
+    import io
+
     from repro.ltt.export import export_ltt
 
-    trace = _load(args)
+    trace = _load(args).to_trace()
+    buf = io.BytesIO()
+    try:
+        written = export_ltt(trace, cpu=args.cpu, fh=buf)
+    except ValueError as exc:
+        raise ValueError(f"{args.trace}: {exc}") from None
     with open(args.output, "wb") as fh:
-        written = export_ltt(trace, cpu=args.cpu, fh=fh)
+        fh.write(buf.getvalue())
     print(f"{written} events exported to {args.output} (cpu {args.cpu})")
     return 0
 

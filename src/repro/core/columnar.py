@@ -25,14 +25,12 @@ folds :class:`~repro.core.stream.BufferScan` objects through
 bit-identical to the reference walk (:mod:`repro.check.oracle`) on
 clean *and* corrupted input, with garble/committed/anchor verdicts
 surfacing in the same order as per-batch anomaly columns.
-``ColumnarTrace`` also offers the full ``Trace`` reading surface
-(``all_events``, ``events_by_cpu``, ``filter``) by materializing
-lazily, so unported consumers keep working unchanged.
+Every analysis tool reads these columns; ``ColumnarTrace.to_trace()``
+is the one way to get event objects back for a whole trace.
 """
 
 from __future__ import annotations
 
-import heapq
 from collections import deque
 from typing import (
     Deque, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union,
@@ -870,11 +868,9 @@ class ColumnarAssembler:
 class ColumnarTrace:
     """A decoded trace held as per-CPU :class:`EventBatch` columns.
 
-    Ported tools call :meth:`batch` and stay columnar end to end; the
-    ``Trace``-compatible surface (``all_events``, ``events_by_cpu``,
-    ``events``, ``filter``, ``anomalies``) materializes lazily and
-    caches, so scalar consumers — including identity-keyed ones like
-    ``ContextTracker`` — see one stable set of event objects.
+    Tools call :meth:`batch` (through :func:`as_batch`) and stay columnar
+    end to end.  There is no per-event surface: :meth:`to_trace` is the
+    one explicit step to event objects, for consumers that want them.
     """
 
     def __init__(
@@ -888,8 +884,6 @@ class ColumnarTrace:
         self._anomaly_columns = (anomaly_columns if anomaly_columns
                                  is not None else AnomalyColumns())
         self._merged: Optional[EventBatch] = None
-        self._events_by_cpu: Optional[Dict[int, List[TraceEvent]]] = None
-        self._all_events: Optional[List[TraceEvent]] = None
         self._anomalies: Optional[List[Anomaly]] = None
 
     # -- columnar surface -----------------------------------------------
@@ -915,7 +909,6 @@ class ColumnarTrace:
     def cpus(self) -> List[int]:
         return sorted(self.batches_by_cpu)
 
-    # -- Trace-compatible surface ---------------------------------------
     @property
     def ncpus(self) -> int:
         return len(self.batches_by_cpu)
@@ -926,56 +919,14 @@ class ColumnarTrace:
             self._anomalies = self._anomaly_columns.to_list()
         return self._anomalies
 
-    @property
-    def events_by_cpu(self) -> Dict[int, List[TraceEvent]]:
-        if self._events_by_cpu is None:
-            self._events_by_cpu = {
-                cpu: self.batches_by_cpu[cpu].events()
-                for cpu in sorted(self.batches_by_cpu)
-            }
-        return self._events_by_cpu
-
-    def events(self, cpu: int) -> List[TraceEvent]:
-        return self.events_by_cpu.get(cpu, [])
-
-    def all_events(self) -> List[TraceEvent]:
-        """Same objects as ``events_by_cpu``, merged like ``Trace``."""
-        if self._all_events is None:
-            def key(e: TraceEvent):
-                return (e.time if e.time is not None else -1,
-                        e.cpu, e.seq, e.offset)
-
-            streams = [sorted(evs, key=key)
-                       for evs in self.events_by_cpu.values()]
-            self._all_events = list(heapq.merge(*streams, key=key))
-        return self._all_events
-
-    def filter(
-        self,
-        major: Optional[int] = None,
-        minor: Optional[int] = None,
-        name: Optional[str] = None,
-        include_control: bool = False,
-    ) -> List[TraceEvent]:
-        """Mask-select counterpart of ``Trace.filter`` (same output)."""
-        b = self.batch()
-        m = np.ones(len(b), dtype=bool)
-        if not include_control:
-            m &= ~b.control_mask()
-        if major is not None:
-            m &= b.major == int(major)
-        if minor is not None:
-            m &= b.minor == int(minor)
-        if name is not None:
-            m &= b.mask_names([name])
-        # Materialize through all_events() so callers mixing filter()
-        # with identity-keyed lookups see the same objects.
-        idx = set(np.flatnonzero(m).tolist())
-        return [e for i, e in enumerate(self.all_events()) if i in idx]
-
     def to_trace(self) -> Trace:
-        """Materialize as a plain :class:`Trace` (bit-identical)."""
-        return Trace(events_by_cpu=dict(self.events_by_cpu),
+        """Materialize as a plain :class:`Trace` (bit-identical).
+
+        The only way from columns to event objects for a whole trace:
+        one :class:`TraceEvent` per row, built per CPU in decode order.
+        """
+        return Trace(events_by_cpu={cpu: self.batches_by_cpu[cpu].events()
+                                    for cpu in self.cpus},
                      anomalies=list(self.anomalies))
 
 

@@ -23,6 +23,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, List
 
+import numpy as np
+
+from repro.core.columnar import as_batch, decode_records_columnar
 from repro.core.majors import LockMinor, Major
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -68,17 +71,18 @@ class AllocatorAutotuner:
         """Per-lock contention since the last check, from the trace.
 
         Reads the live flight-recorder state of the facility — the same
-        data an offline Figure 7 analysis would see, sampled in flight.
+        data an offline Figure 7 analysis would see, sampled in flight —
+        as event columns: one mask and a unique-count of the lock ids.
         """
         facility = self.kernel.facility
         if facility is None:
             return {}
-        counts: dict = {}
-        trace = facility.decode(facility.snapshot())
-        for e in trace.all_events():
-            if e.major == Major.LOCK and e.minor == LockMinor.CONTEND_START \
-                    and e.data:
-                counts[e.data[0]] = counts.get(e.data[0], 0) + 1
+        b = as_batch(decode_records_columnar(facility.snapshot()))
+        sel = np.flatnonzero(b.mask(major=Major.LOCK,
+                                    minor=LockMinor.CONTEND_START,
+                                    min_data=1))
+        locks, n = np.unique(b.data_column(0, sel), return_counts=True)
+        counts = dict(zip(locks.tolist(), n.tolist()))
         deltas = {
             lock_id: n - self._last_counts.get(lock_id, 0)
             for lock_id, n in counts.items()

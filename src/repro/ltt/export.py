@@ -109,16 +109,17 @@ def _map_event(e: TraceEvent) -> Tuple[int, bytes]:
             sub = 0 if e.minor == ProcMinor.CREATE else 1
             pid = d[0] if d else 0
             return LTT_PROCESS, struct.pack("<BQ", sub, pid)
-    elif e.major == Major.IO:
+    elif e.major == Major.IO and e.minor <= 0xFF:
         sub = int(e.minor)
         pid = d[0] if d else 0
         return LTT_FILE_SYSTEM, struct.pack("<BQ", sub, pid)
-    elif e.major == Major.MEM:
+    elif e.major == Major.MEM and e.minor <= 0xFF:
         return LTT_MEMORY, struct.pack(
             "<B", int(e.minor)
         ) + b"".join(struct.pack("<Q", w) for w in d[:2])
     # Everything else rides through as a custom event carrying the
-    # original (major, minor) and data words — nothing is dropped.
+    # original (major, minor) and data words — nothing is dropped.  So
+    # does an I/O or memory minor too wide for LTT's one-byte sub-id.
     payload = struct.pack("<BH", e.major, e.minor)
     payload += b"".join(struct.pack("<Q", w) for w in d[:7])
     return LTT_CUSTOM, payload
@@ -133,10 +134,20 @@ def export_ltt(
     """Convert one CPU's stream to the LTT-style format.
 
     Returns the number of events written.  (LTT keeps one file per CPU,
-    as K42 keeps one buffer ring per CPU.)
+    as K42 keeps one buffer ring per CPU.)  A delta cannot be negative,
+    so a stream whose time steps backwards — which only damage the
+    reader resynchronized past produces — raises :class:`ValueError`
+    naming the event, before anything is written; events are never
+    reordered or dropped to make it fit.
     """
     events = [e for e in trace.events(cpu)
               if (include_control or not e.is_control) and e.time is not None]
+    for prev, e in zip(events, events[1:]):
+        if e.time // CYCLES_PER_US < prev.time // CYCLES_PER_US:
+            raise ValueError(
+                f"cpu {cpu} seq {e.seq} offset {e.offset}: time steps back "
+                f"from {prev.time} to {e.time} cycles, which an LTT delta "
+                f"cannot encode")
     start = events[0].time if events else 0
     fh.write(_FILE_HEADER.pack(FILE_MAGIC, FILE_VERSION, start, cpu))
     prev_us = start // CYCLES_PER_US

@@ -21,7 +21,6 @@ from repro.tools.compare import (
     compare_traces,
     format_comparison,
 )
-from repro.tools.context import ContextTracker
 from repro.tools.deadlock import DeadlockReport, find_deadlocks
 from repro.tools.holdtimes import HoldReport, format_hold_report, hold_times
 from repro.tools.iostats import IoReport, format_io_report, io_statistics
@@ -44,7 +43,6 @@ from repro.tools.schedstats import (
 __all__ = [
     "AnomalyReport", "verify_trace",
     "ProcessBreakdown", "process_breakdown", "format_breakdown",
-    "ContextTracker",
     "DeadlockReport", "find_deadlocks",
     "Timeline",
     "event_listing", "format_listing",

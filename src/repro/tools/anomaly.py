@@ -11,6 +11,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List
 
+from repro.core.columnar import as_batch
 from repro.core.stream import Anomaly, Trace
 
 
@@ -61,6 +62,6 @@ class AnomalyReport:
 def verify_trace(trace: Trace) -> AnomalyReport:
     """Summarize the integrity of a decoded trace."""
     return AnomalyReport(
-        total_events=len(trace.all_events()),
+        total_events=len(as_batch(trace)),
         anomalies=list(trace.anomalies),
     )

@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from repro.core.columnar import as_batch
 from repro.core.stream import Trace
 from repro.tools.lockstats import lock_statistics
 from repro.tools.pathstats import event_histogram
@@ -77,7 +78,8 @@ class TraceComparison:
 
 
 def _span(trace: Trace) -> int:
-    times = [e.time for e in trace.all_events() if e.time is not None]
+    b = as_batch(trace)
+    times = b.time[b.timed].tolist()
     return (max(times) - min(times)) if times else 0
 
 

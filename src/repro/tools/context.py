@@ -5,18 +5,19 @@ scheduling events share the stream with lock events, the tools could see
 context switches between a lock's acquire and release.  This module is
 that capability: it replays each CPU's ``TRC_PROC_CTX_SWITCH`` events to
 know which thread (and therefore process) any event belongs to — the
-trace-only equivalent of "current" in the kernel.
+trace-only equivalent of "current" in the kernel — as columns aligned
+with an :class:`~repro.core.columnar.EventBatch`.  The per-event replay
+it reproduces is the tests' reference (``tests/tools/reference.py``).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 import numpy as np
 
 from repro.core.columnar import EventBatch
 from repro.core.majors import Major, ProcMinor
-from repro.core.stream import Trace, TraceEvent
 
 
 def _columnar_only(tool: str, columnar: bool) -> None:
@@ -35,51 +36,12 @@ def _columnar_only(tool: str, columnar: bool) -> None:
             "tests/tools/reference.py)")
 
 
-class ContextTracker:
-    """Maps every event to the thread/process executing when it was logged.
-
-    Built once per trace; lookups are O(1) by event identity.
-    """
-
-    def __init__(self, trace: Trace) -> None:
-        #: thread addr -> pid, from TRC_PROC_THR_CREATE events.
-        self.thread_pid: Dict[int, int] = {}
-        #: event id() -> (thread addr or 0, pid or None)
-        self._ctx: Dict[int, Tuple[int, Optional[int]]] = {}
-
-        # Pass 1: thread->process mapping (global, time-independent).
-        for events in trace.events_by_cpu.values():
-            for e in events:
-                if e.major == Major.PROC and e.minor == ProcMinor.THREAD_CREATE:
-                    if len(e.data) >= 2:
-                        self.thread_pid[e.data[0]] = e.data[1]
-
-        # Pass 2: per-CPU replay of context switches.
-        for cpu, events in trace.events_by_cpu.items():
-            current = 0
-            for e in events:
-                if e.major == Major.PROC and e.minor == ProcMinor.CONTEXT_SWITCH:
-                    if len(e.data) >= 2:
-                        current = e.data[1]
-                self._ctx[id(e)] = (current, self.thread_pid.get(current))
-
-    def thread_of(self, event: TraceEvent) -> int:
-        """Thread address executing when ``event`` was logged (0 unknown)."""
-        return self._ctx.get(id(event), (0, None))[0]
-
-    def pid_of(self, event: TraceEvent) -> Optional[int]:
-        """Process id executing when ``event`` was logged."""
-        return self._ctx.get(id(event), (0, None))[1]
-
-
 class ColumnarContext:
     """Column-aligned context for an :class:`EventBatch`.
 
-    The columnar equivalent of :class:`ContextTracker`: instead of an
-    identity-keyed lookup table, it computes three columns aligned with
-    the batch's rows — ``thread`` (address, 0 unknown), ``pid``, and
-    ``known`` (whether a pid mapping exists; where False the scalar
-    tracker would have answered ``None``).
+    Three columns aligned with the batch's rows: ``thread`` (address, 0
+    unknown), ``pid``, and ``known`` (whether a pid mapping exists; where
+    False the pid is unknown, ``None`` in a report).
 
     The replay is vectorized: context-switch targets are scattered into
     a value column and forward-filled per CPU in stream (decode) order
@@ -98,7 +60,7 @@ class ColumnarContext:
         if n == 0:
             return
 
-        # Stream (decode) order: the order the scalar tracker replays.
+        # Stream (decode) order: the order each CPU's switches happened.
         order = batch.order_by_stream()
 
         # Pass 1: thread->process mapping, last write wins in stream

@@ -23,10 +23,13 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 import networkx as nx
+import numpy as np
 
+from repro.core.columnar import as_batch
 from repro.core.majors import LockMinor, Major
 from repro.core.stream import Trace
-from repro.tools.context import ContextTracker
+from repro.store.query import Predicate, select
+from repro.tools.context import ColumnarContext
 
 
 @dataclass
@@ -64,23 +67,27 @@ class DeadlockReport:
 
 
 def find_deadlocks(trace: Trace) -> DeadlockReport:
-    """Replay lock events and report wait-for cycles at trace end."""
-    ctx = ContextTracker(trace)
+    """Replay lock events and report wait-for cycles at trace end.
+
+    The lock rows and their threads are mask-selected out of the event
+    columns; the ownership replay runs over those rows only.
+    """
+    b = as_batch(trace)
+    sel = np.flatnonzero(select(b, Predicate(
+        majors=(int(Major.LOCK),), min_data=1)))
     owners: Dict[int, int] = {}            # lock -> thread addr
     waiting: Dict[int, int] = {}           # thread addr -> lock
     pending: Dict[int, deque] = defaultdict(deque)  # lock -> waiter threads
 
-    for e in trace.all_events():
-        if e.major != Major.LOCK or not e.data:
-            continue
-        lock_id = e.data[0]
-        thread = ctx.thread_of(e)
-        if e.minor == LockMinor.ACQUIRE:
+    for minor, lock_id, thread in zip(b.minor[sel].tolist(),
+                                      b.data_column(0, sel).tolist(),
+                                      ColumnarContext(b).thread[sel].tolist()):
+        if minor == LockMinor.ACQUIRE:
             owners[lock_id] = thread
-        elif e.minor == LockMinor.CONTEND_START:
+        elif minor == LockMinor.CONTEND_START:
             waiting[thread] = lock_id
             pending[lock_id].append(thread)
-        elif e.minor == LockMinor.CONTEND_END:
+        elif minor == LockMinor.CONTEND_END:
             # FIFO grant: the longest waiter becomes the owner.
             if pending[lock_id]:
                 waiter = pending[lock_id].popleft()
@@ -88,7 +95,7 @@ def find_deadlocks(trace: Trace) -> DeadlockReport:
                 owners[lock_id] = waiter
             else:
                 owners[lock_id] = thread
-        elif e.minor == LockMinor.RELEASE:
+        elif minor == LockMinor.RELEASE:
             owners.pop(lock_id, None)
 
     graph = nx.DiGraph()

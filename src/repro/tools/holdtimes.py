@@ -17,12 +17,17 @@ holder was context-switched out mid-hold.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+import numpy as np
+
+from repro.core.columnar import as_batch
 from repro.core.majors import LockMinor, Major, ProcMinor
 from repro.core.stream import Trace
-from repro.tools.context import ContextTracker
+from repro.store.query import Predicate, select
+from repro.tools.context import ColumnarContext
 
 CYCLES_PER_US = 1_000
 
@@ -75,49 +80,49 @@ def hold_times(trace: Trace) -> HoldReport:
     Acquisition events are ``ACQUIRE`` (uncontended) and ``CONTEND_END``
     (after contention); each pairs with the next ``RELEASE`` of the same
     lock.  The holder is the thread in context at acquisition; the
-    preemption check scans the holder's CPU stream for context switches
-    *away from* the holder inside the hold window.
+    preemption check counts context switches *away from* the holder
+    inside the hold window.  The lock and switch rows are mask-selected
+    out of the event columns; the pairing replays only those rows.
     """
-    ctx = ContextTracker(trace)
+    b = as_batch(trace)
     report = HoldReport()
-    open_holds: Dict[int, HoldRecord] = {}  # lock_id -> in-progress hold
+    acquires = (int(LockMinor.ACQUIRE), int(LockMinor.CONTEND_END))
+    release = int(LockMinor.RELEASE)
+    sel = np.flatnonzero(select(b, Predicate(
+        majors=(int(Major.LOCK),), minors=acquires + (release,),
+        min_data=1, timed_only=True)))
+    ctx = ColumnarContext(b)
 
-    # Collect context-switch-out times per thread for the window scan.
+    # Context-switch-out times per thread for the window scan.
+    sw = np.flatnonzero(select(b, Predicate(
+        majors=(int(Major.PROC),), minors=(int(ProcMinor.CONTEXT_SWITCH),),
+        min_data=2, timed_only=True)))
     switched_out: Dict[int, List[int]] = {}
-    for events in trace.events_by_cpu.values():
-        for e in events:
-            if (e.major == Major.PROC and e.minor == ProcMinor.CONTEXT_SWITCH
-                    and len(e.data) >= 2 and e.time is not None):
-                switched_out.setdefault(e.data[0], []).append(e.time)
+    for thread, t in zip(b.data_column(0, sw).tolist(), b.time[sw].tolist()):
+        switched_out.setdefault(thread, []).append(t)
     for times in switched_out.values():
         times.sort()
 
-    for e in trace.all_events():
-        if e.major != Major.LOCK or not e.data or e.time is None:
-            continue
-        lock_id = e.data[0]
-        if e.minor in (LockMinor.ACQUIRE, LockMinor.CONTEND_END):
+    open_holds: Dict[int, HoldRecord] = {}  # lock_id -> in-progress hold
+    for minor, lock_id, t, thread, pid, known in zip(
+            b.minor[sel].tolist(), b.data_column(0, sel).tolist(),
+            b.time[sel].tolist(), ctx.thread[sel].tolist(),
+            ctx.pid[sel].tolist(), ctx.known[sel].tolist()):
+        if minor != release:
             open_holds[lock_id] = HoldRecord(
-                lock_id=lock_id,
-                holder=ctx.thread_of(e),
-                holder_pid=ctx.pid_of(e),
-                start=e.time,
-                end=e.time,
-            )
-        elif e.minor == LockMinor.RELEASE:
-            hold = open_holds.pop(lock_id, None)
-            if hold is None:
-                continue
-            hold.end = e.time
-            outs = switched_out.get(hold.holder, ())
-            # Context switches away from the holder inside the window —
-            # the §2 "what actually occurred" signal.
-            import bisect
-
-            lo = bisect.bisect_left(outs, hold.start)
-            hi = bisect.bisect_right(outs, hold.end)
-            hold.preemptions = hi - lo
-            report.holds.append(hold)
+                lock_id=lock_id, holder=thread,
+                holder_pid=pid if known else None, start=t, end=t)
+            continue
+        hold = open_holds.pop(lock_id, None)
+        if hold is None:
+            continue
+        hold.end = t
+        # Context switches away from the holder inside the window —
+        # the §2 "what actually occurred" signal.
+        outs = switched_out.get(hold.holder, ())
+        hold.preemptions = (bisect_right(outs, hold.end)
+                            - bisect_left(outs, hold.start))
+        report.holds.append(hold)
     report.unreleased = len(open_holds)
     return report
 

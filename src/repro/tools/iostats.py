@@ -12,8 +12,12 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
+import numpy as np
+
+from repro.core.columnar import as_batch
 from repro.core.majors import ExcMinor, IOMinor, Major
 from repro.core.stream import Trace
+from repro.store.query import Predicate, select
 
 CYCLES_PER_US = 1_000
 
@@ -61,34 +65,41 @@ _DONE = {IOMinor.READ_DONE: "read", IOMinor.WRITE_DONE: "write"}
 
 
 def io_statistics(trace: Trace) -> IoReport:
-    """Pair I/O start/done events and count device interrupts."""
+    """Pair I/O start/done events and count device interrupts.
+
+    Both kinds of row are mask-selected out of the event columns; the
+    pairing replays only the timed I/O rows, in time order.
+    """
+    b = as_batch(trace)
     report = IoReport()
+    sel = np.flatnonzero(select(b, Predicate(
+        majors=(int(Major.IO),), minors=(*_START, *_DONE),
+        min_data=2, timed_only=True)))
+    nbytes = np.where(b.dlen[sel] >= 3, b.data_column(2, sel), 0)
     open_ops: Dict[Tuple[int, int, str], Tuple[int, int]] = {}
-    for e in trace.all_events():
-        if e.time is None:
+    for minor, pid, fd, n, t in zip(
+            b.minor[sel].tolist(), b.data_column(0, sel).tolist(),
+            b.data_column(1, sel).tolist(), nbytes.tolist(),
+            b.time[sel].tolist()):
+        kind = _START.get(minor)
+        if kind is not None:
+            open_ops[(pid, fd, kind)] = (t, n)
             continue
-        if e.major == Major.IO and len(e.data) >= 2:
-            if e.minor in _START:
-                kind = _START[e.minor]
-                nbytes = e.data[2] if len(e.data) >= 3 else 0
-                open_ops[(e.data[0], e.data[1], kind)] = (e.time, nbytes)
-            elif e.minor in _DONE:
-                kind = _DONE[e.minor]
-                key = (e.data[0], e.data[1], kind)
-                started = open_ops.pop(key, None)
-                if started is None:
-                    report.unmatched += 1
-                    continue
-                t0, nbytes = started
-                report.ops.append(IoOp(
-                    pid=e.data[0], fd=e.data[1], kind=kind,
-                    nbytes=nbytes, start=t0, end=e.time,
-                ))
-        elif e.major == Major.EXC and e.minor == ExcMinor.IO_INTERRUPT \
-                and e.data:
-            dev = e.data[0]
-            report.interrupts[dev] = report.interrupts.get(dev, 0) + 1
+        kind = _DONE[minor]
+        started = open_ops.pop((pid, fd, kind), None)
+        if started is None:
+            report.unmatched += 1
+            continue
+        t0, n = started
+        report.ops.append(IoOp(pid=pid, fd=fd, kind=kind, nbytes=n,
+                               start=t0, end=t))
     report.unmatched += len(open_ops)
+
+    irq = np.flatnonzero(select(b, Predicate(
+        majors=(int(Major.EXC),), minors=(int(ExcMinor.IO_INTERRUPT),),
+        min_data=1, timed_only=True)))
+    for dev in b.data_column(0, irq).tolist():
+        report.interrupts[dev] = report.interrupts.get(dev, 0) + 1
     return report
 
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 import shlex
 from typing import Callable, Dict, List, Optional, TextIO
 
+from repro.core.columnar import as_batch
 from repro.core.stream import Trace
 from repro.tools.kmon import Timeline
 from repro.tools.listing import CYCLES_PER_SECOND
@@ -96,8 +97,9 @@ class KmonSession:
 
     def _cmd_info(self) -> str:
         tl = self.timeline
-        n = sum(1 for e in self.trace.all_events()
-                if e.time is not None and tl.t0 <= e.time <= tl.t1)
+        b = as_batch(self.trace)
+        times = b.time[b.timed]
+        n = int(((times >= tl.t0) & (times <= tl.t1)).sum())
         return (
             f"window {tl.t0 / CYCLES_PER_SECOND:.6f}s .. "
             f"{tl.t1 / CYCLES_PER_SECOND:.6f}s, {n} events, "

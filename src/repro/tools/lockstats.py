@@ -9,7 +9,7 @@ call chain that led to the acquisition.
 Pairing: ``CONTEND_START``/``CONTEND_END`` are matched FIFO per lock —
 the kernel's FairBLock grants in FIFO order, so the *n*-th start pairs
 with the *n*-th end.  PIDs come from the scheduling events via
-:class:`~repro.tools.context.ContextTracker` (the unified-facility
+:class:`~repro.tools.context.ColumnarContext` (the unified-facility
 advantage of §2).
 """
 

@@ -18,10 +18,14 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+import numpy as np
+
+from repro.core.columnar import as_batch
 from repro.core.majors import HwPerfMinor, Major
 from repro.core.stream import Trace
 from repro.ksim.hwcounters import HwCounter
-from repro.tools.context import ContextTracker
+from repro.store.query import Predicate, select
+from repro.tools.context import ColumnarContext
 
 CYCLES_PER_US = 1_000
 
@@ -58,28 +62,29 @@ def memory_profile(
     process_names: Optional[Dict[int, str]] = None,
     buckets: int = 20,
 ) -> MemoryReport:
-    """Build the per-process / per-phase memory report from the trace."""
-    ctx = ContextTracker(trace)
+    """Build the per-process / per-phase memory report from the trace.
+
+    The samples and their pids are mask-selected out of the event
+    columns; only the sample rows are folded into the report.
+    """
+    b = as_batch(trace)
     report = MemoryReport()
-    samples: List[Tuple[int, Optional[int], int, int]] = []  # (t, pid, ctr, d)
-    t_min = t_max = None
-    for e in trace.all_events():
-        if e.major != Major.HWPERF or e.minor != HwPerfMinor.COUNTER_SAMPLE:
-            continue
-        if len(e.data) < 2 or e.time is None:
-            continue
-        counter, delta = e.data[0], e.data[1]
-        pid = ctx.pid_of(e)
-        samples.append((e.time, pid, counter, delta))
-        t_min = e.time if t_min is None else min(t_min, e.time)
-        t_max = e.time if t_max is None else max(t_max, e.time)
-    if not samples:
+    sel = np.flatnonzero(select(b, Predicate(
+        majors=(int(Major.HWPERF),),
+        minors=(int(HwPerfMinor.COUNTER_SAMPLE),),
+        min_data=2, timed_only=True)))
+    if len(sel) == 0:
         return report
-    report.span_cycles = (t_max - t_min) or 1
+    ctx = ColumnarContext(b)
+    times = b.time[sel].tolist()
+    t_min = min(times)
+    report.span_cycles = (max(times) - t_min) or 1
     bucket_w = max(1, report.span_cycles // buckets)
     bucket_map: Dict[int, Dict[int, int]] = defaultdict(lambda: defaultdict(int))
-    for t, pid, counter, delta in samples:
-        if pid is None:
+    for t, pid, known, counter, delta in zip(
+            times, ctx.pid[sel].tolist(), ctx.known[sel].tolist(),
+            b.data_column(0, sel).tolist(), b.data_column(1, sel).tolist()):
+        if not known:
             pid = -1
         stats = report.per_process.get(pid)
         if stats is None:
@@ -95,8 +100,8 @@ def memory_profile(
         elif counter == HwCounter.TLB_MISSES:
             stats.tlb_misses += delta
             report.total_tlb += delta
-    for b in sorted(bucket_map):
-        report.timeline.append((t_min + b * bucket_w, dict(bucket_map[b])))
+    for k in sorted(bucket_map):
+        report.timeline.append((t_min + k * bucket_w, dict(bucket_map[k])))
     return report
 
 

@@ -12,18 +12,30 @@ from __future__ import annotations
 from collections import Counter
 from typing import List, Optional, Tuple
 
+import numpy as np
+
+from repro.core.columnar import EventBatch, as_batch
 from repro.core.stream import Trace
+
+
+def _name(b: EventBatch, key: int) -> str:
+    return b.name_of(key >> 16, key & 0xFFFF)
 
 
 def event_histogram(
     trace: Trace, include_control: bool = False
 ) -> List[Tuple[int, str]]:
-    """(count, event name) sorted by frequency — which paths run most."""
+    """(count, event name) sorted by frequency — which paths run most.
+
+    One unique-count over the ``(major, minor)`` key column; names are
+    resolved once per distinct key.
+    """
+    b = as_batch(trace)
+    keys = b.keys() if include_control else b.keys()[~b.control_mask()]
+    uniq, key_counts = np.unique(keys, return_counts=True)
     counts: Counter = Counter()
-    for e in trace.all_events():
-        if e.is_control and not include_control:
-            continue
-        counts[e.name] += 1
+    for key, n in zip(uniq.tolist(), key_counts.tolist()):
+        counts[_name(b, key)] += n
     return sorted(((c, n) for n, c in counts.items()), key=lambda x: (-x[0], x[1]))
 
 
@@ -34,18 +46,23 @@ def path_frequencies(
 
     Consecutive-event transitions approximate control-flow edges: a
     frequent ``PGFLT -> PGFLT_DONE`` edge is the fast path; a frequent
-    ``PGFLT -> CTX_SWITCH`` edge is the blocking path.
+    ``PGFLT -> CTX_SWITCH`` edge is the blocking path.  The bigrams are
+    adjacent rows of the non-control events in decode order that share
+    a CPU, counted with one unique-count over the pair codes.
     """
+    b = as_batch(trace)
+    order = b.order_by_stream()
+    rows = order[~b.control_mask()[order]]
+    if cpu is not None:
+        rows = rows[b.cpu[rows] == cpu]
+    cpus = b.cpu[rows]
+    keys = b.keys()[rows]
+    same = cpus[1:] == cpus[:-1]
+    pairs = (keys[:-1][same] << np.int64(32)) | keys[1:][same]
+    uniq, pair_counts = np.unique(pairs, return_counts=True)
     counts: Counter = Counter()
-    cpus = [cpu] if cpu is not None else sorted(trace.events_by_cpu)
-    for c in cpus:
-        prev = None
-        for e in trace.events(c):
-            if e.is_control:
-                continue
-            if prev is not None:
-                counts[(prev.name, e.name)] += 1
-            prev = e
+    for pair, n in zip(uniq.tolist(), pair_counts.tolist()):
+        counts[(_name(b, pair >> 32), _name(b, pair & 0xFFFF_FFFF))] += n
     return sorted(((n, pair) for pair, n in counts.items()),
                   key=lambda x: (-x[0], x[1]))
 

@@ -239,31 +239,11 @@ class TestColumnarTrace:
         scalar, columnar = _decode_both(records, include_fillers=True)
         assert as_comparable(columnar) == as_comparable(scalar)
 
-    def test_all_events_returns_same_objects_each_call(self):
-        # Tools key state by event identity (e.g. ContextTracker uses
-        # id(e)); repeated traversals must hand out the same objects.
-        _, columnar = _decode_both(build_records())
-        a = columnar.all_events()
-        b = columnar.all_events()
-        assert all(x is y for x, y in zip(a, b))
-        ebc = columnar.events_by_cpu
-        assert all(e in {id(x) for x in a}
-                   for e in map(id, ebc[0]))
-
-    def test_filter_matches_scalar(self):
-        records = build_records()
-        scalar, columnar = _decode_both(records)
-        for kw in (dict(major=3), dict(major=3, minor=2),
-                   dict(include_control=True),
-                   dict(name=scalar.all_events()[0].name)):
-            assert list(map(_event_tuple, columnar.filter(**kw))) == \
-                list(map(_event_tuple, scalar.filter(**kw))), kw
-
     def test_batch_is_time_ordered(self):
         _, columnar = _decode_both(build_records())
         b = columnar.batch()
         assert list(map(_event_tuple, b.events())) == \
-            list(map(_event_tuple, columnar.all_events()))
+            list(map(_event_tuple, columnar.to_trace().all_events()))
 
     def test_to_trace(self):
         records = build_records()
@@ -282,7 +262,7 @@ class TestColumnarTrace:
 
     def test_empty_records(self):
         columnar = decode_records_columnar([], default_registry())
-        assert columnar.all_events() == []
+        assert columnar.to_trace().all_events() == []
         assert len(columnar.batch()) == 0
         assert columnar.anomalies == []
 
@@ -330,8 +310,8 @@ class TestIncrementalAssembly:
                     "length", "dlen", "timed"):
             assert np.array_equal(getattr(a, col), getattr(b, col)), col
         assert a.time.tolist() == b.time.tolist()
-        assert [_event_tuple(e) for e in one_shot.all_events()] == \
-            [_event_tuple(e) for e in live.all_events()]
+        assert [_event_tuple(e) for e in a.events()] == \
+            [_event_tuple(e) for e in b.events()]
         # Anomaly verdicts agree as a multiset (arrival order may
         # interleave CPUs differently than the post-mortem sweep).
         assert sorted((a2.cpu, a2.seq, a2.offset, a2.kind)

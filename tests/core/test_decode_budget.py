@@ -96,7 +96,7 @@ def count_calls(fn):
 
 def assert_equals_reference(trace, ref):
     assert [(e.seq, e.offset, e.ts32, e.major, e.minor, e.data, e.time)
-            for e in trace.events(0)] == \
+            for e in trace.cpu_batch(0).events()] == \
         [(e.seq, e.offset, e.ts32, e.major, e.minor, e.data, e.time)
          for e in ref.events(0)]
     assert [(a.seq, a.offset, a.kind, a.detail) for a in trace.anomalies] \

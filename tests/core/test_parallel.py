@@ -21,7 +21,7 @@ from repro.core.header import pack_header
 from repro.core.logger import TraceLogger
 from repro.core.majors import ControlMinor, Major
 from repro.core.mask import TraceMask
-from repro.core.columnar import ColumnarTraceReader
+from repro.core.columnar import ColumnarTrace, ColumnarTraceReader
 from repro.core.parallel import (
     decode_records_columnar_parallel,
     shard_records,
@@ -48,6 +48,10 @@ def build_records(n_events=600, ncpus=3, buffer_words=64, tick=7,
 
 
 def as_comparable(trace):
+    """Events and anomalies as plain tuples; a ``ColumnarTrace`` is
+    materialized through ``to_trace()`` first."""
+    if isinstance(trace, ColumnarTrace):
+        trace = trace.to_trace()
     events = {
         cpu: [
             (e.cpu, e.seq, e.offset, e.ts32, e.major, e.minor,

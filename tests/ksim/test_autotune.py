@@ -1,8 +1,11 @@
 """Self-tuning (trace-fed hot swap) tests — §5 future work."""
 
+from collections import Counter
+
 import pytest
 
 from repro.core.facility import TraceFacility
+from repro.core.majors import LockMinor, Major
 from repro.ksim.autotune import AllocatorAutotuner
 from repro.ksim.kernel import Kernel, KernelConfig
 from repro.workloads.contention import alloc_storm
@@ -36,6 +39,31 @@ def test_autotuner_swaps_under_pressure():
     assert "per-CPU pools" in action.action
     assert action.contentions_seen >= 10
     assert "AllocRegionManager" in action.lock_name
+
+
+def test_contention_counts_match_the_event_walk(monkeypatch):
+    """Every check counts CONTEND_START per lock from event columns; the
+    counts equal a walk over the decoded event objects of the same
+    snapshot, so the tuner decides what the walk would have decided."""
+    counted = []
+    recent_contention = AllocatorAutotuner._recent_contention
+
+    def checked(self):
+        facility = self.kernel.facility
+        walk = Counter(
+            e.data[0]
+            for e in facility.decode(facility.snapshot()).all_events()
+            if e.major == Major.LOCK and e.minor == LockMinor.CONTEND_START
+            and e.data)
+        deltas = recent_contention(self)
+        assert self._last_counts == walk
+        counted.append(sum(walk.values()))
+        return deltas
+
+    monkeypatch.setattr(AllocatorAutotuner, "_recent_contention", checked)
+    _kernel, _facility, tuner = run_storm(autotune=True)
+    assert tuner.swapped
+    assert counted and counted[-1] >= tuner.contention_threshold
 
 
 def test_swap_improves_the_workload():

@@ -183,7 +183,7 @@ class TestShmLive:
             live = mon.trace()
             assert_batches_identical(post.batch(), live.batch())
             for cpu, mult in ((0, 3), (1, 5)):
-                evs = [e for e in live.events(cpu)
+                evs = [e for e in live.cpu_batch(cpu).events()
                        if e.major == Major.TEST]
                 assert [list(e.data) for e in evs] == \
                     [[i, i * mult] for i in range(150)]
@@ -213,7 +213,7 @@ class TestShmLive:
                 mon.drain(ShmFollower(region, lag=1), idle_timeout_s=0)
             finally:
                 attached.close()
-            assert [e.data[0] for e in mon.trace().events(0)
+            assert [e.data[0] for e in mon.trace().cpu_batch(0).events()
                     if e.major == Major.TEST] == list(range(200))
         finally:
             region.close()
@@ -276,7 +276,7 @@ class TestShmCrossProcess:
             # logged payload must have arrived, in order.
             issued = expected_payloads(writers, events, data_words)
             for cpu in range(writers):
-                got = [list(e.data) for e in live.events(cpu)
+                got = [list(e.data) for e in live.cpu_batch(cpu).events()
                        if e.major == Major.TEST]
                 assert got == issued[cpu]
         finally:

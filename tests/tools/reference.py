@@ -1,23 +1,31 @@
-"""Per-event reference implementations of the six column tools.
+"""Per-event reference implementations of every column tool.
 
 The tool-level sibling of :mod:`repro.check.oracle`: each function here
-is the scalar walk its ``repro.tools`` namesake shipped beside its
-column implementation until the two-path fork was removed — moved, logic
-unchanged.  They visit :class:`~repro.core.stream.TraceEvent` objects
-one at a time and share no code with the column implementations except
-the report types they fill in (and, for :class:`Timeline`, the
-rendering, which is not what differs between the two), so
-``test_columnar_tools.py`` can hold the shipped tools to them.
+is the scalar walk its ``repro.tools`` namesake shipped before it was
+ported onto event columns — moved, logic unchanged.  They visit
+:class:`~repro.core.stream.TraceEvent` objects one at a time and share
+no code with the column implementations except the report types they
+fill in (and, for :class:`Timeline`, the rendering, which is not what
+differs between the two), so ``test_columnar_tools.py`` can hold the
+shipped tools to them.  :class:`ContextTracker` is the scalar context
+replay the walks attribute events with, the reference for
+:class:`~repro.tools.context.ColumnarContext`.
 
 Inputs must be event-object traces (``Trace``): the walks read
-``events_by_cpu`` / ``all_events()``.
+``events_by_cpu`` / ``all_events()``.  A ``ColumnarTrace`` gets there
+through ``to_trace()``.
 """
 
+import bisect
 from collections import Counter, defaultdict, deque
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+import networkx as nx
+
 from repro.core.majors import (
     ExcMinor,
+    HwPerfMinor,
+    IOMinor,
     LockMinor,
     Major,
     PcSampleMinor,
@@ -25,12 +33,54 @@ from repro.core.majors import (
     SyscallMinor,
 )
 from repro.core.stream import Trace, TraceEvent
+from repro.ksim.hwcounters import HwCounter
 from repro.tools import kmon
 from repro.tools.breakdown import ProcessBreakdown, SyscallRow
-from repro.tools.context import ContextTracker
+from repro.tools.deadlock import DeadlockReport
+from repro.tools.holdtimes import HoldRecord, HoldReport
+from repro.tools.iostats import IoOp, IoReport
 from repro.tools.listing import CYCLES_PER_SECOND
 from repro.tools.lockstats import SORT_KEYS, LockStats
+from repro.tools.memprofile import MemoryReport, ProcessMemoryStats
 from repro.tools.schedstats import CpuSched, SchedReport
+
+
+# -- context (§2's unified-facility attribution) ----------------------------
+class ContextTracker:
+    """Maps every event to the thread/process executing when it was logged.
+
+    Built once per trace; lookups are O(1) by event identity.
+    """
+
+    def __init__(self, trace: Trace) -> None:
+        #: thread addr -> pid, from TRC_PROC_THR_CREATE events.
+        self.thread_pid: Dict[int, int] = {}
+        #: event id() -> (thread addr or 0, pid or None)
+        self._ctx: Dict[int, Tuple[int, Optional[int]]] = {}
+
+        # Pass 1: thread->process mapping (global, time-independent).
+        for events in trace.events_by_cpu.values():
+            for e in events:
+                if e.major == Major.PROC and e.minor == ProcMinor.THREAD_CREATE:
+                    if len(e.data) >= 2:
+                        self.thread_pid[e.data[0]] = e.data[1]
+
+        # Pass 2: per-CPU replay of context switches.
+        for cpu, events in trace.events_by_cpu.items():
+            current = 0
+            for e in events:
+                if e.major == Major.PROC and e.minor == ProcMinor.CONTEXT_SWITCH:
+                    if len(e.data) >= 2:
+                        current = e.data[1]
+                self._ctx[id(e)] = (current, self.thread_pid.get(current))
+
+    def thread_of(self, event: TraceEvent) -> int:
+        """Thread address executing when ``event`` was logged (0 unknown)."""
+        return self._ctx.get(id(event), (0, None))[0]
+
+    def pid_of(self, event: TraceEvent) -> Optional[int]:
+        """Process id executing when ``event`` was logged."""
+        return self._ctx.get(id(event), (0, None))[1]
 
 
 # -- pcprofile (Figure 6) ---------------------------------------------------
@@ -433,3 +483,195 @@ class Timeline(kmon.Timeline):
             end=at_seconds + window_seconds,
             limit=limit,
         )
+
+
+# -- holds (§2's long-hold-time anecdote) -----------------------------------
+def hold_times(trace: Trace) -> HoldReport:
+    ctx = ContextTracker(trace)
+    report = HoldReport()
+    open_holds: Dict[int, HoldRecord] = {}  # lock_id -> in-progress hold
+
+    # Collect context-switch-out times per thread for the window scan.
+    switched_out: Dict[int, List[int]] = {}
+    for events in trace.events_by_cpu.values():
+        for e in events:
+            if (e.major == Major.PROC and e.minor == ProcMinor.CONTEXT_SWITCH
+                    and len(e.data) >= 2 and e.time is not None):
+                switched_out.setdefault(e.data[0], []).append(e.time)
+    for times in switched_out.values():
+        times.sort()
+
+    for e in trace.all_events():
+        if e.major != Major.LOCK or not e.data or e.time is None:
+            continue
+        lock_id = e.data[0]
+        if e.minor in (LockMinor.ACQUIRE, LockMinor.CONTEND_END):
+            open_holds[lock_id] = HoldRecord(
+                lock_id=lock_id,
+                holder=ctx.thread_of(e),
+                holder_pid=ctx.pid_of(e),
+                start=e.time,
+                end=e.time,
+            )
+        elif e.minor == LockMinor.RELEASE:
+            hold = open_holds.pop(lock_id, None)
+            if hold is None:
+                continue
+            hold.end = e.time
+            outs = switched_out.get(hold.holder, ())
+            lo = bisect.bisect_left(outs, hold.start)
+            hi = bisect.bisect_right(outs, hold.end)
+            hold.preemptions = hi - lo
+            report.holds.append(hold)
+    report.unreleased = len(open_holds)
+    return report
+
+
+# -- memprofile (§2's hardware-counter integration) -------------------------
+def memory_profile(
+    trace: Trace,
+    process_names: Optional[Dict[int, str]] = None,
+    buckets: int = 20,
+) -> MemoryReport:
+    ctx = ContextTracker(trace)
+    report = MemoryReport()
+    samples: List[Tuple[int, Optional[int], int, int]] = []  # (t, pid, ctr, d)
+    t_min = t_max = None
+    for e in trace.all_events():
+        if e.major != Major.HWPERF or e.minor != HwPerfMinor.COUNTER_SAMPLE:
+            continue
+        if len(e.data) < 2 or e.time is None:
+            continue
+        counter, delta = e.data[0], e.data[1]
+        pid = ctx.pid_of(e)
+        samples.append((e.time, pid, counter, delta))
+        t_min = e.time if t_min is None else min(t_min, e.time)
+        t_max = e.time if t_max is None else max(t_max, e.time)
+    if not samples:
+        return report
+    report.span_cycles = (t_max - t_min) or 1
+    bucket_w = max(1, report.span_cycles // buckets)
+    bucket_map: Dict[int, Dict[int, int]] = defaultdict(lambda: defaultdict(int))
+    for t, pid, counter, delta in samples:
+        if pid is None:
+            pid = -1
+        stats = report.per_process.get(pid)
+        if stats is None:
+            stats = ProcessMemoryStats(
+                pid, (process_names or {}).get(pid, ""))
+            report.per_process[pid] = stats
+        stats.samples += 1
+        if counter == HwCounter.L2_MISSES:
+            stats.l2_misses += delta
+            report.total_l2 += delta
+            bucket = min(buckets - 1, (t - t_min) // bucket_w)
+            bucket_map[bucket][pid] += delta
+        elif counter == HwCounter.TLB_MISSES:
+            stats.tlb_misses += delta
+            report.total_tlb += delta
+    for b in sorted(bucket_map):
+        report.timeline.append((t_min + b * bucket_w, dict(bucket_map[b])))
+    return report
+
+
+# -- iostats (§2) -----------------------------------------------------------
+_IO_START = {IOMinor.READ_START: "read", IOMinor.WRITE_START: "write"}
+_IO_DONE = {IOMinor.READ_DONE: "read", IOMinor.WRITE_DONE: "write"}
+
+
+def io_statistics(trace: Trace) -> IoReport:
+    report = IoReport()
+    open_ops: Dict[Tuple[int, int, str], Tuple[int, int]] = {}
+    for e in trace.all_events():
+        if e.time is None:
+            continue
+        if e.major == Major.IO and len(e.data) >= 2:
+            if e.minor in _IO_START:
+                kind = _IO_START[e.minor]
+                nbytes = e.data[2] if len(e.data) >= 3 else 0
+                open_ops[(e.data[0], e.data[1], kind)] = (e.time, nbytes)
+            elif e.minor in _IO_DONE:
+                kind = _IO_DONE[e.minor]
+                key = (e.data[0], e.data[1], kind)
+                started = open_ops.pop(key, None)
+                if started is None:
+                    report.unmatched += 1
+                    continue
+                t0, nbytes = started
+                report.ops.append(IoOp(
+                    pid=e.data[0], fd=e.data[1], kind=kind,
+                    nbytes=nbytes, start=t0, end=e.time,
+                ))
+        elif e.major == Major.EXC and e.minor == ExcMinor.IO_INTERRUPT \
+                and e.data:
+            dev = e.data[0]
+            report.interrupts[dev] = report.interrupts.get(dev, 0) + 1
+    report.unmatched += len(open_ops)
+    return report
+
+
+# -- pathstats (§4.2) -------------------------------------------------------
+def event_histogram(
+    trace: Trace, include_control: bool = False
+) -> List[Tuple[int, str]]:
+    counts: Counter = Counter()
+    for e in trace.all_events():
+        if e.is_control and not include_control:
+            continue
+        counts[e.name] += 1
+    return sorted(((c, n) for n, c in counts.items()), key=lambda x: (-x[0], x[1]))
+
+
+def path_frequencies(
+    trace: Trace, cpu: Optional[int] = None
+) -> List[Tuple[int, Tuple[str, str]]]:
+    counts: Counter = Counter()
+    cpus = [cpu] if cpu is not None else sorted(trace.events_by_cpu)
+    for c in cpus:
+        prev = None
+        for e in trace.events(c):
+            if e.is_control:
+                continue
+            if prev is not None:
+                counts[(prev.name, e.name)] += 1
+            prev = e
+    return sorted(((n, pair) for pair, n in counts.items()),
+                  key=lambda x: (-x[0], x[1]))
+
+
+# -- deadlock (§4.2) --------------------------------------------------------
+def find_deadlocks(trace: Trace) -> DeadlockReport:
+    ctx = ContextTracker(trace)
+    owners: Dict[int, int] = {}            # lock -> thread addr
+    waiting: Dict[int, int] = {}           # thread addr -> lock
+    pending: Dict[int, deque] = defaultdict(deque)  # lock -> waiter threads
+
+    for e in trace.all_events():
+        if e.major != Major.LOCK or not e.data:
+            continue
+        lock_id = e.data[0]
+        thread = ctx.thread_of(e)
+        if e.minor == LockMinor.ACQUIRE:
+            owners[lock_id] = thread
+        elif e.minor == LockMinor.CONTEND_START:
+            waiting[thread] = lock_id
+            pending[lock_id].append(thread)
+        elif e.minor == LockMinor.CONTEND_END:
+            # FIFO grant: the longest waiter becomes the owner.
+            if pending[lock_id]:
+                waiter = pending[lock_id].popleft()
+                waiting.pop(waiter, None)
+                owners[lock_id] = waiter
+            else:
+                owners[lock_id] = thread
+        elif e.minor == LockMinor.RELEASE:
+            owners.pop(lock_id, None)
+
+    graph = nx.DiGraph()
+    for waiter, lock_id in waiting.items():
+        owner = owners.get(lock_id)
+        if owner is not None and owner != waiter:
+            graph.add_edge(waiter, owner)
+    cycles = [list(c) for c in nx.simple_cycles(graph)]
+    return DeadlockReport(cycles=cycles, waiting_on=dict(waiting),
+                          owners=dict(owners))
