@@ -6,8 +6,8 @@ Public surface:
 
 * :mod:`repro.core` — the tracing infrastructure itself (lockless
   variable-length event logging, per-CPU buffers, random-access streams,
-  self-describing events, the unified :class:`~repro.core.TraceFacility`).
-* :mod:`repro.atomic` — emulated hardware atomic primitives.
+  self-describing events, the unified :class:`~repro.core.TraceFacility`;
+  :mod:`repro.core.lane` is the word store every writer logs into).
 * :mod:`repro.ksim` — the K42-like multiprocessor OS simulator substrate
   whose instrumented kernel paths generate realistic traces.
 * :mod:`repro.workloads` — SDET-like and other workload generators.

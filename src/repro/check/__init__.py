@@ -5,9 +5,9 @@ its correctness is a claim about *every* interleaving of a handful of
 atomic operations, not about the ones a stress test happens to produce.
 This package checks that claim mechanically, CHESS-style: the real
 logger code runs with every shared-memory operation turned into an
-explicit scheduling point (:mod:`repro.atomic.stepped`), a controlled
-scheduler enumerates thread interleavings — exhaustively up to a
-preemption bound, or randomly with PCT-style priorities — and protocol
+explicit scheduling point (:class:`~repro.check.instrument.SteppedStore`),
+a controlled scheduler enumerates thread interleavings — exhaustively up
+to a preemption bound, or randomly with PCT-style priorities — and protocol
 invariants are checked after every step.  When an invariant breaks, the
 failing schedule is shrunk to a minimal counterexample and serialized as
 a replayable JSON script.
@@ -15,7 +15,7 @@ a replayable JSON script.
 Modules
 -------
 coop        deterministic cooperative runtime (one task at a time)
-instrument  instrumented trace memory and stepped clock
+instrument  stepped lane store and stepped clock
 harness     builds a checked system and runs one schedule
 explore     exhaustive (bounded-DFS) and randomized (PCT) exploration
 shrink      counterexample minimization

@@ -1,18 +1,18 @@
 """Build a checked logging system and run one controlled schedule.
 
 The harness wires the *real* :class:`~repro.core.logger.TraceLogger`
-(or a deliberately broken mutant) to a :class:`TraceControl` whose
-index, booked-sequence word, committed counts and trace memory are all
-step-instrumented, then drives N writer tasks (and optionally a
-concurrent reader task) under the cooperative scheduler, one shared-
-memory operation at a time.
+(or a deliberately broken mutant) to a :class:`TraceControl` whose lane
+store is step-instrumented (:class:`~repro.check.instrument.SteppedStore`:
+index, booked-sequence word, committed counts and trace memory), then
+drives N writer tasks (and optionally a concurrent reader task) under
+the cooperative scheduler, one shared-memory operation at a time.
 
 Invariants are checked at three moments:
 
 * **after every step** — the reservation index and booked sequence only
   move forward, committed counts never exceed the buffer size, the run
   stays wrap-free, and no trace word is ever written twice (checked
-  inside :class:`~repro.check.instrument.InstrumentedArray`);
+  inside the stepped store's :class:`~repro.check.instrument.TraceWatch`);
 * **at reader observations** — a buffer whose committed count covers its
   fill must decode garble-free, and every decoded TEST event in such a
   buffer must be one the harness actually issued, in per-writer order
@@ -38,11 +38,20 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.atomic.stepped import SteppedAtomicArray, SteppedAtomicWord
+import numpy as np
+
 from repro.check.coop import CoopRuntime, FAILED, KILLED
-from repro.check.instrument import DoubleWriteError, InstrumentedArray, Probe, StepClock
+from repro.check.instrument import (
+    DoubleWriteError,
+    Probe,
+    StepClock,
+    SteppedStore,
+    TraceWatch,
+    lane_names,
+)
 from repro.check.mutants import make_logger
 from repro.core.buffers import BufferRecord, TraceControl, decode_commit_word
+from repro.core.lane import FIXED_WORDS, LaneStore, lane_words
 from repro.core.majors import Major
 from repro.core.mask import TraceMask
 from repro.check.oracle import reference_decode
@@ -232,34 +241,18 @@ class CheckedSystem:
         self.config = config
         self.runtime = CoopRuntime()
         self.probe = Probe(self.runtime, config.buffer_words)
-        yield_fn = self.runtime.yield_point
-
-        def word_factory(initial: int) -> SteppedAtomicWord:
-            return SteppedAtomicWord(initial, yield_fn=yield_fn)
-
-        def array_factory_atomic(length: int) -> SteppedAtomicArray:
-            return SteppedAtomicArray(
-                length, yield_fn=yield_fn,
-                observer=self.probe.on_committed, name="committed",
-            )
-
-        self.ctl = TraceControl(
-            cpu=0,
-            buffer_words=config.buffer_words,
-            num_buffers=config.num_buffers,
-            mode="flight",
-            atomic_word_factory=word_factory,
-            atomic_array_factory=array_factory_atomic,
-            array_factory=lambda n: InstrumentedArray(
-                n, self.runtime, self.probe
-            ),
+        bw, nb = config.buffer_words, config.num_buffers
+        trace_at = FIXED_WORDS + 2 * nb
+        self.store = SteppedStore(
+            LaneStore.private(lane_words(bw, nb)),
+            names=lane_names(0, nb),
+            yield_fn=self.runtime.yield_point,
+            observer=self.probe.observe,
+            watch=TraceWatch(self.runtime, self.probe, trace_at,
+                             trace_at + bw * nb, label_at=trace_at),
         )
-        # Name the words after construction (the factory can't tell which
-        # word it is building) and attach the probe's observers.
-        self.ctl.index.name = "index"
-        self.ctl.index.observer = self.probe.on_index
-        self.ctl.booked_seq.name = "booked"
-        self.ctl.booked_seq.observer = self.probe.on_booked
+        self.ctl = TraceControl(cpu=0, buffer_words=bw, num_buffers=nb,
+                                mode="flight", store=self.store)
 
         self.clock = StepClock(self.runtime)
         self.mask = TraceMask()
@@ -305,7 +298,8 @@ class CheckedSystem:
         """Records for every buffer touched so far, straight from the
         ring (wrap-free, so sequence == slot order)."""
         ctl = self.ctl
-        index = ctl.index.peek()
+        raw = self.store.raw
+        index = raw[ctl.index_at]
         cur_seq = ctl.buffer_of(index)
         out: List[BufferRecord] = []
         for seq in range(cur_seq + 1):
@@ -315,14 +309,15 @@ class CheckedSystem:
             )
             if fill == 0:
                 continue
-            start = ctl.slot_of(seq) * ctl.buffer_words
+            start = ctl.trace_at + ctl.slot_of(seq) * ctl.buffer_words
             out.append(
                 BufferRecord(
                     cpu=ctl.cpu,
                     seq=seq,
-                    words=list(ctl.array[start:start + ctl.buffer_words]),
+                    words=np.array(raw[start:start + ctl.buffer_words],
+                                   dtype=np.uint64),
                     committed=decode_commit_word(
-                        seq, ctl.committed.peek(ctl.slot_of(seq))
+                        seq, raw[ctl.committed_at + ctl.slot_of(seq)]
                     ),
                     fill_words=fill,
                     partial=(seq == cur_seq),
@@ -333,7 +328,8 @@ class CheckedSystem:
     # -- invariants ----------------------------------------------------
     def after_step(self, step: int) -> Optional[Violation]:
         ctl = self.ctl
-        index = ctl.index.peek()
+        raw = self.store.raw
+        index = raw[ctl.index_at]
         if index > ctl.total_words:
             raise ConfigError(
                 f"run wrapped the ring at step {step} "
@@ -346,7 +342,7 @@ class CheckedSystem:
                 f"{self._index_prev} -> {index}", step,
             )
         self._index_prev = index
-        booked = ctl.booked_seq.peek()
+        booked = raw[ctl.booked_at]
         if booked < self._booked_prev:
             return Violation(
                 "booked-regression",
@@ -361,7 +357,7 @@ class CheckedSystem:
                 f"{ctl.buffer_of(index)}", step,
             )
         for slot in range(ctl.num_buffers):
-            count = ctl.committed.peek(slot) & ((1 << 32) - 1)
+            count = raw[ctl.committed_at + slot] & ((1 << 32) - 1)
             if count > ctl.buffer_words:
                 return Violation(
                     "committed-overflow",

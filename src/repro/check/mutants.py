@@ -58,11 +58,11 @@ class NonAtomicReserveLogger(TraceLogger):
     """Reserves with load + store: the index bump is no longer atomic."""
 
     def _reserve(self, length: int) -> Tuple[int, int]:
-        ctl = self.control
-        index = ctl.index
-        bw = ctl.buffer_words
+        mem = self._mem
+        at = self._index_at
+        bw = self.control.buffer_words
         while True:
-            old = index.load()
+            old = mem[at]
             used = old & (bw - 1)
             if used + length > bw:
                 self._reserve_slow(old, length)
@@ -70,7 +70,7 @@ class NonAtomicReserveLogger(TraceLogger):
             ts = self.clock.now(self.cpu)
             # BUG: plain store; a competitor between the load and this
             # store is handed the same words.
-            index.store(old + length)
+            mem[at] = old + length
             if used == 0 and old > 0:
                 self._maybe_book(old // bw, exact=True)
             return old, ts
@@ -87,18 +87,17 @@ class CommitBeforeCopyLogger(TraceLogger):
         # that trusts committed == fill reads garbage.
         if self.commit_counts:
             ctl.commit(index // ctl.buffer_words, length)
-        arr = ctl.array
-        pos = index & ctl.index_mask
-        arr[pos] = (
+        mem = self._mem
+        pos = self._trace_at + (index & ctl.index_mask)
+        mem[pos] = (
             ((ts & TIMESTAMP_MASK) << 32)
             | (length << 22)
             | (major << 16)
             | (minor & 0xFFFF)
         )
-        i = pos + 1
         for w in data:
-            arr[i] = w & WORD_MASK
-            i += 1
+            pos += 1
+            mem[pos] = w & WORD_MASK
         ctl.stats_events_logged += 1
         ctl.stats_words_logged += length
         return True
@@ -108,23 +107,23 @@ class StaleTimestampLogger(TraceLogger):
     """Reads the clock once, outside the CAS retry loop."""
 
     def _reserve(self, length: int) -> Tuple[int, int]:
-        ctl = self.control
-        index = ctl.index
-        bw = ctl.buffer_words
+        mem = self._mem
+        at = self._index_at
+        bw = self.control.buffer_words
         # BUG: hoisted out of the loop; by the time the CAS wins, a
         # competitor may already have logged a later timestamp.
         ts = self.clock.now(self.cpu)
         while True:
-            old = index.load()
+            old = mem[at]
             used = old & (bw - 1)
             if used + length > bw:
                 self._reserve_slow(old, length)
                 continue
-            if index.compare_and_store(old, old + length):
+            if self._cas(at, old, old + length):
                 if used == 0 and old > 0:
                     self._maybe_book(old // bw, exact=True)
                 return old, ts
-            ctl.stats_cas_retries += 1
+            self.control.stats_cas_retries += 1
 
 
 class ResetOnBookLogger(TraceLogger):
@@ -132,21 +131,21 @@ class ResetOnBookLogger(TraceLogger):
 
     def _maybe_book(self, seq: int, exact: bool) -> None:
         ctl = self.control
-        booked = ctl.booked_seq
+        mem = self._mem
         while True:
-            cur = booked.load()
+            cur = mem[ctl.booked_at]
             if cur >= seq:
                 return
-            if booked.compare_and_store(cur, seq):
+            if self._cas(ctl.booked_at, cur, seq):
                 break
         slot = ctl.slot_of(seq)
         # BUG (the original seed): writers that reserved into buffer
         # ``seq`` before the booker ran may already have committed;
         # this store erases their counts and falsely garbles the buffer.
-        ctl.committed.store(slot, 0)
+        mem[ctl.committed_at + slot] = 0
         for s in range(cur, seq):
             ctl.complete_buffer(s)
-        ctl.slot_seq[slot] = seq
+        mem[ctl.slot_seq_at + slot] = seq
         if exact:
             ctl.stats_exact_boundary += 1
         self._log_anchor(seq)
@@ -163,19 +162,19 @@ class SkipFillerCommitLogger(TraceLogger):
             return
         rem = bw - used
         ts = self.clock.now(self.cpu) & TIMESTAMP_MASK
-        if not ctl.index.compare_and_store(old, old + rem):
+        if not self._cas(self._index_at, old, old + rem):
             ctl.stats_cas_retries += 1
             return
-        arr = ctl.array
-        pos = old & ctl.index_mask
+        mem = self._mem
+        pos = self._trace_at + (old & ctl.index_mask)
         if rem <= MAX_EVENT_WORDS:
-            arr[pos] = pack_header(ts, rem, Major.CONTROL, ControlMinor.FILLER)
+            mem[pos] = pack_header(ts, rem, Major.CONTROL, ControlMinor.FILLER)
         else:
-            arr[pos] = pack_header(
+            mem[pos] = pack_header(
                 ts, EXTENDED_FILLER_LENGTH,
                 Major.CONTROL, ControlMinor.FILLER_EXT,
             )
-            arr[pos + 1] = rem
+            mem[pos + 1] = rem
         seq = old // bw
         # BUG: filler words are reserved and written but never
         # committed, so the buffer's count always comes up short.

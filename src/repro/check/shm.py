@@ -7,14 +7,15 @@ independent :meth:`~repro.shm.region.ShmTraceRegion.attach` per writer
 (each task holds its own mapping of the segment, exactly as a separate
 process would), and a real :class:`~repro.shm.collector.ShmCollector`
 whose *drained output* — not the ring — is what the final invariants
-judge.  The shm atomics expose the same ``yield_fn``/``observer`` seams
-as the stepped primitives, so every cross-process shared-memory
-operation is a scheduling point and counterexamples stay replayable.
+judge.  Each writer's lane store is wrapped in the same
+:class:`~repro.check.instrument.SteppedStore` the core harness uses, so
+every cross-process shared-memory operation is a scheduling point and
+counterexamples stay replayable.
 
 What is modeled vs. real: the writers are cooperative tasks in one
 process (determinism requires it), but every load, CAS, and trace-word
-store goes through the same shm code paths — and the same byte offsets —
-that separate OS processes use.  The only cross-process effect this
+store goes through the same segment words — and the same stores and
+locks — that separate OS processes use.  The only cross-process effect this
 cannot exercise is a torn 8-byte store, which the platform (and the
 paper's hardware) rules out anyway.
 
@@ -58,62 +59,24 @@ from repro.check.harness import (
     InvariantViolation,
     Violation,
 )
-from repro.check.instrument import DoubleWriteError, Probe, StepClock
+import numpy as np
+
+from repro.check.instrument import (
+    Probe,
+    StepClock,
+    SteppedStore,
+    TraceWatch,
+    lane_names,
+)
 from repro.check.mutants import MUTANTS, make_logger
 from repro.check.oracle import reference_decode
 from repro.core.buffers import BufferRecord, TraceControl, decode_commit_word
 from repro.core.majors import Major
 from repro.core.mask import TraceMask
 from repro.core.stream import scan_buffer
-from repro.shm.atomics import ShmWordsView
 from repro.shm.collector import ShmCollector
 from repro.shm.lanes import GENERATION_SHIFT, LaneOwner, ShmLaneBusy
 from repro.shm.region import ShmTraceRegion
-
-
-class InstrumentedShmWords(ShmWordsView):
-    """Shm trace memory whose word writes are scheduling points.
-
-    The cross-attach counterpart of
-    :class:`~repro.check.instrument.InstrumentedArray`: the ownership
-    map is shared by *every* attach of the segment and keyed by the
-    word's absolute offset in the segment, so overlapping reservations
-    are caught even when they come through different attaches — or
-    through an attach whose geometry maps it into another CPU's region
-    (the stale-attach failure mode).
-    """
-
-    __slots__ = ("runtime", "probe", "owner", "base")
-
-    def __init__(self, buf, byte_off: int, length: int,
-                 runtime: CoopRuntime, probe: Probe,
-                 owner: Dict[int, Optional[int]], base: int) -> None:
-        super().__init__(buf, byte_off, length)
-        self.runtime = runtime
-        self.probe = probe
-        self.owner = owner
-        self.base = base  # absolute word offset of this view in the segment
-
-    def __setitem__(self, key, value) -> None:
-        if isinstance(key, slice):
-            self.runtime.yield_point("mem.zero")
-            for pos in range(*key.indices(len(self))):
-                self.owner.pop(self.base + pos, None)
-            return super().__setitem__(key, value)
-        self.runtime.yield_point(f"mem[{self.base + key}]")
-        task = self.runtime.current
-        tid = task.tid if task is not None else None
-        abs_pos = self.base + key
-        if abs_pos in self.owner:
-            prev = self.owner[abs_pos]
-            raise DoubleWriteError(
-                f"segment word {abs_pos} rewritten by task {tid} "
-                f"(first written by task {prev}): overlapping reservation "
-                f"across attaches"
-            )
-        self.owner[abs_pos] = tid
-        self.probe.on_write(tid, key)
-        return super().__setitem__(key, value)
 
 
 class MissedFlushCollector(ShmCollector):
@@ -322,32 +285,26 @@ class ShmCheckedSystem(CheckedSystem):
 
     def _make_control(self, region: ShmTraceRegion, cpu: int,
                       view_cpu: int) -> TraceControl:
-        probe = self.probes[cpu]
-
-        def dispatch(name: str, op: str, args: tuple, result) -> None:
-            if ".index" in name:
-                probe.on_index(name, op, args, result)
-            elif ".booked" in name:
-                probe.on_booked(name, op, args, result)
-            elif ".committed" in name:
-                probe.on_committed(name, op, args, result)
-
         lay = region.layout
-        view = InstrumentedShmWords(
-            region.shm.buf,
-            8 * lay.trace_words(view_cpu),
-            lay.total_words_per_cpu,
-            self.runtime,
-            probe,
-            self.owner,
-            base=lay.trace_words(view_cpu),
-        )
-        return region.control(
-            cpu,
-            array=view,
+        probe = self.probes[cpu]
+        trace_at = lay.trace_words(view_cpu)
+        store = SteppedStore(
+            region.lane_store(cpu),
+            names=lane_names(lay.cpu_base(cpu), lay.num_buffers,
+                             f"cpu{cpu}."),
             yield_fn=self.runtime.yield_point,
-            observer=dispatch,
+            observer=probe.observe,
+            # Keyed by absolute segment word and shared by every attach,
+            # so overlapping reservations are caught across attaches —
+            # or through an attach whose geometry maps it into another
+            # CPU's region (the stale-attach failure mode).
+            watch=TraceWatch(self.runtime, probe, trace_at,
+                             trace_at + lay.total_words_per_cpu,
+                             label_at=0, owner=self.owner),
         )
+        ctl = region.control(cpu, store=store)
+        ctl.trace_at = trace_at  # view_cpu's trace memory, cpu's control
+        return ctl
 
     def _make_writer(self, logger, w: int):
         events = self.payloads[w]
@@ -370,8 +327,12 @@ class ShmCheckedSystem(CheckedSystem):
                     self.silent.add(w)  # the pid is taken: never born
                     return
                 proc.born = True
+            at = region.layout.owner_word(0)
+            word = SteppedStore(
+                region.segment_store, names={at: ("cpu0.owner", None)},
+                yield_fn=self.runtime.yield_point).word(at)
             try:
-                region.claim(0, yield_fn=self.runtime.yield_point)
+                region.claim(0, owner_word=word)
             except ShmLaneBusy:
                 self.silent.add(w)
                 return
@@ -402,12 +363,13 @@ class ShmCheckedSystem(CheckedSystem):
     def ring_view(self) -> List[BufferRecord]:
         """Records for every buffer touched so far, across all CPUs."""
         lay = self.region.layout
+        words = self.region.words
         out: List[BufferRecord] = []
         for cpu in range(lay.ncpus):
-            index = self.region.index_word(cpu).peek()
+            index = words[lay.index_word(cpu)]
             cur_seq = index // lay.buffer_words
-            trace = self.region.trace_view(cpu)
-            committed = self.region.committed_array(cpu)
+            trace = lay.trace_words(cpu)
+            committed = lay.committed_words(cpu)
             for seq in range(cur_seq + 1):
                 fill = (
                     lay.buffer_words if seq < cur_seq
@@ -415,14 +377,15 @@ class ShmCheckedSystem(CheckedSystem):
                 )
                 if fill == 0:
                     continue
-                start = (seq % lay.num_buffers) * lay.buffer_words
+                start = trace + (seq % lay.num_buffers) * lay.buffer_words
                 out.append(
                     BufferRecord(
                         cpu=cpu,
                         seq=seq,
-                        words=trace[start:start + lay.buffer_words],
+                        words=np.array(words[start:start + lay.buffer_words],
+                                       dtype=np.uint64),
                         committed=decode_commit_word(
-                            seq, committed.peek(seq % lay.num_buffers)
+                            seq, words[committed + seq % lay.num_buffers]
                         ),
                         fill_words=fill,
                         partial=(seq == cur_seq),
@@ -464,8 +427,9 @@ class ShmCheckedSystem(CheckedSystem):
 
     def _check_rings(self, step: int) -> Optional[Violation]:
         lay = self.region.layout
+        words = self.region.words
         for cpu in range(lay.ncpus):
-            index = self.region.index_word(cpu).peek()
+            index = words[lay.index_word(cpu)]
             if index > lay.total_words_per_cpu:
                 raise ConfigError(
                     f"run wrapped cpu {cpu}'s ring at step {step} "
@@ -479,8 +443,7 @@ class ShmCheckedSystem(CheckedSystem):
                     f"{self._index_prev[cpu]} -> {index}", step,
                 )
             self._index_prev[cpu] = index
-            booked = ShmWordsView(
-                self.region.shm.buf, 8 * lay.booked_word(cpu), 1)[0]
+            booked = words[lay.booked_word(cpu)]
             if booked < self._booked_prev[cpu]:
                 return Violation(
                     "booked-regression",
@@ -494,9 +457,9 @@ class ShmCheckedSystem(CheckedSystem):
                     f"cpu {cpu} booked_seq {booked} beyond current "
                     f"buffer {index // lay.buffer_words}", step,
                 )
-            committed = self.region.committed_array(cpu)
+            committed = lay.committed_words(cpu)
             for slot in range(lay.num_buffers):
-                count = committed.peek(slot) & ((1 << 32) - 1)
+                count = words[committed + slot] & ((1 << 32) - 1)
                 if count > lay.buffer_words:
                     return Violation(
                         "committed-overflow",
@@ -697,7 +660,6 @@ class ShmCheckedSystem(CheckedSystem):
 
 
 __all__ = [
-    "InstrumentedShmWords",
     "MissedFlushCollector",
     "SHM_MUTANTS",
     "ShmCheckedSystem",

@@ -25,16 +25,23 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Deque, List, Literal, Optional, Tuple
+from typing import Deque, List, Literal, Optional, Tuple
 
 import numpy as np
 
-from repro.atomic import AtomicArray, AtomicWord
 from repro.core.constants import (
     COMMIT_COUNT_MASK,
     COMMIT_SEQ_SHIFT,
     DEFAULT_BUFFER_WORDS,
     DEFAULT_NUM_BUFFERS,
+)
+from repro.core.lane import (
+    BOOKED,
+    FIXED_WORDS,
+    INDEX,
+    LaneStore,
+    cast_words,
+    lane_words,
 )
 
 Mode = Literal["writeout", "flight"]
@@ -83,15 +90,15 @@ class BufferRecord:
 class TraceControl:
     """Per-CPU trace control structure and trace memory.
 
-    ``atomic_word_factory`` lets the discrete simulator substitute
-    :class:`~repro.atomic.simatomic.SimAtomicWord` (including interference
-    hooks) for the thread-safe default.  ``atomic_array_factory`` and
-    ``array_factory`` are the matching seams for the per-buffer commit
-    counts and the trace memory itself: the schedule-exploring model
-    checker (:mod:`repro.check`) substitutes step-instrumented variants
-    so that every atomic operation and buffer write becomes an explicit
-    scheduling point.  Defaults are unchanged, so the hot path pays
-    nothing for the seams.
+    All of it is one lane of words (:mod:`repro.core.lane`) at word
+    offset ``base`` of ``store``: the reservation index, the booked
+    sequence, the generation-tagged committed counts, the slot
+    occupancy and the trace memory.  By default the store is a private
+    one-lane :class:`~repro.core.lane.LaneStore`; :mod:`repro.shm` passes
+    a lane of its segment, and the schedule-exploring model checker
+    (:mod:`repro.check`) a stepped store whose every access is an
+    explicit scheduling point.  The ``*_at`` attributes are the word
+    offsets of each piece in ``store``.
 
     ``zero_ahead`` enables the paper's optional "cheaply zero-filling a
     buffer before use" mitigation (§3.1): unwritten holes then decode as
@@ -110,9 +117,8 @@ class TraceControl:
         mode: Mode = "writeout",
         zero_ahead: bool = False,
         max_pending: Optional[int] = None,
-        atomic_word_factory: Callable[[int], AtomicWord] = AtomicWord,
-        atomic_array_factory: Callable[[int], AtomicArray] = AtomicArray,
-        array_factory: Optional[Callable[[int], List[int]]] = None,
+        store: Optional[LaneStore] = None,
+        base: int = 0,
     ) -> None:
         if not _is_pow2(buffer_words):
             raise ValueError("buffer_words must be a power of two")
@@ -129,24 +135,26 @@ class TraceControl:
         self.zero_ahead = zero_ahead
         self.max_pending = max_pending
 
-        #: The trace memory itself (user-mapped in K42).  A plain list of
-        #: ints: single-word stores are ~2x faster than numpy element
-        #: assignment, and the write path is the hot path — records are
-        #: converted to numpy only at (rare) copy-out.
-        self.array: List[int] = (
-            [0] * self.total_words if array_factory is None
-            else array_factory(self.total_words)
-        )
-        self._zero_buffer: List[int] = [0] * buffer_words
-        #: The reservation index the lockless algorithm CASes on.
-        self.index = atomic_word_factory(0)
-        #: Per-buffer committed word counts (traceCommit target).  Each
-        #: word is generation-tagged (see :func:`decode_commit_word`).
-        self.committed = atomic_array_factory(num_buffers)
-        #: Highest buffer sequence whose start bookkeeping has been claimed.
-        self.booked_seq = atomic_word_factory(0)
-        #: Sequence number currently occupying each slot (flight snapshots).
-        self.slot_seq: List[int] = [0] * num_buffers
+        need = lane_words(buffer_words, num_buffers)
+        if store is None:
+            store = LaneStore.private(need)
+        elif len(store) < base + need:
+            raise ValueError(
+                f"a lane at word {base} needs {need} words; the store "
+                f"holds {len(store)}")
+        self.store = store
+        self.mem = store.mem
+        self._cas = store.cas
+        #: Word offsets in ``store``: the reservation index the lockless
+        #: algorithm CASes on, the highest buffer sequence whose start
+        #: bookkeeping has been claimed, the per-buffer committed counts
+        #: (generation-tagged, see :func:`decode_commit_word`), the
+        #: sequence occupying each slot, and the trace memory itself.
+        self.index_at = base + INDEX
+        self.booked_at = base + BOOKED
+        self.committed_at = base + FIXED_WORDS
+        self.slot_seq_at = self.committed_at + num_buffers
+        self.trace_at = self.slot_seq_at + num_buffers
 
         #: Completed-buffer descriptors (slot, seq) awaiting write-out
         #: (writeout mode only).  Payloads are copied out only once the
@@ -173,47 +181,15 @@ class TraceControl:
         self.stats_cas_retries = 0
         self.stats_exact_boundary = 0
 
-    def adopt_state(
-        self,
-        *,
-        index: Optional[AtomicWord] = None,
-        booked_seq: Optional[AtomicWord] = None,
-        committed: Optional[AtomicArray] = None,
-        array: Optional[List[int]] = None,
-        slot_seq: Optional[List[int]] = None,
-    ) -> "TraceControl":
-        """Swap in externally-owned control state after construction.
+    def index(self) -> int:
+        """The reservation index now."""
+        return self.mem[self.index_at]
 
-        The factory parameters cover the common substitution (one
-        factory per kind of state), but shared-memory backing needs each
-        word placed at a *specific* offset of an existing segment — the
-        factories' ``(initial)``/``(length)`` signatures cannot express
-        that.  :class:`repro.shm.ShmTraceRegion` therefore constructs the
-        control structure normally and adopts the shm-backed words here.
-        Adopted state must present the same interface (and, for a
-        re-attach, already hold protocol-consistent values); the protocol
-        methods never cache references to the swapped attributes across
-        calls, so adoption immediately after construction is safe.
-        """
-        if index is not None:
-            self.index = index
-        if booked_seq is not None:
-            self.booked_seq = booked_seq
-        if committed is not None:
-            self.committed = committed
-        if array is not None:
-            if len(array) != self.total_words:
-                raise ValueError(
-                    f"adopted trace memory has {len(array)} words, "
-                    f"geometry needs {self.total_words}")
-            self.array = array
-        if slot_seq is not None:
-            if len(slot_seq) != self.num_buffers:
-                raise ValueError(
-                    f"adopted slot_seq has {len(slot_seq)} entries, "
-                    f"geometry needs {self.num_buffers}")
-            self.slot_seq = slot_seq
-        return self
+    def slot_words(self, slot: int) -> np.ndarray:
+        """A copy of the trace words of ring slot ``slot``."""
+        start = self.trace_at + slot * self.buffer_words
+        return np.array(self.mem[start:start + self.buffer_words],
+                        dtype=np.uint64)
 
     # -- geometry helpers --------------------------------------------------
     def slot_of(self, seq: int) -> int:
@@ -243,11 +219,11 @@ class TraceControl:
         occupant's count would turn one lost event into a falsely
         garbled buffer.
         """
-        slot = seq % self.num_buffers
+        at = self.committed_at + seq % self.num_buffers
         tag = seq & COMMIT_COUNT_MASK
-        committed = self.committed
+        mem = self.mem
         while True:
-            cur = committed.load(slot)
+            cur = mem[at]
             cur_tag = cur >> COMMIT_SEQ_SHIFT
             if cur_tag == tag:
                 new = cur + length
@@ -257,12 +233,13 @@ class TraceControl:
                 new = (tag << COMMIT_SEQ_SHIFT) | length
             else:
                 return  # our buffer was recycled; the commit is moot
-            if committed.compare_and_store(slot, cur, new):
+            if self._cas(at, cur, new):
                 return
 
     def committed_count(self, seq: int) -> int:
         """Committed words recorded for buffer ``seq`` (0 if recycled)."""
-        return decode_commit_word(seq, self.committed.load(seq % self.num_buffers))
+        return decode_commit_word(
+            seq, self.mem[self.committed_at + seq % self.num_buffers])
 
     # -- completion --------------------------------------------------------
     def complete_buffer(self, seq: int) -> None:
@@ -290,15 +267,14 @@ class TraceControl:
             slot, seq = self.completed.popleft()
         except IndexError:
             return
-        if self.slot_seq[slot] != seq:
+        if self.mem[self.slot_seq_at + slot] != seq:
             self.stats_dropped_buffers += 1
             return
-        start = slot * self.buffer_words
         self._written.append(
             BufferRecord(
                 cpu=self.cpu,
                 seq=seq,
-                words=self.array[start : start + self.buffer_words],
+                words=self.slot_words(slot),
                 committed=self.committed_count(seq),
                 fill_words=self.buffer_words,
             )
@@ -326,33 +302,29 @@ class TraceControl:
         is emitted here too — otherwise its events would be lost.
         """
         records = self.drain()
-        index = self.index.load()
+        index = self.index()
         fill = self.used_in_buffer(index)
         seq = self.buffer_of(index)
         if fill > 0:
-            slot = self.slot_of(seq)
-            start = slot * self.buffer_words
             records.append(
                 BufferRecord(
                     cpu=self.cpu,
                     seq=seq,
-                    words=self.array[start : start + self.buffer_words],
+                    words=self.slot_words(self.slot_of(seq)),
                     committed=self.committed_count(seq),
                     fill_words=fill,
                     partial=True,
                 )
             )
-        elif index > 0 and self.booked_seq.load() < seq:
+        elif index > 0 and self.mem[self.booked_at] < seq:
             # Exact fill at quiescence: buffer seq-1 is complete but was
             # never booked (no reservation followed it).
             prev = seq - 1
-            slot = self.slot_of(prev)
-            start = slot * self.buffer_words
             records.append(
                 BufferRecord(
                     cpu=self.cpu,
                     seq=prev,
-                    words=self.array[start : start + self.buffer_words],
+                    words=self.slot_words(self.slot_of(prev)),
                     committed=self.committed_count(prev),
                     fill_words=self.buffer_words,
                 )
@@ -366,25 +338,24 @@ class TraceControl:
         buffer is included as partial.  Usable in either mode (in writeout
         mode it duplicates data already queued).
         """
-        index = self.index.load()
+        index = self.index()
         cur_seq = self.buffer_of(index)
         fill = self.used_in_buffer(index)
         cur_slot = self.slot_of(cur_seq)
         ahead_slot = self.slot_of(cur_seq + 1)
         records: List[BufferRecord] = []
         for slot in range(self.num_buffers):
-            seq = self.slot_seq[slot]
+            seq = self.mem[self.slot_seq_at + slot]
             if seq == cur_seq and fill == 0:
                 continue  # fresh, nothing reserved yet
             if self.zero_ahead and slot == ahead_slot and slot != cur_slot:
                 continue  # zero-ahead destroyed this slot's old contents
-            start = slot * self.buffer_words
             partial = seq == cur_seq
             records.append(
                 BufferRecord(
                     cpu=self.cpu,
                     seq=seq,
-                    words=self.array[start : start + self.buffer_words],
+                    words=self.slot_words(slot),
                     committed=self.committed_count(seq),
                     fill_words=fill if partial else self.buffer_words,
                     partial=partial,
@@ -394,5 +365,6 @@ class TraceControl:
         return records
 
     def zero_slot(self, slot: int) -> None:
-        start = slot * self.buffer_words
-        self.array[start : start + self.buffer_words] = self._zero_buffer
+        start = self.trace_at + slot * self.buffer_words
+        self.mem[start:start + self.buffer_words] = cast_words(
+            bytes(8 * self.buffer_words))

@@ -76,17 +76,19 @@ def write_dump(controls: List[TraceControl], fh: BinaryIO) -> None:
     """
     fh.write(_IMG_HEADER.pack(DUMP_MAGIC, DUMP_VERSION, len(controls)))
     for ctl in controls:
+        mem = ctl.mem
         fh.write(
             _SEC_HEADER.pack(
                 SECTION_MAGIC, ctl.cpu, ctl.buffer_words, ctl.num_buffers,
-                ctl.index.load(), ctl.booked_seq.load(),
+                mem[ctl.index_at], mem[ctl.booked_at],
             )
         )
-        slot_seq = np.asarray(ctl.slot_seq, dtype="<u8")
-        committed = np.asarray(ctl.committed.snapshot(), dtype="<u8")
-        fh.write(slot_seq.tobytes())
-        fh.write(committed.tobytes())
-        fh.write(np.asarray(ctl.array, dtype="<u8").tobytes())
+        # The lane's words are the image's words: little-endian u64 on
+        # the only hosts a lane store exists on.
+        nb = ctl.num_buffers
+        fh.write(mem[ctl.slot_seq_at:ctl.slot_seq_at + nb])
+        fh.write(mem[ctl.committed_at:ctl.committed_at + nb])
+        fh.write(mem[ctl.trace_at:ctl.trace_at + ctl.total_words])
 
 
 def dump_bytes(controls: List[TraceControl]) -> bytes:

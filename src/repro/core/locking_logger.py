@@ -95,30 +95,25 @@ class LockingTraceLogger:
             for i in range(self.irq_disable_iters):  # modelled irq-off cost
                 acc += i
             index = self._reserve_locked(length)
-            ts = self.clock.now(self.cpu) & TIMESTAMP_MASK
-            arr = ctl.array
-            pos = index & ctl.index_mask
-            arr[pos] = pack_header(ts, length, major, minor)
-            for i, w in enumerate(data):
-                arr[pos + 1 + i] = w & WORD_MASK
-            if self.commit_counts:
-                ctl.commit(ctl.buffer_of(index), length)
-            ctl.stats_events_logged += 1
-            ctl.stats_words_logged += length
+            self._write_locked(index, self.clock.now(self.cpu),
+                               major, minor, data)
         return True
 
     def _reserve_locked(self, length: int) -> int:
         """Reserve under the lock; handles boundary fillers inline.
 
         Loops because starting a new buffer writes anchor events, after
-        which the requested event may again cross a boundary.
+        which the requested event may again cross a boundary.  The lock
+        excludes every other writer of the lane, so the index and booked
+        words are plain stores.
         """
         ctl = self.control
+        mem = ctl.mem
         bw = ctl.buffer_words
         while True:
-            old = ctl.index.load()
+            old = mem[ctl.index_at]
             used = old & (bw - 1)
-            if used == 0 and old > 0 and ctl.booked_seq.load() < old // bw:
+            if used == 0 and old > 0 and mem[ctl.booked_at] < old // bw:
                 # Exact fill: previous event ended on the boundary.
                 self._start_buffer_locked(old // bw)
                 ctl.stats_exact_boundary += 1
@@ -126,38 +121,39 @@ class LockingTraceLogger:
             if used + length > bw:
                 rem = bw - used
                 ts = self.clock.now(self.cpu) & TIMESTAMP_MASK
-                pos = old & ctl.index_mask
+                pos = ctl.trace_at + (old & ctl.index_mask)
                 if rem <= MAX_EVENT_WORDS:
-                    ctl.array[pos] = pack_header(
+                    mem[pos] = pack_header(
                         ts, rem, Major.CONTROL, ControlMinor.FILLER
                     )
                 else:
-                    ctl.array[pos] = pack_header(
+                    mem[pos] = pack_header(
                         ts, EXTENDED_FILLER_LENGTH,
                         Major.CONTROL, ControlMinor.FILLER_EXT,
                     )
-                    ctl.array[pos + 1] = rem
+                    mem[pos + 1] = rem
                 seq = old // bw
                 if self.commit_counts:
                     ctl.commit(seq, rem)
                 ctl.stats_fillers += 1
                 ctl.stats_filler_words += rem
-                ctl.index.store(old + rem)
+                mem[ctl.index_at] = old + rem
                 self._start_buffer_locked(seq + 1)
                 continue
-            ctl.index.store(old + length)
+            mem[ctl.index_at] = old + length
             return old
 
     def _start_buffer_locked(self, seq: int) -> None:
         ctl = self.control
-        if ctl.booked_seq.load() >= seq:
+        mem = ctl.mem
+        if mem[ctl.booked_at] >= seq:
             return
-        ctl.booked_seq.store(seq)
+        mem[ctl.booked_at] = seq
         slot = ctl.slot_of(seq)
         # No committed reset: the generation tag in TraceControl.commit
         # resets the recycled slot's count at the first commit instead.
         ctl.complete_buffer(seq - 1)
-        ctl.slot_seq[slot] = seq
+        mem[ctl.slot_seq_at + slot] = seq
         if ctl.zero_ahead:
             nxt = ctl.slot_of(seq + 1)
             if nxt != slot:
@@ -170,32 +166,38 @@ class LockingTraceLogger:
     def _write_anchor_inline(self) -> None:
         """Write the timestamp anchor from a single clock read, so the
         header's 32-bit stamp and the full data word correspond exactly."""
-        ctl = self.control
-        old = ctl.index.load()
         ts = self.clock.now(self.cpu)
-        pos = old & ctl.index_mask
-        ctl.array[pos] = pack_header(
-            ts & TIMESTAMP_MASK, 2, Major.CONTROL, ControlMinor.TIMESTAMP_ANCHOR
-        )
-        ctl.array[pos + 1] = ts & WORD_MASK
-        if self.commit_counts:
-            ctl.commit(ctl.buffer_of(old), 2)
-        ctl.index.store(old + 2)
-        ctl.stats_events_logged += 1
-        ctl.stats_words_logged += 2
+        self._write_locked(self._advance_locked(2), ts,
+                           Major.CONTROL, ControlMinor.TIMESTAMP_ANCHOR,
+                           (ts,))
 
     def _write_inline(self, major: int, minor: int, data: Sequence[int]) -> None:
         """Write one event while already holding the lock."""
+        index = self._advance_locked(len(data) + 1)
+        self._write_locked(index, self.clock.now(self.cpu),
+                           major, minor, data)
+
+    def _advance_locked(self, length: int) -> int:
+        """Bump the index by ``length`` with no boundary check (the
+        anchors of a fresh buffer always fit); returns the old index."""
+        mem = self.control.mem
+        at = self.control.index_at
+        old = mem[at]
+        mem[at] = old + length
+        return old
+
+    def _write_locked(self, index: int, ts: int, major: int, minor: int,
+                      data: Sequence[int]) -> None:
+        """Write header + data at ``index`` and commit them."""
         ctl = self.control
+        mem = ctl.mem
         length = len(data) + 1
-        old = ctl.index.load()
-        ts = self.clock.now(self.cpu) & TIMESTAMP_MASK
-        pos = old & ctl.index_mask
-        ctl.array[pos] = pack_header(ts, length, major, minor)
-        for i, w in enumerate(data):
-            ctl.array[pos + 1 + i] = w & WORD_MASK
+        pos = ctl.trace_at + (index & ctl.index_mask)
+        mem[pos] = pack_header(ts & TIMESTAMP_MASK, length, major, minor)
+        for w in data:
+            pos += 1
+            mem[pos] = w & WORD_MASK
         if self.commit_counts:
-            ctl.commit(ctl.buffer_of(old), length)
-        ctl.index.store(old + length)
+            ctl.commit(ctl.buffer_of(index), length)
         ctl.stats_events_logged += 1
         ctl.stats_words_logged += length

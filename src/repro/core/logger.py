@@ -51,7 +51,10 @@ class TraceLogger:
 
     In K42 the equivalent state is mapped into every address space so
     that applications, libraries, servers and the kernel all log through
-    the same per-CPU structures without system calls.
+    the same per-CPU structures without system calls.  The logger binds
+    its lane's words, their offsets and the store's compare-and-store
+    once; every load and trace-word store after that is one indexing
+    operation on ``_mem``.
     """
 
     def __init__(
@@ -70,6 +73,10 @@ class TraceLogger:
         self.cpu = control.cpu
         #: Largest event: bounded by the 10-bit length field and the buffer.
         self._max_words = min(MAX_EVENT_WORDS, control.buffer_words)
+        self._mem = control.mem
+        self._cas = control.store.cas
+        self._index_at = control.index_at
+        self._trace_at = control.trace_at
 
     # ------------------------------------------------------------------
     # Fast-path logging API (per-major constant-arity macros, §3.2)
@@ -135,19 +142,18 @@ class TraceLogger:
                 "limit (10-bit length field, buffer size)"
             )
         index, ts = self._reserve(length)
-        arr = ctl.array
-        pos = index & ctl.index_mask
+        mem = self._mem
+        pos = self._trace_at + (index & ctl.index_mask)
         # Inline pack_header (fields are in range by construction here).
-        arr[pos] = (
+        mem[pos] = (
             ((ts & TIMESTAMP_MASK) << 32)
             | (length << 22)
             | (major << 16)
             | (minor & 0xFFFF)
         )
-        i = pos + 1
         for w in data:
-            arr[i] = w & WORD_MASK
-            i += 1
+            pos += 1
+            mem[pos] = w & WORD_MASK
         if self.commit_counts:
             ctl.commit(index // ctl.buffer_words, length)
         ctl.stats_events_logged += 1
@@ -163,26 +169,27 @@ class TraceLogger:
         header, and the anchor event stores the full value as its data
         word — from the *same* clock read, so reconstruction is exact.
         """
-        ctl = self.control
-        index = ctl.index
-        bw = ctl.buffer_words
+        mem = self._mem
+        cas = self._cas
+        at = self._index_at
+        bw = self.control.buffer_words
         bmask = bw - 1
         clock_now = self.clock.now
         cpu = self.cpu
         while True:
-            old = index.load()
+            old = mem[at]
             used = old & bmask
             if used + length > bw:
                 self._reserve_slow(old, length)
                 continue
             ts = clock_now(cpu)
-            if index.compare_and_store(old, old + length):
+            if cas(at, old, old + length):
                 if used == 0 and old > 0:
                     # First reservation in a buffer entered by exact fill:
                     # claim the start-of-buffer bookkeeping.
                     self._maybe_book(old // bw, exact=True)
                 return old, ts
-            ctl.stats_cas_retries += 1
+            self.control.stats_cas_retries += 1
 
     def _reserve_slow(self, old: int, length: int) -> None:
         """traceReserveSlow: filler event + move to the next buffer.
@@ -199,21 +206,21 @@ class TraceLogger:
             return  # raced: buffer already advanced under us
         rem = bw - used
         ts = self.clock.now(self.cpu) & TIMESTAMP_MASK
-        if not ctl.index.compare_and_store(old, old + rem):
+        if not self._cas(self._index_at, old, old + rem):
             ctl.stats_cas_retries += 1
             return
-        arr = ctl.array
-        pos = old & ctl.index_mask
+        mem = self._mem
+        pos = self._trace_at + (old & ctl.index_mask)
         if rem <= MAX_EVENT_WORDS:
             # A filler is just a header whose length is the remainder.
-            arr[pos] = pack_header(ts, rem, Major.CONTROL, ControlMinor.FILLER)
+            mem[pos] = pack_header(ts, rem, Major.CONTROL, ControlMinor.FILLER)
         else:
             # Remainder too large for the 10-bit length field: extended
             # filler carries the true span in its single data word.
-            arr[pos] = pack_header(
+            mem[pos] = pack_header(
                 ts, EXTENDED_FILLER_LENGTH, Major.CONTROL, ControlMinor.FILLER_EXT
             )
-            arr[pos + 1] = rem
+            mem[pos + 1] = rem
         seq = old // bw
         if self.commit_counts:
             ctl.commit(seq, rem)
@@ -237,29 +244,31 @@ class TraceLogger:
         generation tag.
         """
         ctl = self.control
-        booked = ctl.booked_seq
+        mem = self._mem
+        at = ctl.booked_at
         while True:
-            cur = booked.load()
+            cur = mem[at]
             if cur >= seq:
                 return
-            if booked.compare_and_store(cur, seq):
+            if self._cas(at, cur, seq):
                 break
         slot = ctl.slot_of(seq)
         # Normally completes just seq-1; the range covers transitions whose
         # booker was preempted before claiming (see DESIGN.md §3.2 notes).
         for s in range(cur, seq):
             ctl.complete_buffer(s)
-        ctl.slot_seq[slot] = seq
+        mem[ctl.slot_seq_at + slot] = seq
         if exact:
             ctl.stats_exact_boundary += 1
-        if ctl.zero_ahead and ctl.index.load() < (seq + 1) * ctl.buffer_words:
+        end = (seq + 1) * ctl.buffer_words
+        if ctl.zero_ahead and mem[self._index_at] < end:
             # Only zero the slot ahead while the index is still inside
             # buffer ``seq``: a booker descheduled long enough for the
             # index to advance must not destroy live data.  (The residual
             # check-to-zero window is the per-buffer-count heuristic's
             # job to catch, exactly as §3.1 frames it.)
             nxt = ctl.slot_of(seq + 1)
-            if nxt != slot and ctl.index.load() < (seq + 1) * ctl.buffer_words:
+            if nxt != slot and mem[self._index_at] < end:
                 ctl.zero_slot(nxt)
         self._log_anchor(seq)
 
@@ -287,11 +296,11 @@ class TraceLogger:
         """
         ctl = self.control
         index, ts = self._reserve(2)
-        pos = index & ctl.index_mask
-        ctl.array[pos] = pack_header(
+        pos = self._trace_at + (index & ctl.index_mask)
+        self._mem[pos] = pack_header(
             ts & TIMESTAMP_MASK, 2, Major.CONTROL, ControlMinor.TIMESTAMP_ANCHOR
         )
-        ctl.array[pos + 1] = ts & WORD_MASK
+        self._mem[pos + 1] = ts & WORD_MASK
         if self.commit_counts:
             ctl.commit(ctl.buffer_of(index), 2)
         ctl.stats_events_logged += 1

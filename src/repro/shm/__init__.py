@@ -12,11 +12,12 @@ trace-file format every existing reader and tool consumes unmodified.
 
 Pieces:
 
-* :mod:`repro.shm.atomics` — :class:`ShmAtomicWord` /
-  :class:`ShmAtomicArray`, compare-and-store over a shared buffer with
-  the same semantics as :mod:`repro.atomic.primitives`; the documented
-  cross-process stand-in for PowerPC ``stwcx.``.
-* :mod:`repro.shm.region` — segment layout, create/attach-by-name,
+* :mod:`repro.shm.atomics` — :class:`SegmentLock` and
+  :class:`SegmentStore`, compare-and-store on segment words under an
+  ``fcntl`` record lock; the documented cross-process stand-in for
+  PowerPC ``stwcx.``.
+* :mod:`repro.shm.region` — segment layout (a header, then one
+  :mod:`lane <repro.core.lane>` per CPU), create/attach-by-name,
   per-CPU :class:`~repro.core.buffers.TraceControl` views, the shared
   monotonic clock.
 * :mod:`repro.shm.lanes` — lane ownership: one process binds each CPU's
@@ -28,27 +29,20 @@ Pieces:
   the workload runner behind ``repro-trace shm-demo``.
 
 The model checker extends across this seam in :mod:`repro.check.shm`:
-the stepped scheduling-point instrumentation wraps the shm primitives,
-so the attach/drain logic is explored under adversarial interleavings
-exactly like the core protocol.
+its stepped store wraps the segment's lane stores, so the attach/drain
+logic is explored under adversarial interleavings exactly like the
+core protocol.
 """
 
-from repro.shm.atomics import (
-    ShmAtomicArray,
-    ShmAtomicWord,
-    ShmWordsView,
-    SegmentLock,
-)
+from repro.shm.atomics import SegmentLock, SegmentStore
 from repro.shm.collector import DrainStats, ShmCollector
 from repro.shm.lanes import ShmLaneBusy
 from repro.shm.region import SharedShmClock, ShmLayout, ShmTraceRegion
 from repro.shm.procs import ShmWorkloadResult, run_shm_workload
 
 __all__ = [
-    "ShmAtomicWord",
-    "ShmAtomicArray",
-    "ShmWordsView",
     "SegmentLock",
+    "SegmentStore",
     "ShmLaneBusy",
     "ShmLayout",
     "ShmTraceRegion",

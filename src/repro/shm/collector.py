@@ -38,6 +38,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
+import numpy as np
+
 from repro.core.buffers import BufferRecord, decode_commit_word
 from repro.core.writer import TraceFileWriter
 from repro.shm.region import ShmTraceRegion
@@ -80,12 +82,13 @@ class ShmCollector:
         self.stats = DrainStats()
         lay = region.layout
         self._next_seq = {cpu: 0 for cpu in range(lay.ncpus)}
-        self._index = {cpu: region.index_word(cpu)
-                       for cpu in range(lay.ncpus)}
-        self._committed = {cpu: region.committed_array(cpu)
+        #: The segment's words, and per CPU the word offsets of its
+        #: index, committed counts and trace memory.
+        self._words = region.words
+        self._index = {cpu: lay.index_word(cpu) for cpu in range(lay.ncpus)}
+        self._committed = {cpu: lay.committed_words(cpu)
                            for cpu in range(lay.ncpus)}
-        self._trace = {cpu: region.trace_view(cpu)
-                       for cpu in range(lay.ncpus)}
+        self._trace = {cpu: lay.trace_words(cpu) for cpu in range(lay.ncpus)}
         # (cpu, seq) pairs already counted on stats.held: a slow writer
         # holds the same buffer across many polls, but it is one
         # deferred emission, not one per poll.
@@ -105,13 +108,16 @@ class ShmCollector:
         lay = self.region.layout
         bw = lay.buffer_words
         slot = seq % lay.num_buffers
-        start = slot * bw
-        committed_word = self._committed[cpu].peek(slot)
+        start = self._trace[cpu] + slot * bw
+        mem = self._words
+        committed_at = self._committed[cpu] + slot
+        committed_word = mem[committed_at]
         for attempt in range(_STABLE_COPY_TRIES):
-            words = self._trace[cpu][start:start + bw]
-            if self._index[cpu].peek() // bw - seq >= lay.num_buffers:
+            # np.array copies: no view of the segment outlives the call.
+            words = np.array(mem[start:start + bw], dtype=np.uint64)
+            if mem[self._index[cpu]] // bw - seq >= lay.num_buffers:
                 return None  # lapped mid-copy; the slot holds a newer buffer
-            recheck = self._committed[cpu].peek(slot)
+            recheck = mem[committed_at]
             if recheck == committed_word:
                 break
             committed_word = recheck
@@ -138,8 +144,9 @@ class ShmCollector:
         lay = self.region.layout
         records: List[BufferRecord] = []
         self.stats.polls += 1
+        mem = self._words
         for cpu in range(lay.ncpus):
-            cur_seq = self._index[cpu].peek() // lay.buffer_words
+            cur_seq = mem[self._index[cpu]] // lay.buffer_words
             next_seq = self._next_seq[cpu]
             # Ring already lapped the cursor: the oldest sequences are
             # unrecoverable — account for them and move the cursor up.
@@ -149,8 +156,8 @@ class ShmCollector:
                 next_seq = oldest_alive
             while next_seq < cur_seq - lag:
                 if not force:
-                    word = self._committed[cpu].peek(
-                        next_seq % lay.num_buffers)
+                    word = mem[self._committed[cpu]
+                               + next_seq % lay.num_buffers]
                     if decode_commit_word(next_seq, word) < lay.buffer_words:
                         # Reserved past it, but not every event inside is
                         # committed yet: its writer is still (or was, when
@@ -184,7 +191,7 @@ class ShmCollector:
         records = self.poll(lag=0, force=True)
         lay = self.region.layout
         for cpu in range(lay.ncpus):
-            index = self._index[cpu].peek()
+            index = self._words[self._index[cpu]]
             fill = index & (lay.buffer_words - 1)
             seq = index // lay.buffer_words
             if fill == 0 or self._next_seq[cpu] > seq:

@@ -16,24 +16,26 @@ the full :class:`~repro.shm.atomics.SegmentLock`:
 * a lane owned by another live process is refused with
   :class:`ShmLaneBusy`, which names that pid.
 
-A lane this process owns gets a :class:`LaneLock`: the per-segment
-thread lock alone.  Threads of the owner still contend, but no other
-process writes the lane, so the ``fcntl`` half of the micro-lock has
-nothing left to exclude and an event stops paying its four syscalls.
+A lane this process owns is written through a
+:class:`~repro.core.lane.LaneStore` whose lock is the per-segment thread
+lock alone.  Threads of the owner still contend, but no other process
+writes the lane, so the ``fcntl`` half of the micro-lock has nothing
+left to exclude and an event stops paying its four syscalls.
 Everything else keeps the full segment lock: the owner word itself, the
 header flags, the creator's start anchors and any lane nobody claimed.
 
 The lane is released when the last attach of this process that bound it
 closes.  A forked child inherits the parent's mapping but not its
-lanes: a fork hook turns every inherited owned lane's lock into one that
-raises :class:`ShmLaneBusy`, so parent and child never share a lane
-under the thread lock alone.
+lanes: a fork hook swaps the lock of every store bound to an inherited
+lane for one that raises :class:`ShmLaneBusy`, so parent and child never
+share a lane under the thread lock alone.
 """
 
 from __future__ import annotations
 
 import os
 import threading
+import weakref
 from typing import Callable, Dict, Tuple
 
 #: Owner word layout: pid in the low 32 bits, generation in the high 32.
@@ -65,7 +67,7 @@ def pid_alive(pid: int) -> bool:
 
 
 class _Revoked:
-    """The thread half of a lane lock inherited across fork."""
+    """The lock of a lane store inherited across fork."""
 
     __slots__ = ("_args",)
 
@@ -76,47 +78,30 @@ class _Revoked:
         raise ShmLaneBusy(*self._args)
 
 
-class LaneLock:
-    """The micro-lock of an owned lane: the per-segment thread lock only.
-
-    Same ``acquire(byte_off)``/``release(byte_off)`` surface as
-    :class:`~repro.shm.atomics.SegmentLock`, so the shm atomics take
-    either without knowing which.
-    """
-
-    __slots__ = ("_thread_lock",)
-
-    def __init__(self, thread_lock) -> None:
-        self._thread_lock = thread_lock
-
-    def acquire(self, byte_off: int) -> None:
-        self._thread_lock.acquire()
-
-    def release(self, byte_off: int) -> None:
-        self._thread_lock.release()
-
-    def revoke(self, segment: str, cpu: int, pid: int) -> None:
-        """Make every later acquire raise :class:`ShmLaneBusy`."""
-        self._thread_lock = _Revoked(segment, cpu, pid)
-
-
 class Lane:
-    """One lane a :class:`LaneOwner` holds, shared by its binding attaches."""
+    """One lane a :class:`LaneOwner` holds, shared by its binding
+    attaches; ``stores`` are the lane stores they write it through."""
 
-    __slots__ = ("owner", "key", "segment", "word", "refs", "lock")
+    __slots__ = ("owner", "key", "segment", "word", "refs", "stores")
 
     def __init__(self, owner: "LaneOwner", key: Tuple[int, int, int],
-                 segment: str, word: int, lock: LaneLock) -> None:
+                 segment: str, word: int) -> None:
         self.owner = owner
         self.key = key  # (st_dev, st_ino, cpu)
         self.segment = segment
         self.word = word  # the owner word as this claim wrote it
         self.refs = 1
-        self.lock = lock
+        self.stores: "weakref.WeakSet" = weakref.WeakSet()
 
     @property
     def cpu(self) -> int:
         return self.key[2]
+
+    def revoke(self, pid: int) -> None:
+        """Make every later compare-and-store on the lane raise
+        :class:`ShmLaneBusy` naming ``pid``."""
+        for store in self.stores:
+            store.lock = _Revoked(self.segment, self.cpu, pid)
 
 
 class LaneOwner:
@@ -142,11 +127,12 @@ class LaneOwner:
     def holds(self, key: Tuple[int, int, int]) -> bool:
         return key in self._lanes
 
-    def claim(self, region, cpu: int, *, yield_fn=None,
-              observer=None) -> Lane:
-        """Bind ``cpu``'s lane of ``region`` to this process."""
+    def claim(self, region, cpu: int, word=None) -> Lane:
+        """Bind ``cpu``'s lane of ``region`` to this process; ``word``
+        substitutes the owner word (the model checker's stepped one)."""
         key = region.seglock.key + (cpu,)
-        word = region.owner_word(cpu, yield_fn=yield_fn, observer=observer)
+        if word is None:
+            word = region.owner_word(cpu)
         with self._guard:
             lane = self._lanes.get(key)
             if lane is not None and word.load() == lane.word:
@@ -161,8 +147,7 @@ class LaneOwner:
                 new = (gen << GENERATION_SHIFT) | self.pid
                 if self._take(word, cur, new):
                     break
-            lane = Lane(self, key, region.name, new,
-                        LaneLock(region.seglock.thread_lock))
+            lane = Lane(self, key, region.name, new)
             self._lanes[key] = lane
             return lane
 
@@ -189,7 +174,7 @@ def _after_fork_in_child() -> None:
     parent = _current
     parent._forked = True
     for lane in parent._lanes.values():
-        lane.lock.revoke(lane.segment, lane.cpu, parent.pid)
+        lane.revoke(parent.pid)
     _current = LaneOwner(os.getpid())
 
 

@@ -20,8 +20,13 @@ Layout (64-bit little-endian words)::
 
 All per-CPU state is contiguous and CPU blocks are disjoint, preserving
 the paper's no-shared-cache-lines property at segment granularity.  A
-CPU's block and trace memory form its *lane*; the owner word names the
-one process bound to it as a writer (:mod:`repro.shm.lanes`).
+CPU's block and trace memory form its *lane* — the same run of words a
+private facility keeps in its heap (:mod:`repro.core.lane`); the owner
+word names the one process bound to it as a writer
+(:mod:`repro.shm.lanes`).  Each attach reads and writes the whole
+segment through one cast view, :attr:`ShmTraceRegion.words`, and
+:meth:`ShmTraceRegion.close` releases it, so a logger that outlives the
+attach fails with ``ValueError`` instead of writing into unmapped memory.
 
 Timestamps must agree across processes, so the creator stamps a
 ``time.monotonic_ns`` origin into the header and every process derives
@@ -35,20 +40,24 @@ import threading
 import time
 from dataclasses import dataclass
 from multiprocessing import shared_memory
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from repro.core.buffers import Mode, TraceControl
+from repro.core.lane import (
+    BOOKED,
+    FIXED_WORDS,
+    INDEX,
+    OWNER,
+    LaneStore,
+    LaneWord,
+    cast_words,
+    check_byteorder,
+    lane_words,
+)
 from repro.core.logger import TraceLogger
 from repro.core.mask import TraceMask
 from repro.core.registry import EventRegistry
-from repro.shm.atomics import (
-    Observer,
-    SegmentLock,
-    ShmAtomicArray,
-    ShmAtomicWord,
-    ShmWordsView,
-    YieldFn,
-)
+from repro.shm.atomics import SegmentLock, SegmentStore
 from repro.shm.lanes import Lane, LaneOwner
 
 #: ``b"K42SHM01"`` read as a little-endian 64-bit word.
@@ -68,12 +77,6 @@ _H_FLAGS = 7
 
 #: Flag bits (word ``_H_FLAGS``).
 FLAG_DONE = 1
-
-# Per-CPU control block word indices (before the committed counts).
-_C_INDEX = 0
-_C_BOOKED = 1
-_C_OWNER = 2
-_C_FIXED_WORDS = 4  # index, booked_seq, owner, 1 reserved
 
 
 class ShmFormatError(ValueError):
@@ -98,11 +101,11 @@ class ShmLayout:
 
     @property
     def ctrl_words(self) -> int:
-        return _C_FIXED_WORDS + 2 * self.num_buffers
+        return FIXED_WORDS + 2 * self.num_buffers
 
     @property
     def cpu_words(self) -> int:
-        return self.ctrl_words + self.total_words_per_cpu
+        return lane_words(self.buffer_words, self.num_buffers)
 
     @property
     def segment_words(self) -> int:
@@ -119,16 +122,16 @@ class ShmLayout:
         return HEADER_WORDS + cpu * self.cpu_words
 
     def index_word(self, cpu: int) -> int:
-        return self.cpu_base(cpu) + _C_INDEX
+        return self.cpu_base(cpu) + INDEX
 
     def booked_word(self, cpu: int) -> int:
-        return self.cpu_base(cpu) + _C_BOOKED
+        return self.cpu_base(cpu) + BOOKED
 
     def owner_word(self, cpu: int) -> int:
-        return self.cpu_base(cpu) + _C_OWNER
+        return self.cpu_base(cpu) + OWNER
 
     def committed_words(self, cpu: int) -> int:
-        return self.cpu_base(cpu) + _C_FIXED_WORDS
+        return self.cpu_base(cpu) + FIXED_WORDS
 
     def slot_seq_words(self, cpu: int) -> int:
         return self.committed_words(cpu) + self.num_buffers
@@ -190,9 +193,9 @@ class ShmTraceRegion:
 
     Create in one process, :meth:`attach` by name from any other; both
     hand out :class:`~repro.core.buffers.TraceControl` /
-    :class:`~repro.core.logger.TraceLogger` objects whose control state
-    lives in the segment.  Exactly one process binds each CPU as a
-    writer at a time, and :meth:`logger` enforces it: its claim raises
+    :class:`~repro.core.logger.TraceLogger` objects whose lane lives in
+    the segment.  Exactly one process binds each CPU as a writer at a
+    time, and :meth:`logger` enforces it: its claim raises
     :class:`~repro.shm.lanes.ShmLaneBusy` when another live process owns
     the lane.  Readers — the collector — may watch any CPU concurrently.
 
@@ -208,9 +211,16 @@ class ShmTraceRegion:
         self.tick_ns = tick_ns
         self.clock_origin_ns = clock_origin_ns
         self.owner = owner
+        #: The whole segment as native 64-bit words: word ``i`` is byte
+        #: ``8 * i``.  Every store this attach hands out indexes it.
+        self.words = cast_words(shm.buf[:layout.segment_bytes])
         self.seglock = SegmentLock(shm.name)
+        #: Words no process owns: header flags, owner words, unclaimed
+        #: lanes.  Their compare-and-store takes the fcntl lock.
+        self.segment_store = SegmentStore(self.words, self.seglock)
         self.lane_owner: Optional[LaneOwner] = None
         self._bound: Dict[int, Lane] = {}
+        self._owned: Dict[int, LaneStore] = {}
         self._bound_guard = threading.Lock()
         self._closed = False
 
@@ -242,9 +252,12 @@ class ShmTraceRegion:
         passes its step clock); writers attaching later always derive
         :class:`SharedShmClock` from the header, so an override only
         makes sense when every participant is handed the same object.
+        Refused with :class:`~repro.core.lane.UnsupportedByteOrder` on a
+        big-endian host, before any segment exists.
         """
         layout = ShmLayout(ncpus=ncpus, buffer_words=buffer_words,
                            num_buffers=num_buffers)
+        check_byteorder()
         shm = shared_memory.SharedMemory(
             create=True, size=layout.segment_bytes, name=name)
         origin_ns = time.monotonic_ns()
@@ -266,43 +279,64 @@ class ShmTraceRegion:
 
     @classmethod
     def attach(cls, name: str) -> "ShmTraceRegion":
-        """Attach to an existing segment by name and validate its header."""
+        """Attach to an existing segment by name and validate its header.
+
+        Refused with :class:`~repro.core.lane.UnsupportedByteOrder` on a
+        big-endian host.
+        """
+        check_byteorder()
         shm = _attach_segment(name)
-        view = ShmWordsView(shm.buf, 0, HEADER_WORDS)
-        magic = view[_H_MAGIC]
+        header_bytes = 8 * HEADER_WORDS
+        if shm.size < header_bytes:
+            shm.close()
+            raise ShmFormatError(
+                f"segment {name!r} holds {shm.size} bytes, too few for "
+                f"a header")
+        view = cast_words(shm.buf[:header_bytes])
+        try:
+            header = view.tolist()
+        finally:
+            view.release()
+        magic = header[_H_MAGIC]
         if magic != SEGMENT_MAGIC:
             shm.close()
             raise ShmFormatError(
                 f"segment {name!r} is not a trace region "
                 f"(magic {magic:#x})")
-        if view[_H_VERSION] != SEGMENT_VERSION:
-            version = view[_H_VERSION]
+        if header[_H_VERSION] != SEGMENT_VERSION:
             shm.close()
             raise ShmFormatError(
-                f"segment {name!r} has unsupported version {version}")
+                f"segment {name!r} has unsupported version "
+                f"{header[_H_VERSION]}")
         layout = ShmLayout(
-            ncpus=view[_H_NCPUS],
-            buffer_words=view[_H_BUFFER_WORDS],
-            num_buffers=view[_H_NUM_BUFFERS],
+            ncpus=header[_H_NCPUS],
+            buffer_words=header[_H_BUFFER_WORDS],
+            num_buffers=header[_H_NUM_BUFFERS],
         )
         if shm.size < layout.segment_bytes:
             shm.close()
             raise ShmFormatError(
                 f"segment {name!r} holds {shm.size} bytes, geometry "
                 f"needs {layout.segment_bytes}")
-        return cls(shm, layout, view[_H_TICK_NS], view[_H_CLOCK_ORIGIN],
+        return cls(shm, layout, header[_H_TICK_NS], header[_H_CLOCK_ORIGIN],
                    owner=False)
 
     def close(self) -> None:
         """Detach from the segment (idempotent; keeps the segment alive).
+
         Releases the lanes this attach bound once no other attach of
-        the process holds them."""
+        the process holds them, then the word view every store, word and
+        logger of this attach indexes: any of them used afterwards
+        raises ``ValueError``.
+        """
         if self._closed:
             return
         self._closed = True
         for cpu, lane in self._bound.items():
             lane.owner.release(lane, self.owner_word(cpu))
         self._bound.clear()
+        self._owned.clear()
+        self.words.release()
         self.seglock.close()
         self.shm.close()
 
@@ -344,23 +378,19 @@ class ShmTraceRegion:
 
     # -- raw header access ----------------------------------------------
     def _poke_header(self, word: int, value: int) -> None:
-        ShmWordsView(self.shm.buf, 0, HEADER_WORDS)[word] = value
+        self.words[word] = value
 
     def _peek_header(self, word: int) -> int:
-        return ShmWordsView(self.shm.buf, 0, HEADER_WORDS)[word]
-
-    def _flags_word(self) -> ShmAtomicWord:
-        return ShmAtomicWord(self.shm.buf, 8 * _H_FLAGS, self.seglock,
-                             name="flags")
+        return self.words[word]
 
     def set_done(self) -> None:
         """Raise the done flag: writers have quiesced, collectors finish."""
-        flags = self._flags_word()
+        store = self.segment_store
         while True:
-            cur = flags.peek()
+            cur = self.words[_H_FLAGS]
             if cur & FLAG_DONE:
                 return
-            if flags.compare_and_store(cur, cur | FLAG_DONE):
+            if store.cas(_H_FLAGS, cur, cur | FLAG_DONE):
                 return
 
     def is_done(self) -> bool:
@@ -370,101 +400,58 @@ class ShmTraceRegion:
     def clock(self) -> SharedShmClock:
         return SharedShmClock(self.clock_origin_ns, self.tick_ns)
 
-    def trace_view(self, cpu: int) -> ShmWordsView:
-        """The raw trace-memory words of one CPU (collector's read side)."""
-        return ShmWordsView(self.shm.buf, 8 * self.layout.trace_words(cpu),
-                            self.layout.total_words_per_cpu)
+    def lane_store(self, cpu: int) -> LaneStore:
+        """The store ``cpu``'s lane is written through from this attach:
+        thread-locked once the lane is claimed (:meth:`claim`), the
+        fcntl-locked :attr:`segment_store` otherwise."""
+        return self._owned.get(cpu, self.segment_store)
 
-    def _lock(self, cpu: int):
-        lane = self._bound.get(cpu)
-        return self.seglock if lane is None else lane.lock
+    def index_word(self, cpu: int) -> LaneWord:
+        return LaneWord(self.lane_store(cpu), self.layout.index_word(cpu))
 
-    def index_word(self, cpu: int, *, yield_fn: Optional[YieldFn] = None,
-                   observer: Optional[Observer] = None) -> ShmAtomicWord:
-        return ShmAtomicWord(self.shm.buf, 8 * self.layout.index_word(cpu),
-                             self._lock(cpu), name=f"cpu{cpu}.index",
-                             yield_fn=yield_fn, observer=observer)
-
-    def owner_word(self, cpu: int, *, yield_fn: Optional[YieldFn] = None,
-                   observer: Optional[Observer] = None) -> ShmAtomicWord:
+    def owner_word(self, cpu: int) -> LaneWord:
         """The lane's owner word; always under the full segment lock."""
-        return ShmAtomicWord(self.shm.buf, 8 * self.layout.owner_word(cpu),
-                             self.seglock, name=f"cpu{cpu}.owner",
-                             yield_fn=yield_fn, observer=observer)
+        return LaneWord(self.segment_store, self.layout.owner_word(cpu))
 
-    def claim(self, cpu: int, *, yield_fn: Optional[YieldFn] = None,
-              observer: Optional[Observer] = None) -> Lane:
+    def claim(self, cpu: int, *, owner_word: Optional[LaneWord] = None
+              ) -> Lane:
         """Bind ``cpu``'s lane to this process for this attach.
 
         Idempotent per attach, and one claim per process however many
         attaches bind the lane.  Raises
         :class:`~repro.shm.lanes.ShmLaneBusy` if another live process
-        owns it.  From then on :meth:`control` hands out the lane's
-        words under its :class:`~repro.shm.lanes.LaneLock`.
+        owns it.  From then on :meth:`lane_store` is a store under the
+        segment's thread lock alone.  ``owner_word`` substitutes the
+        word the claim CASes (the model checker's stepped one).
         """
         owner = self.lane_owner or LaneOwner.current()
         with self._bound_guard:
             lane = self._bound.get(cpu)
             if lane is None or lane.owner is not owner:
-                lane = owner.claim(self, cpu, yield_fn=yield_fn,
-                                   observer=observer)
+                lane = owner.claim(self, cpu, owner_word)
                 self._bound[cpu] = lane
+                store = LaneStore(self.words, self.seglock.thread_lock)
+                lane.stores.add(store)
+                self._owned[cpu] = store
             return lane
 
-    def slot_seq_view(self, cpu: int) -> ShmWordsView:
-        return ShmWordsView(self.shm.buf,
-                            8 * self.layout.slot_seq_words(cpu),
-                            self.layout.num_buffers)
-
-    def committed_array(self, cpu: int, *,
-                        yield_fn: Optional[YieldFn] = None,
-                        observer: Optional[Observer] = None
-                        ) -> ShmAtomicArray:
-        return ShmAtomicArray(self.shm.buf,
-                              8 * self.layout.committed_words(cpu),
-                              self.layout.num_buffers, self._lock(cpu),
-                              name=f"cpu{cpu}.committed",
-                              yield_fn=yield_fn, observer=observer)
-
-    def control(
-        self,
-        cpu: int,
-        *,
-        mode: Mode = "flight",
-        array: Optional[List[int]] = None,
-        yield_fn: Optional[YieldFn] = None,
-        observer: Optional[Observer] = None,
-    ) -> TraceControl:
-        """A :class:`TraceControl` whose state lives in the segment.
+    def control(self, cpu: int, *, mode: Mode = "flight",
+                store: Optional[LaneStore] = None) -> TraceControl:
+        """A :class:`TraceControl` over ``cpu``'s lane of the segment.
 
         Defaults to flight mode: a cross-process writer has no local
         write-out queue — the collector process infers completed buffers
         from the shared index instead, so nothing writer-side may depend
-        on in-process completion callbacks.  Its atomics take the lane's
-        :class:`~repro.shm.lanes.LaneLock` once this attach has claimed
-        the lane (:meth:`claim`), the full segment lock otherwise.
-        ``array`` substitutes the trace-memory view (the checker's
-        double-write instrumentation); ``yield_fn``/``observer`` thread
-        through to every shm atomic.
+        on in-process completion callbacks.  ``store`` substitutes
+        :meth:`lane_store` (the model checker's stepped store).
         """
-        ctl = TraceControl(
+        return TraceControl(
             cpu=cpu,
             buffer_words=self.layout.buffer_words,
             num_buffers=self.layout.num_buffers,
             mode=mode,
-        )
-        lay = self.layout
-        buf = self.shm.buf
-        booked = ShmAtomicWord(buf, 8 * lay.booked_word(cpu), self._lock(cpu),
-                               name=f"cpu{cpu}.booked_seq",
-                               yield_fn=yield_fn, observer=observer)
-        return ctl.adopt_state(
-            index=self.index_word(cpu, yield_fn=yield_fn, observer=observer),
-            booked_seq=booked,
-            committed=self.committed_array(cpu, yield_fn=yield_fn,
-                                           observer=observer),
-            array=array if array is not None else self.trace_view(cpu),
-            slot_seq=self.slot_seq_view(cpu),
+            store=store if store is not None else self.lane_store(cpu),
+            base=self.layout.cpu_base(cpu),
         )
 
     def logger(
@@ -475,9 +462,6 @@ class ShmTraceRegion:
         clock=None,
         registry: Optional[EventRegistry] = None,
         mode: Mode = "flight",
-        array: Optional[List[int]] = None,
-        yield_fn: Optional[YieldFn] = None,
-        observer: Optional[Observer] = None,
         fresh_anchor: bool = True,
     ) -> TraceLogger:
         """A ready-to-log :class:`TraceLogger` bound to one CPU.
@@ -493,13 +477,12 @@ class ShmTraceRegion:
         otherwise read as a backwards wrap (``fresh_anchor=False``
         opts out for callers that manage anchoring themselves).
         """
-        self.claim(cpu, yield_fn=yield_fn, observer=observer)
+        self.claim(cpu)
         if mask is None:
             mask = TraceMask()
             mask.enable_all()
         logger = TraceLogger(
-            self.control(cpu, mode=mode, array=array,
-                         yield_fn=yield_fn, observer=observer),
+            self.control(cpu, mode=mode),
             mask,
             clock if clock is not None else self.clock(),
             registry=registry,

@@ -1,11 +1,34 @@
-"""Unit and concurrency tests for the emulated hardware atomics."""
+"""Unit and concurrency tests for the emulated hardware atomics: the
+words of a private lane store (:mod:`repro.core.lane`).
+
+Loads are plain indexing and take no lock; only compare-and-store does.
+"""
 
 import sys
 import threading
 
 import pytest
 
-from repro.atomic import AtomicArray, AtomicWord
+from repro.core.lane import LaneStore
+
+
+def word(initial=0):
+    """One word of a private store, holding ``initial`` mod 2**64."""
+    word = LaneStore.private(1).word(0)
+    word.store(initial)
+    return word
+
+
+def words(length, initial=0):
+    """A private store of ``length`` words, each holding ``initial``."""
+    store = LaneStore.private(length)
+    for i in range(length):
+        store.store(i, initial)
+    return store
+
+
+def snapshot(store):
+    return store.mem.tolist()
 
 
 @pytest.fixture
@@ -37,47 +60,47 @@ def _cas_increment_from_threads(load, cas, n_threads=8, n_iters=1500):
 
 class TestAtomicWord:
     def test_initial_value(self):
-        assert AtomicWord().load() == 0
-        assert AtomicWord(41).load() == 41
+        assert word().load() == 0
+        assert word(41).load() == 41
 
     def test_store_load(self):
-        w = AtomicWord()
+        w = word()
         w.store(123)
         assert w.load() == 123
 
     def test_wraps_to_64_bits(self):
-        w = AtomicWord(1 << 64)
+        w = word(1 << 64)
         assert w.load() == 0
         w.store((1 << 64) + 5)
         assert w.load() == 5
 
     def test_cas_success(self):
-        w = AtomicWord(10)
+        w = word(10)
         assert w.compare_and_store(10, 20) is True
         assert w.load() == 20
 
     def test_cas_failure_leaves_value(self):
-        w = AtomicWord(10)
+        w = word(10)
         assert w.compare_and_store(11, 20) is False
         assert w.load() == 10
 
     def test_cas_with_wrapping_operands(self):
-        w = AtomicWord(3)
+        w = word(3)
         assert w.compare_and_store((1 << 64) + 3, 7) is True
         assert w.load() == 7
 
     def test_fetch_and_add_returns_previous(self):
-        w = AtomicWord(5)
+        w = word(5)
         assert w.fetch_and_add(3) == 5
         assert w.load() == 8
 
     def test_fetch_and_add_wraps(self):
-        w = AtomicWord((1 << 64) - 1)
+        w = word((1 << 64) - 1)
         assert w.fetch_and_add(2) == (1 << 64) - 1
         assert w.load() == 1
 
     def test_concurrent_fetch_and_add_loses_nothing(self):
-        w = AtomicWord()
+        w = word()
         n_threads, n_iters = 8, 2000
 
         def work():
@@ -94,7 +117,7 @@ class TestAtomicWord:
     def test_concurrent_cas_exactly_one_winner_per_value(self):
         """Each CAS generation has exactly one winner — the property the
         lockless reservation algorithm depends on."""
-        w = AtomicWord(0)
+        w = word(0)
         wins = []
         lock = threading.Lock()
 
@@ -118,46 +141,46 @@ class TestAtomicWord:
         assert sum(wins) == w.load()
 
     def test_lock_free_load_cas_increment_exact(self, tiny_switch_interval):
-        w = AtomicWord()
+        w = word()
         expected = _cas_increment_from_threads(w.load, w.compare_and_store)
         assert w.load() == expected
 
 
 class TestAtomicArray:
     def test_length_and_defaults(self):
-        a = AtomicArray(4)
+        a = words(4)
         assert len(a) == 4
-        assert a.snapshot() == [0, 0, 0, 0]
+        assert snapshot(a) == [0, 0, 0, 0]
 
     def test_negative_length_rejected(self):
         with pytest.raises(ValueError):
-            AtomicArray(-1)
+            words(-1)
 
     def test_store_load_independent_elements(self):
-        a = AtomicArray(3)
+        a = words(3)
         a.store(0, 10)
         a.store(2, 30)
-        assert a.snapshot() == [10, 0, 30]
+        assert snapshot(a) == [10, 0, 30]
 
     def test_cas_per_element(self):
-        a = AtomicArray(2)
-        assert a.compare_and_store(0, 0, 9)
-        assert not a.compare_and_store(1, 9, 1)
-        assert a.snapshot() == [9, 0]
+        a = words(2)
+        assert a.cas(0, 0, 9)
+        assert not a.cas(1, 9, 1)
+        assert snapshot(a) == [9, 0]
 
     def test_fetch_and_add(self):
-        a = AtomicArray(2, initial=100)
+        a = words(2, initial=100)
         assert a.fetch_and_add(1, 5) == 100
         assert a.load(1) == 105
         assert a.load(0) == 100
 
     def test_zero_length_array(self):
-        a = AtomicArray(0)
+        a = words(0)
         assert len(a) == 0
-        assert a.snapshot() == []
+        assert snapshot(a) == []
 
     def test_concurrent_adds_per_slot(self):
-        a = AtomicArray(4)
+        a = words(4)
 
         def work(slot):
             for _ in range(3000):
@@ -168,10 +191,10 @@ class TestAtomicArray:
             t.start()
         for t in threads:
             t.join()
-        assert sum(a.snapshot()) == 8 * 3000
+        assert sum(snapshot(a)) == 8 * 3000
 
     def test_lock_free_load_cas_increment_exact(self, tiny_switch_interval):
-        a = AtomicArray(4)
+        a = words(4)
         expected = _cas_increment_from_threads(
-            lambda: a.load(2), lambda old, new: a.compare_and_store(2, old, new))
-        assert a.snapshot() == [0, 0, expected, 0]
+            lambda: a.mem[2], lambda old, new: a.cas(2, old, new))
+        assert snapshot(a) == [0, 0, expected, 0]

@@ -2,19 +2,36 @@
 
 import pytest
 
-from repro.atomic import SteppedAtomicArray, SteppedAtomicWord
 from repro.check.coop import CoopRuntime, DONE, KILLED, EngineError
 from repro.check.harness import (
     CheckConfig,
     ConfigError,
     run_schedule,
 )
-from repro.check.instrument import DoubleWriteError, InstrumentedArray, Probe
+from repro.check.instrument import (
+    DoubleWriteError,
+    Probe,
+    SteppedStore,
+    TraceWatch,
+)
+from repro.core.lane import LaneStore
+
+
+def stepped(nwords, **kw):
+    """A stepped store over a private one; word 0 is named ``idx`` and
+    words 1.. are the elements of ``committed``."""
+    names = {0: ("idx", None)}
+    names.update({1 + k: (f"committed[{k}]", k) for k in range(nwords - 1)})
+    return SteppedStore(LaneStore.private(nwords), names=names, **kw)
 
 
 class TestSteppedAtomics:
+    """Each operation of the stepped lane store is a scheduling point."""
+
     def test_word_semantics(self):
-        w = SteppedAtomicWord(5)
+        store = stepped(1)
+        w = store.word(0)
+        w.store(5)
         assert w.load() == 5
         w.store(9)
         assert w.peek() == 9
@@ -22,33 +39,47 @@ class TestSteppedAtomics:
         assert not w.compare_and_store(9, 11)
         assert w.fetch_and_add(2) == 10
         assert w.load() == 12
+        assert store.mem[0] == 12  # indexing is the load the logger does
 
     def test_word_yields_before_effect(self):
-        labels = []
-        w = SteppedAtomicWord(0, yield_fn=labels.append, name="idx")
-        w.load()
-        w.compare_and_store(0, 1)
-        w.store(7)
-        w.fetch_and_add(1)
-        assert labels == ["idx.load", "idx.cas", "idx.store", "idx.faa"]
+        labels, seen_at_yield = [], []
+
+        def yield_fn(label):
+            labels.append(label)
+            seen_at_yield.append(store.peek(0))
+
+        store = stepped(1, yield_fn=yield_fn)
+        store.mem[0]
+        store.cas(0, 0, 1)
+        store.store(0, 7)
+        store.fetch_and_add(0, 1)
+        store.mem[0] = 3
+        assert labels == ["idx.load", "idx.cas", "idx.store", "idx.faa",
+                          "idx.store"]
+        assert seen_at_yield == [0, 0, 1, 7, 8]  # before each effect
 
     def test_word_observer_sees_outcome(self):
         seen = []
-        w = SteppedAtomicWord(0, observer=lambda *a: seen.append(a))
-        w.compare_and_store(0, 4)
-        w.compare_and_store(0, 5)
-        assert seen[0] == ("word", "cas", (0, 4), True)
-        assert seen[1] == ("word", "cas", (0, 5), False)
+        store = stepped(1, observer=lambda *a: seen.append(a))
+        store.cas(0, 0, 4)
+        store.cas(0, 0, 5)
+        store.mem[0]
+        assert seen == [("idx", "cas", (0, 4), True),
+                        ("idx", "cas", (0, 5), False),
+                        ("idx", "load", (), 4)]
 
     def test_array_semantics(self):
-        a = SteppedAtomicArray(3)
-        a.store(1, 42)
-        assert a.load(1) == 42
-        assert a.peek(0) == 0
-        assert a.compare_and_store(1, 42, 43)
-        assert a.fetch_and_add(1, 1) == 43
-        assert a.snapshot() == [0, 44, 0]
-        assert len(a) == 3
+        seen = []
+        store = stepped(4, observer=lambda *a: seen.append(a))
+        store.store(2, 42)
+        assert store.load(2) == 42
+        assert store.peek(1) == 0
+        assert store.cas(2, 42, 43)
+        assert store.fetch_and_add(2, 1) == 43
+        assert store.raw.tolist() == [0, 0, 44, 0]
+        assert len(store) == 4
+        assert seen[0] == ("committed[1]", "store", (1, 0, 42), None)
+        assert seen[2] == ("committed[1]", "cas", (1, 42, 43), True)
 
 
 class TestCoopRuntime:
@@ -101,23 +132,30 @@ class TestCoopRuntime:
         rt.yield_point("setup")  # must not raise or block
 
 
+def watched_trace(nwords=8):
+    """A stepped store whose words are all watched trace memory."""
+    rt = CoopRuntime()
+    probe = Probe(rt, buffer_words=8)
+    return SteppedStore(
+        LaneStore.private(nwords), yield_fn=rt.yield_point,
+        watch=TraceWatch(rt, probe, 0, nwords, label_at=0))
+
+
 class TestInstrumentedArray:
+    """The stepped store's watched trace memory."""
+
     def test_double_write_detected(self):
-        rt = CoopRuntime()
-        probe = Probe(rt, buffer_words=8)
-        arr = InstrumentedArray(8, rt, probe)
-        arr[3] = 1
+        store = watched_trace()
+        store.mem[3] = 1
         with pytest.raises(DoubleWriteError):
-            arr[3] = 2
+            store.mem[3] = 2
 
     def test_slice_zero_resets_ownership(self):
-        rt = CoopRuntime()
-        probe = Probe(rt, buffer_words=8)
-        arr = InstrumentedArray(8, rt, probe)
-        arr[2] = 7
-        arr[0:4] = [0, 0, 0, 0]
-        arr[2] = 8  # legal again after the zeroing
-        assert arr[2] == 8
+        store = watched_trace()
+        store.mem[2] = 7
+        store.mem[0:4] = LaneStore.private(4).mem
+        store.mem[2] = 8  # legal again after the zeroing
+        assert store.mem[2] == 8
 
 
 class TestConfigValidation:

@@ -145,3 +145,24 @@ def test_file_roundtrip(tmp_path):
     with open(path, "rb") as fh:
         dump = read_dump(fh)
     assert dump.intact and dump.records
+
+
+#: sha256 of the dump image of a seeded contention run, as the
+#: image was written before the lane store (three numpy conversions of
+#: Python-level state per CPU).  Writing slices of the lane's words must
+#: not move a byte.
+CONTENTION_DUMP_SHA256 = (
+    "cd73b44596cf290dc457f4c037deb49b75e445387420e5919003e870df74053c")
+
+
+def test_dump_of_seeded_contention_run_is_byte_identical():
+    import hashlib
+
+    from repro.workloads import run_contention
+
+    _kernel, fac, _ = run_contention(ncpus=2, workers_per_cpu=2,
+                                     iterations=20, seed=7,
+                                     buffer_words=256, num_buffers=8)
+    image = dump_bytes(fac.controls)
+    assert len(image) == 33104
+    assert hashlib.sha256(image).hexdigest() == CONTENTION_DUMP_SHA256

@@ -139,7 +139,7 @@ def unwrapped_ring():
     fac = make(ncpus=1, mode="flight", num_buffers=8)
     fac.enable_all()
     control = fac.controls[0]
-    while control.index.load() < 2 * control.buffer_words + 10:
+    while control.index() < 2 * control.buffer_words + 10:
         fac.clock.advance(1)
         fac.log(0, Major.TEST, 1, (7,))
     return fac

@@ -264,12 +264,12 @@ class TestStragglerGarble:
             clock.advance(10)
             logger.log1(Major.TEST, 1, i)
         # The straggler finally wakes and writes with its stale timestamp.
-        pos = idx & control.index_mask
-        control.array[pos] = pack_header(ts & TIMESTAMP_MASK, 2,
-                                         Major.TEST, 1)
-        control.array[pos + 1] = 0xDEAD
-        control.committed.fetch_and_add(
-            control.slot_of(control.buffer_of(idx)), 2
+        pos = control.trace_at + (idx & control.index_mask)
+        control.mem[pos] = pack_header(ts & TIMESTAMP_MASK, 2,
+                                       Major.TEST, 1)
+        control.mem[pos + 1] = 0xDEAD
+        control.store.fetch_and_add(
+            control.committed_at + control.slot_of(control.buffer_of(idx)), 2
         )
         trace = decode(control)
         assert trace.anomalies, (

@@ -148,10 +148,11 @@ class TestConcurrentLogging:
 class TestConcurrentLoggingForcedSwitch:
     """The exactness tests again with a 1 us GIL switch interval.
 
-    ``AtomicWord.load``/``AtomicArray.load`` take no lock, so a thread can
-    be switched out between the load and the compare-and-store that
-    consumes it; these runs force that window open often and rely on the
-    CAS to reject every stale read.
+    Loads of the index and committed words are plain indexing of the
+    lane's word view and take no lock, so a thread can be switched out
+    between the load and the compare-and-store that consumes it; these
+    runs force that window open often and rely on the CAS to reject
+    every stale read.
     """
 
     @pytest.fixture(autouse=True)

@@ -1,8 +1,9 @@
 """Deterministic CAS-race injection on the lockless logger.
 
 The threaded stress tests exercise races probabilistically; these tests
-force the exact interleavings of Figure 1 using the simulator's atomic
-word with an interference hook, making every branch of the retry loop
+force the exact interleavings of Figure 1 through a stepped lane store
+whose yield seam runs an interference hook just before each
+compare-and-store of the index, making every branch of the retry loop
 reachable on demand:
 
 * a competitor CASes the index between our load and our CAS → retry;
@@ -12,8 +13,9 @@ reachable on demand:
 """
 
 
-from repro.atomic import SimAtomicWord
+from repro.check.instrument import SteppedStore
 from repro.core.buffers import TraceControl
+from repro.core.lane import BOOKED, INDEX, LaneStore, lane_words
 from repro.core.logger import TraceLogger
 from repro.core.majors import ControlMinor, Major
 from repro.core.mask import TraceMask
@@ -22,17 +24,50 @@ from repro.core.stream import TraceReader
 from repro.core.timestamps import ManualClock
 
 
+class Index:
+    """The index word, raw, plus the hook run before each of its CASes
+    (called with the value the CAS expects)."""
+
+    def __init__(self, raw):
+        self.raw = raw
+        self.hook = None
+
+    def set_hook(self, hook):
+        self.hook = hook
+
+    def before(self, label):
+        if label == "index.cas" and self.hook is not None:
+            self.hook(self.raw.load(INDEX))
+
+    def store(self, value):
+        self.raw.store(INDEX, value)
+
+
 def make(buffer_words=32, num_buffers=4):
+    raw = LaneStore.private(lane_words(buffer_words, num_buffers))
+    index = Index(raw)
     control = TraceControl(
         buffer_words=buffer_words, num_buffers=num_buffers,
-        atomic_word_factory=SimAtomicWord,
+        store=SteppedStore(raw, names={INDEX: ("index", None)},
+                           yield_fn=index.before),
     )
     mask = TraceMask()
     mask.enable_all()
     clock = ManualClock()
     logger = TraceLogger(control, mask, clock, registry=default_registry())
     logger.start()
-    return logger, control, clock
+    return logger, control, clock, index
+
+
+def write_event(control, index, words, length=None):
+    """A competitor's event at reservation ``index``, committed as
+    ``length`` words (default: the words written)."""
+    pos = control.trace_at + (index & control.index_mask)
+    for i, w in enumerate(words):
+        control.store.raw[pos + i] = w
+    control.store.inner.fetch_and_add(
+        control.committed_at + control.slot_of(control.buffer_of(index)),
+        len(words) if length is None else length)
 
 
 def decode(control):
@@ -42,16 +77,15 @@ def decode(control):
 
 
 def test_cas_failure_causes_retry_and_success():
-    logger, control, clock = make()
-    index: SimAtomicWord = control.index
+    logger, control, clock, index = make()
 
     fired = []
 
-    def competitor(word, expected, new):
+    def competitor(expected):
         # Another "CPU-local competitor" reserves 2 words first —
         # once; the hook disarms itself so the retry succeeds.
         fired.append(True)
-        word.store(expected + 2)
+        index.store(expected + 2)
         index.set_hook(None)
 
     index.set_hook(competitor)
@@ -73,24 +107,18 @@ def test_timestamp_reread_on_retry():
     """Figure 2: the timestamp must be (re)determined on every attempt,
     otherwise a process that loses the CAS could log an earlier stamp
     into a later slot."""
-    logger, control, clock = make()
-    index: SimAtomicWord = control.index
+    logger, control, clock, index = make()
 
-    def competitor_with_delay(word, expected, new):
+    def competitor_with_delay(expected):
         # The competitor reserves AND writes its event; meanwhile the
         # clock moves on (we were descheduled mid-attempt).
-        pos = expected & control.index_mask
         from repro.core.constants import TIMESTAMP_MASK
         from repro.core.header import pack_header
 
         ts = clock.now()
-        control.array[pos] = pack_header(ts & TIMESTAMP_MASK, 2,
-                                         Major.TEST, 2)
-        control.array[pos + 1] = 0xC0FFEE
-        control.committed.fetch_and_add(
-            control.slot_of(control.buffer_of(expected)), 2
-        )
-        word.store(expected + 2)
+        write_event(control, expected, [
+            pack_header(ts & TIMESTAMP_MASK, 2, Major.TEST, 2), 0xC0FFEE])
+        index.store(expected + 2)
         clock.advance(500)  # time passes before our retry
         index.set_hook(None)
 
@@ -110,14 +138,13 @@ def test_competitor_fills_buffer_forcing_slow_path():
     """We attempt a fast-path reserve; before our CAS, a competitor
     consumes the rest of the buffer; our retry must take the filler/
     slow path and land in the next buffer."""
-    logger, control, clock = make(buffer_words=32)
-    index: SimAtomicWord = control.index
+    logger, control, clock, index = make(buffer_words=32)
 
-    def hog(word, expected, new):
+    def hog(expected):
         # Fill to one word before the boundary (leaving too little).
         used = expected & (control.buffer_words - 1)
         remaining = control.buffer_words - used
-        word.store(expected + remaining - 1)
+        index.store(expected + remaining - 1)
         index.set_hook(None)
 
     clock.advance(5)
@@ -133,30 +160,25 @@ def test_competitor_fills_buffer_forcing_slow_path():
 
 def test_slow_path_cas_loss_is_retried():
     """The filler CAS can lose too; the loser must re-evaluate."""
-    logger, control, clock = make(buffer_words=32)
+    logger, control, clock, index = make(buffer_words=32)
     # Manually advance the index near the boundary.
-    control.index.store(30)
-    control.booked_seq.store(0)
-    index: SimAtomicWord = control.index
+    index.store(30)
+    control.store.inner.store(BOOKED, 0)
     calls = []
 
-    def steal_slow_path(word, expected, new):
-        calls.append((expected, new))
+    def steal_slow_path(expected):
+        calls.append(expected)
         if len(calls) == 1:
             # First CAS is the slow-path filler claim: make it lose by
             # having "someone else" write the filler and advance.
             from repro.core.constants import TIMESTAMP_MASK
             from repro.core.header import pack_header
 
-            pos = expected & control.index_mask
-            control.array[pos] = pack_header(
+            write_event(control, expected, [pack_header(
                 clock.now() & TIMESTAMP_MASK, 2,
                 Major.CONTROL, ControlMinor.FILLER,
-            )
-            control.committed.fetch_and_add(
-                control.slot_of(control.buffer_of(expected)), 2
-            )
-            word.store(32)
+            )], length=2)
+            index.store(32)
             index.set_hook(None)
 
     clock.advance(5)
@@ -164,20 +186,19 @@ def test_slow_path_cas_loss_is_retried():
     assert logger.log2(Major.TEST, 2, 7, 8)
     index.set_hook(None)
     assert control.stats_cas_retries >= 1
-    assert control.index.load() >= 35  # landed in buffer 1
+    assert control.index() >= 35  # landed in buffer 1
 
 
 def test_interference_preserves_stream_integrity_over_many_events():
     """Sporadic interference across a long run: the final stream still
     contains every event we logged, in order."""
-    logger, control, clock = make(buffer_words=64, num_buffers=8)
-    index: SimAtomicWord = control.index
+    logger, control, clock, index = make(buffer_words=64, num_buffers=8)
     state = {"n": 0}
 
-    def sometimes(word, expected, new):
+    def sometimes(expected):
         state["n"] += 1
         if state["n"] % 7 == 0:
-            word.store(expected + 2)  # 2-word competitor hole
+            index.store(expected + 2)  # 2-word competitor hole
 
     index.set_hook(sometimes)
     for i in range(200):

@@ -1,8 +1,8 @@
 """The model checker must cover the shared-memory seam.
 
 Same contract as ``tests/check/test_mutants.py``, one layer down: the
-Stepped instrumentation wraps the *shm* primitives (``ShmAtomicWord``,
-``ShmAtomicArray``, the raw segment words), clean configurations pass
+stepped store wraps each writer's lane store over the real segment
+(control words, committed counts, trace words), clean configurations pass
 exhaustive exploration, each shm-specific mutant is provably caught
 with a minimized, deterministically replayable counterexample, and a
 run leaves no shared-memory segment behind.

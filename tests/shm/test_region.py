@@ -5,8 +5,13 @@ Everything here happens in one process — the cross-process legs live in
 attach by name, log through the unchanged protocol, drain, decode.
 """
 
+import multiprocessing
+
 import pytest
 
+from repro.core import lane
+from repro.core.facility import TraceFacility
+from repro.core.lane import UnsupportedByteOrder
 from repro.core.majors import Major
 from repro.core.stream import TraceReader
 from repro.shm import ShmCollector, ShmLayout, ShmTraceRegion
@@ -221,10 +226,95 @@ class TestProtocolOverShm:
             region.close()
             region.unlink()
 
-    def test_adopt_state_validates_geometry(self, region):
+    def test_control_validates_store_geometry(self, region):
+        """A lane that would run past the end of its store is refused."""
         from repro.core.buffers import TraceControl
-        ctl = TraceControl(cpu=0, buffer_words=64, num_buffers=4)
+        from repro.core.lane import LaneStore, lane_words
+        need = lane_words(64, 4)
         with pytest.raises(ValueError):
-            ctl.adopt_state(array=[0] * 10)
+            TraceControl(cpu=0, buffer_words=64, num_buffers=4,
+                         store=LaneStore.private(need - 1))
         with pytest.raises(ValueError):
-            ctl.adopt_state(slot_seq=[0] * 3)
+            region.control(0, store=LaneStore.private(need))  # base > 0
+        TraceControl(cpu=0, buffer_words=64, num_buffers=4,
+                     store=LaneStore.private(need))
+
+
+def _log_after_close_main(attached, logger, out):
+    """In a forked child: close the inherited attach, then log."""
+    try:
+        attached.close()
+    except Exception as exc:  # pragma: no cover - reported to the parent
+        out.put(("close", repr(exc)))
+        return
+    try:
+        logger.log1(Major.TEST, 1, 0)
+    except ValueError as exc:
+        out.put(("ValueError", str(exc)))
+    except Exception as exc:  # pragma: no cover - reported to the parent
+        out.put((type(exc).__name__, str(exc)))
+    else:  # pragma: no cover - reported to the parent
+        out.put(("logged", ""))
+
+
+class TestCloseReleasesViews:
+    """Every store, word and logger of an attach indexes one cast view of
+    the segment; ``close`` releases it, so the segment unmaps cleanly
+    and a logger that outlives its attach fails with ``ValueError``."""
+
+    def test_close_with_a_bound_logger(self, region):
+        attached = ShmTraceRegion.attach(region.name)
+        logger = attached.logger(0)
+        word = attached.index_word(0)
+        assert logger.log1(Major.TEST, 1, 0)
+        attached.close()  # no BufferError: nothing still exports the map
+        with pytest.raises(ValueError, match="released memoryview"):
+            logger.log1(Major.TEST, 1, 1)
+        with pytest.raises(ValueError, match="released memoryview"):
+            word.load()
+        region.close()  # the creator's view goes the same way
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(),
+        reason="needs fork")
+    def test_close_with_an_inherited_logger_under_fork(self, region):
+        ctx = multiprocessing.get_context("fork")
+        attached = ShmTraceRegion.attach(region.name)
+        try:
+            logger = attached.logger(0)
+            out = ctx.Queue()
+            p = ctx.Process(target=_log_after_close_main,
+                            args=(attached, logger, out))
+            p.start()
+            kind, detail = out.get(timeout=30)
+            p.join(30)
+            assert p.exitcode == 0
+            assert kind == "ValueError", detail
+            assert "released memoryview" in detail
+            assert logger.log1(Major.TEST, 1, 0)  # the parent's is intact
+        finally:
+            attached.close()
+
+
+class TestByteOrder:
+    """Lane words are little-endian on disk and in the segment; a cast
+    view is native, so a big-endian host is refused, never byte-swapped."""
+
+    @pytest.fixture
+    def big_endian(self, monkeypatch):
+        monkeypatch.setattr(lane, "host_byteorder", lambda: "big")
+
+    def test_create_refuses_before_making_a_segment(self, big_endian):
+        from tests.shm.test_multiproc import shm_segments
+        before = shm_segments()
+        with pytest.raises(UnsupportedByteOrder, match="'big'"):
+            ShmTraceRegion.create(ncpus=1, buffer_words=8, num_buffers=2)
+        assert shm_segments() == before
+
+    def test_attach_refuses(self, region, big_endian):
+        with pytest.raises(UnsupportedByteOrder, match="sys.byteorder"):
+            ShmTraceRegion.attach(region.name)
+
+    def test_private_lane_refuses(self, big_endian):
+        with pytest.raises(UnsupportedByteOrder):
+            TraceFacility(ncpus=1)
