@@ -60,6 +60,7 @@ only the shards whose min/max statistics overlap the predicate.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from typing import Callable, List, Optional
 
@@ -1086,6 +1087,16 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The parser :func:`main` uses, built once per process.
+
+    Parsing reads the tree and writes only the fresh namespace each call
+    returns (defaults included), so one tree serves every call.
+    """
+    return build_parser()
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     """Run one subcommand; exit status 2 for an unreadable input.
 
@@ -1098,7 +1109,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     """
     from repro.store.format import StoreFormatError
 
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except (OSError, ValueError, EOFError, StoreFormatError) as exc:

@@ -65,6 +65,20 @@ def decode_commit_word(seq: int, word: int) -> int:
     return 0
 
 
+def slot_holds_booked(slot_seq: int, slot: int, num_buffers: int) -> bool:
+    """Whether ring slot ``slot`` holds a sequence that was booked into it.
+
+    Booking sequence ``s`` stores ``s`` as the occupant of slot
+    ``s % num_buffers``.  A slot never booked still holds its initial
+    occupant 0, which maps to slot 0 only: everywhere else it is a
+    phantom, a buffer no writer ever entered.  In a damaged memory image
+    a *nonzero* occupant that maps elsewhere fails the test too; that is
+    damage, not a phantom.  Shared by :meth:`TraceControl.snapshot` and
+    the crash-dump reader, which sees the same words in a raw image.
+    """
+    return slot_seq % num_buffers == slot
+
+
 @dataclass
 class BufferRecord:
     """A completed (or flushed-partial) trace buffer, ready for a sink."""
@@ -335,8 +349,12 @@ class TraceControl:
         """Flight-recorder snapshot: the most recent buffers, oldest first.
 
         Reconstructs records straight from the ring; the currently-active
-        buffer is included as partial.  Usable in either mode (in writeout
-        mode it duplicates data already queued).
+        buffer is included as partial.  Only slots whose occupant was
+        booked (:func:`slot_holds_booked`) leave the ring: a slot the
+        index never reached holds no event, and emitting it would only
+        hand the decoder a buffer of zero words to call garbled.  Usable
+        in either mode (in writeout mode it duplicates data already
+        queued).
         """
         index = self.index()
         cur_seq = self.buffer_of(index)
@@ -346,6 +364,8 @@ class TraceControl:
         records: List[BufferRecord] = []
         for slot in range(self.num_buffers):
             seq = self.mem[self.slot_seq_at + slot]
+            if not slot_holds_booked(seq, slot, self.num_buffers):
+                continue  # never booked: a phantom
             if seq == cur_seq and fill == 0:
                 continue  # fresh, nothing reserved yet
             if self.zero_ahead and slot == ahead_slot and slot != cur_slot:

@@ -88,6 +88,23 @@ def _compact_payloads(
     return np.zeros(total, dtype=np.uint64), starts
 
 
+#: The per-row columns of an :class:`EventBatch`, besides ``node``.
+_ROW_COLUMNS = ("base", "cpu", "seq", "offset", "ts32", "major", "minor",
+                "length", "dlen", "time", "timed")
+
+
+def _strictly_increasing(key: Sequence[np.ndarray]) -> bool:
+    """Whether each row of the key columns (most significant first) is
+    lexicographically greater than the row before it."""
+    tied = np.ones(max(len(key[0]) - 1, 0), dtype=bool)
+    for col in key:
+        prev, nxt = col[:-1], col[1:]
+        if np.any(tied & (nxt < prev)):
+            return False
+        tied &= nxt == prev
+    return not tied.any()
+
+
 class EventBatch:
     """A structure-of-arrays view of decoded events.
 
@@ -119,7 +136,7 @@ class EventBatch:
     __slots__ = (
         "words", "base", "cpu", "seq", "offset", "ts32", "major",
         "minor", "length", "dlen", "time", "timed", "registry",
-        "_spec_cache", "_keys", "node",
+        "_spec_cache", "_keys", "node", "_stream", "_ordered",
     )
 
     def __init__(
@@ -158,6 +175,10 @@ class EventBatch:
         )
         self._keys: Optional[np.ndarray] = None
         self.node = node
+        #: The stream-order permutation once known, and whether the rows
+        #: are already in it, once tested (see :meth:`order_by_stream`).
+        self._stream: Optional[np.ndarray] = None
+        self._ordered: Optional[bool] = None
 
     # -- construction ---------------------------------------------------
     @classmethod
@@ -357,22 +378,28 @@ class EventBatch:
         sel = np.asarray(sel)
         if sel.dtype == np.bool_:
             sel = np.flatnonzero(sel)
+        return self._gather(sel)
+
+    def _gather(self, rows: np.ndarray,
+                release: bool = False) -> "EventBatch":
+        """The batch of ``rows``; with ``release``, each of this batch's
+        row columns is dropped as soon as it is gathered.
+
+        Releasing is for a batch nobody else holds, such as a fresh
+        concatenation: its columns are then freed one by one, and the
+        gathers reuse that memory instead of touching new pages.
+        """
+        cols = {}
+        for name in _ROW_COLUMNS:
+            cols[name] = getattr(self, name)[rows]
+            if release:
+                setattr(self, name, None)
         return EventBatch(
             words=self.words,
-            base=self.base[sel],
-            cpu=self.cpu[sel],
-            seq=self.seq[sel],
-            offset=self.offset[sel],
-            ts32=self.ts32[sel],
-            major=self.major[sel],
-            minor=self.minor[sel],
-            length=self.length[sel],
-            dlen=self.dlen[sel],
-            time=self.time[sel],
-            timed=self.timed[sel],
             registry=self.registry,
             spec_cache=self._spec_cache,
-            node=self.node[sel] if self.node is not None else None,
+            node=self.node[rows] if self.node is not None else None,
+            **cols,
         )
 
     # -- fleet ----------------------------------------------------------
@@ -525,6 +552,11 @@ class EventBatch:
         cpu, seq, offset)`` — the node component makes the merged fleet
         order a total order, so the unified view is invariant under the
         ingest order of the per-node traces.
+
+        One stable sort by time over :meth:`order_by_stream`: rows equal
+        in time keep their stream order, which is exactly the rest of
+        the key.  Rows a decode hands over are already in stream order,
+        so that is one sort of one key, merging the per-CPU runs.
         """
         tk = self.time_key()
         if tk.dtype == object:
@@ -541,18 +573,36 @@ class EventBatch:
                 idx = sorted(range(len(self)),
                              key=lambda i: (tkl[i], cl[i], sl[i], ol[i]))
             return np.array(idx, dtype=np.int64)
-        if self.node is not None:
-            return np.lexsort(
-                (self.offset, self.seq, self.cpu, self.node, tk))
-        return np.lexsort((self.offset, self.seq, self.cpu, tk))
+        stream = self.order_by_stream()
+        if self._ordered:
+            return np.argsort(tk, kind="stable")
+        return stream[np.argsort(tk[stream], kind="stable")]
 
     def order_by_stream(self) -> np.ndarray:
         """Indices sorting by decode order: ``(cpu, seq, offset)``
-        (``(node, cpu, seq, offset)`` for fleet batches)."""
-        if self.node is not None:
-            return np.lexsort(
-                (self.offset, self.seq, self.cpu, self.node))
-        return np.lexsort((self.offset, self.seq, self.cpu))
+        (``(node, cpu, seq, offset)`` for fleet batches).
+
+        Computed once per batch and read-only.  Rows already strictly in
+        that order (one O(n) column test) are their own order; only
+        rows that fail the test pay the sort: duplicate sequences from
+        a damaged file, and rows in time order (a fleet view, a
+        ``select()`` of a merged batch).  A merged batch is handed its
+        stream order by :meth:`ColumnarTrace.batch`.
+        """
+        if self._stream is None:
+            key = [self.cpu, self.seq, self.offset]
+            if self.node is not None:
+                key.insert(0, self.node)
+            # Strictly: with no ties, the identity is the only stream
+            # order.
+            self._ordered = _strictly_increasing(key)
+            if self._ordered:
+                stream = np.arange(len(self), dtype=np.int64)
+            else:
+                stream = np.lexsort(key[::-1])
+            stream.flags.writeable = False
+            self._stream = stream
+        return self._stream
 
     # -- materialization (compatibility) --------------------------------
     def event(self, i: int) -> TraceEvent:
@@ -674,18 +724,11 @@ class ColumnarAssembler:
                                  List[Optional[int]], Optional[str]]] = []
         self._state: Dict[int, Tuple[int, int]] = {}
 
-    def add_buffer(
-        self,
-        rec: BufferRecord,
-        scan: BufferScan,
-        times: Optional[Sequence[int]] = None,
-        anchored: bool = False,
-    ) -> None:
+    def add_buffer(self, rec: BufferRecord, scan: BufferScan) -> None:
         """Record one scanned buffer for the next ``finish``/``take``.
 
-        ``times``/``anchored`` are accepted and not read: ``finish``
-        reconstructs every time from the buffer's own words — the same
-        words a caller would have precomputed them from.
+        Nothing is decoded yet: ``finish`` reconstructs every time from
+        the buffer's own words.
         """
         cpu = rec.cpu
         acc = self._acc.get(cpu)
@@ -896,13 +939,28 @@ class ColumnarTrace:
         return self.batches_by_cpu.get(cpu, EventBatch.empty(self.registry))
 
     def batch(self) -> EventBatch:
-        """All CPUs merged into the ``all_events`` total order (cached)."""
+        """All CPUs merged into the ``all_events`` total order (cached).
+
+        The per-CPU batches concatenate in stream order, so the merge is
+        one stable sort by time.  When the concatenation is strictly in
+        stream order, the inverse of that sort *is* the merged batch's
+        stream order, and it is handed down so tools that replay per CPU
+        (:meth:`EventBatch.order_by_stream`) do not sort again.
+        """
         if self._merged is None:
             parts = [self.batches_by_cpu[c]
                      for c in sorted(self.batches_by_cpu)]
             cat = EventBatch.concat(parts) if parts \
                 else EventBatch.empty(self.registry)
-            self._merged = cat.select(cat.order_by_time())
+            order = cat.order_by_time()
+            # A concatenation of several batches is this method's own.
+            merged = cat._gather(order, release=len(parts) > 1)
+            if cat._ordered:
+                stream = np.empty_like(order)
+                stream[order] = np.arange(len(order), dtype=order.dtype)
+                stream.flags.writeable = False
+                merged._stream = stream
+            self._merged = merged
         return self._merged
 
     @property

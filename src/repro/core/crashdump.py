@@ -31,7 +31,12 @@ from typing import BinaryIO, List, Union
 
 import numpy as np
 
-from repro.core.buffers import BufferRecord, TraceControl, decode_commit_word
+from repro.core.buffers import (
+    BufferRecord,
+    TraceControl,
+    decode_commit_word,
+    slot_holds_booked,
+)
 from repro.core.writer import scan_for_magic, words_from_bytes
 
 DUMP_MAGIC = b"K42CRASH"
@@ -111,7 +116,9 @@ def read_dump(source: Union[bytes, BinaryIO]) -> CrashDump:
     survives corruption: a damaged CPU section is reported as an issue,
     the reader scans forward for the next section magic and resumes
     there, and geometry fields are sanity-checked before use.  Only when
-    no later section magic exists does parsing stop early.
+    no later section magic exists does parsing stop early.  Like the
+    snapshot, a slot never booked is not emitted; a slot whose occupant
+    sequence maps to another slot is kept and reported as an issue.
     """
     fh = io.BytesIO(source) if isinstance(source, (bytes, bytearray)) else source
     header = fh.read(_IMG_HEADER.size)
@@ -175,6 +182,16 @@ def read_dump(source: Union[bytes, BinaryIO]) -> CrashDump:
         fill = index % buffer_words
         for slot in range(num_buffers):
             seq = int(slot_seq[slot])
+            if not slot_holds_booked(seq, slot, num_buffers):
+                if seq == 0:
+                    continue  # never booked: a phantom, no event in it
+                # A booked occupant always maps to its own slot, so this
+                # sequence word was damaged.  The words may still hold
+                # events: keep them, under the sequence as read.
+                dump.issues.append(DumpIssue(
+                    cpu, f"cpu {cpu} slot {slot}: occupant sequence {seq} "
+                         f"belongs in slot {seq % num_buffers}; kept as "
+                         f"read"))
             if seq == cur_seq and fill == 0:
                 continue
             partial = seq == cur_seq

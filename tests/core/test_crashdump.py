@@ -58,6 +58,38 @@ def test_dump_matches_live_snapshot():
         assert np.array_equal(a.words, b.words)
 
 
+def test_damaged_slot_sequence_is_reported_and_kept():
+    """A slot whose occupant sequence maps to another slot is damage, not
+    a never-booked phantom: the record is kept under the sequence as
+    read, an issue names the cpu and the slot, and every other record is
+    unchanged."""
+    fac = crashed_facility()
+    image = bytearray(dump_bytes(fac.controls))
+    clean = read_dump(bytes(image))
+    ctl = fac.controls[0]
+    slot = 2
+    seq = ctl.mem[ctl.slot_seq_at + slot]
+    assert seq > 1
+    # The cpu 0 section's slot_seq array follows the image and section
+    # headers.  Two bit flips: the low one moves the sequence to another
+    # slot, the high one away from every sequence the ring holds.
+    bad = seq ^ (1 << 20 | 1)
+    at = 16 + 32 + 8 * slot
+    image[at:at + 8] = bad.to_bytes(8, "little")
+    dump = read_dump(bytes(image))
+    assert [(i.cpu, "slot 2" in i.detail) for i in dump.issues] == [(0, True)]
+    assert len(dump.records) == len(clean.records)
+    damaged = [r for r in dump.records if (r.cpu, r.seq) == (0, bad)]
+    assert len(damaged) == 1
+    assert np.array_equal(
+        damaged[0].words,
+        next(r.words for r in clean.records if (r.cpu, r.seq) == (0, seq)))
+    intact = [(r.cpu, r.seq) for r in clean.records
+              if (r.cpu, r.seq) != (0, seq)]
+    assert intact == [(r.cpu, r.seq) for r in dump.records
+                      if r is not damaged[0]]
+
+
 def test_not_a_dump_rejected():
     with pytest.raises(ValueError):
         read_dump(b"definitely not a dump image, far too short? no.")

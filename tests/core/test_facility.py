@@ -2,10 +2,12 @@
 
 import pytest
 
+from repro.core.buffers import BufferRecord
 from repro.core.crashdump import dump_bytes, read_dump
 from repro.core.facility import TraceFacility
 from repro.core.majors import ControlMinor, Major
 from repro.core.timestamps import ManualClock
+from repro.core.writer import load_records, save_records
 
 
 def make(ncpus=2, **kw):
@@ -127,13 +129,6 @@ def test_flight_mode_snapshot():
     assert evs and evs[-1].data[0] == 499
 
 
-PHANTOM_BUFFERS = (
-    "TraceControl.snapshot() and crashdump.read_dump() emit never-written "
-    "ring slots as full, committed buffers carrying seq 0: each decodes to "
-    "'garbled (invalid header 0x0000000000000000 (length 0))' (ROADMAP "
-    "item 4)")
-
-
 def unwrapped_ring():
     """A flight-mode facility that has used three of its eight slots."""
     fac = make(ncpus=1, mode="flight", num_buffers=8)
@@ -145,7 +140,6 @@ def unwrapped_ring():
     return fac
 
 
-@pytest.mark.xfail(strict=True, reason=PHANTOM_BUFFERS)
 def test_snapshot_of_unwrapped_ring_has_no_phantom_buffers():
     fac = unwrapped_ring()
     records = fac.snapshot()
@@ -153,12 +147,41 @@ def test_snapshot_of_unwrapped_ring_has_no_phantom_buffers():
     assert fac.decode(records).anomalies == []
 
 
-@pytest.mark.xfail(strict=True, reason=PHANTOM_BUFFERS)
 def test_crash_dump_of_unwrapped_ring_has_no_phantom_buffers():
     fac = unwrapped_ring()
     records = read_dump(dump_bytes(fac.controls)).records
     assert [r.seq for r in records] == [0, 1, 2]
     assert fac.decode(records).anomalies == []
+
+
+def test_trace_file_with_phantom_frames_decodes_to_the_same_events(
+        tmp_path):
+    """A file written when snapshots still emitted never-booked slots
+    (as ``seq 0`` buffers of zero words) decodes to the same events; the
+    phantom frames stay visible as garbled-buffer anomalies."""
+    fac = unwrapped_ring()
+    ctl = fac.controls[0]
+    booked = fac.snapshot()
+    phantoms = [
+        BufferRecord(cpu=0, seq=0, words=ctl.slot_words(slot),
+                     committed=ctl.committed_count(0),
+                     fill_words=ctl.buffer_words)
+        for slot in range(len(booked), ctl.num_buffers)]
+    old = sorted(booked + phantoms, key=lambda r: r.seq)
+    old_path, new_path = tmp_path / "old.k42", tmp_path / "new.k42"
+    save_records(str(old_path), old)
+    save_records(str(new_path), booked)
+    before = fac.decode(load_records(str(old_path)))
+    after = fac.decode(load_records(str(new_path)))
+
+    def rows(trace):
+        return [(e.cpu, e.seq, e.offset, e.time, tuple(e.data))
+                for e in trace.all_events()]
+
+    assert rows(before) == rows(after) and rows(after)
+    assert after.anomalies == []
+    assert len(before.anomalies) == len(phantoms)
+    assert {(a.seq, a.kind) for a in before.anomalies} == {(0, "garbled")}
 
 
 def test_invalid_config_rejected():

@@ -10,8 +10,10 @@ traceback, and never a silently reordered or shortened export.
 Every fault :class:`~repro.core.faults.FaultInjector` applies to a trace
 file is injected with each seed, and every CPU of the damaged file is
 exported.  Seeds come from ``FAULT_FUZZ_SEEDS`` (comma-separated,
-default ``0,1,2``) plus :data:`PINNED`, the seeds known to step a CPU's
-time backwards on this fixture.
+default ``0,1,2``) plus :data:`PINNED`, more seeds, most of them known
+to step a CPU's time backwards on this fixture.  The fixture holds
+several frames per CPU, so damage always has neighbours to
+resynchronize into.
 """
 
 import os
@@ -25,9 +27,12 @@ from repro.ltt.export import read_ltt
 from repro.workloads import run_contention
 
 NCPUS = 4
-#: header-bitflip 3, 6, 9 and torn-event 9 each leave one CPU whose time
-#: steps backwards past the damage.
-PINNED = (3, 6, 9)
+#: header-bitflip 0, 2, 3, 7 and 10 and torn-event 0 and 2 each leave one
+#: CPU whose time steps backwards past the damage; 6 and 9 place the
+#: damage elsewhere.
+PINNED = (3, 6, 7, 9, 10)
+#: Seeds the backwards-step test scans for its case.
+SCAN_SEEDS = range(16)
 SEEDS = sorted({int(s) for s in
                 os.environ.get("FAULT_FUZZ_SEEDS", "0,1,2").split(",")}
                | set(PINNED))
@@ -35,8 +40,10 @@ SEEDS = sorted({int(s) for s in
 
 @pytest.fixture(scope="module")
 def trace_path(tmp_path_factory):
+    # 512-word buffers: four or five frames per CPU.
     _kernel, facility, _result = run_contention(
-        ncpus=NCPUS, workers_per_cpu=2, iterations=30, seed=5)
+        ncpus=NCPUS, workers_per_cpu=2, iterations=30, seed=5,
+        buffer_words=512)
     path = str(tmp_path_factory.mktemp("ltt") / "clean.k42")
     save_records(path, facility.snapshot())
     return path
@@ -82,15 +89,28 @@ def test_every_cpu_exports_or_refuses_in_one_line(
 
 
 def test_backwards_step_names_the_event(trace_path, tmp_path, capsys):
-    damaged = inject(trace_path, tmp_path, capsys, "header-bitflip", 3)
-    out = str(tmp_path / "cpu1.ltt")
-    rc, stdout, stderr = export(damaged, out, 1, capsys)
+    """The first ``header-bitflip`` seed that steps a CPU back is refused
+    naming the event, and the other CPUs of the same file still export."""
+    for seed in SCAN_SEEDS:
+        damaged = inject(trace_path, tmp_path, capsys, "header-bitflip", seed)
+        outs = [str(tmp_path / f"{seed}-cpu{cpu}.ltt") for cpu in range(NCPUS)]
+        results = [export(damaged, outs[cpu], cpu, capsys)
+                   for cpu in range(NCPUS)]
+        back = [cpu for cpu, (_rc, _out, err) in enumerate(results)
+                if "time steps back" in err]
+        if back:
+            break
+    else:
+        pytest.fail(f"no header-bitflip seed in {SCAN_SEEDS} steps a CPU "
+                    f"back on this fixture")
+    cpu = back[0]
+    rc, stdout, stderr = results[cpu]
     assert (rc, stdout) == (2, "")
-    assert stderr.startswith(f"repro-trace: error: {damaged}: cpu 1 seq ")
+    assert stderr.startswith(
+        f"repro-trace: error: {damaged}: cpu {cpu} seq ")
     assert " offset " in stderr and "time steps back" in stderr
-    assert not os.path.exists(out)
-    # The other CPUs of the same file still export.
-    assert export(damaged, out, 0, capsys)[0] == 0
+    assert not os.path.exists(outs[cpu])
+    assert any(rc == 0 for rc, _out, _err in results), seed
 
 
 def test_clean_trace_exports_every_cpu(trace_path, tmp_path, capsys):

@@ -34,6 +34,45 @@ def test_info(artifacts, capsys):
     assert "events:" in out and "time span:" in out and "cpus: [0, 1]" in out
 
 
+def test_info_on_a_healthy_snapshot_has_no_anomalies(tmp_path, capsys):
+    """A flight-recorder snapshot carries only booked buffers: a ring
+    with unused slots yields no phantom frames to call garbled."""
+    _kernel, facility, _ = run_contention(ncpus=2, workers_per_cpu=2,
+                                          iterations=20, buffer_words=512)
+    assert facility.controls[0].index() < 512 * 4  # most slots unused
+    path = str(tmp_path / "snap.k42")
+    save_records(path, facility.snapshot())
+    assert main(["info", path]) == 0
+    assert "  anomalies: 0\n" in capsys.readouterr().out
+
+
+def test_cached_parser_keeps_no_state_between_calls(artifacts, capsys):
+    """``main`` parses with one parser per process; every call starts
+    from the declared defaults, whatever the call before it did."""
+    from repro.cli import _parser
+
+    assert _parser() is _parser()
+    trace = artifacts["trace"]
+
+    def listing(*flags):
+        assert main(["list", trace, *flags]) == 0
+        return capsys.readouterr().out
+
+    every = listing()
+    named = listing("--name", "TRC_SYSCALL_ENTER")
+    assert 0 < len(named.splitlines()) < len(every.splitlines())
+    assert listing() == every
+    one_cpu = listing("--cpu", "1")
+    assert 0 < len(one_cpu.splitlines()) < len(every.splitlines())
+    assert _parser().parse_args(["list", trace]).cpu is None
+    assert listing() == every
+    with pytest.raises(SystemExit):
+        main(["list", trace, "--limit", "many"])
+    assert main(["list", str(artifacts["dir"] / "missing.k42")]) == 2
+    capsys.readouterr()
+    assert listing() == every
+
+
 def test_verify(artifacts, capsys):
     assert main(["verify", artifacts["trace"]]) == 0
     assert "trace clean" in capsys.readouterr().out
