@@ -48,13 +48,16 @@ opts)``.  What a row cannot say is a small explicit handler here: ``kmon
 ``info``'s frame count.
 
 Every trace-analysis subcommand accepts ``--strict`` (stop at the first
-damage instead of resynchronizing past it) and ``--workers N``
-(parallel decode), and loads its trace through one function
-(:func:`repro.fleet.merge.ingest_source`), so each reads a packed store
-directory (``repro-trace pack``) in place of a raw trace with
-byte-identical output; the store-capable ones (``info`` and the
-``store`` rows) also take ``--store`` to insist on it.  ``query`` reads
-only the shards whose min/max statistics overlap the predicate.
+damage instead of resynchronizing past it) and reads in one process: a
+``.k42`` decodes through the one in-process decoder
+(:func:`repro.core.columnar.decode_records_columnar`), and each loads its
+trace through one function (:func:`repro.fleet.merge.ingest_source`), so
+each reads a packed store directory (``repro-trace pack``) in place of a
+raw trace with byte-identical output; the store-capable ones (``info``
+and the ``store`` rows) also take ``--store`` to insist on it.
+``query`` reads only the shards whose min/max statistics overlap the
+predicate.  ``pack --workers N`` is the one worker-pool knob: it fans
+out the shard writes, never a read.
 """
 
 from __future__ import annotations
@@ -66,7 +69,7 @@ from typing import Callable, List, Optional
 
 import numpy as np
 
-from repro.core.parallel import decode_records_columnar_parallel
+from repro.core.columnar import decode_records_columnar
 from repro.core.registry import default_registry
 from repro.core.writer import load_records
 from repro.reports import FLEET_TOOLS, REPORTS, TOOL_OPTIONS, entry, opt
@@ -74,19 +77,12 @@ from repro.store.query import PROJECTABLE
 from repro.store.writer import DEFAULT_SHARD_EVENTS
 
 
-def _decode(records, workers: Optional[int] = 1, strict: bool = False):
-    """Decode records into a :class:`~repro.core.columnar.ColumnarTrace`,
-    in-process or on ``workers`` processes (:func:`_workers`; identical
-    output); ``strict`` stops at the first garbled event per buffer
-    instead of resynchronizing past damage (``--strict``)."""
-    return decode_records_columnar_parallel(
-        records, registry=default_registry(), workers=workers, strict=strict)
-
-
-def _workers(args) -> Optional[int]:
-    """``--workers`` as the library spells it: 0 (one per core) is None."""
-    workers = getattr(args, "workers", 1)
-    return None if workers == 0 else workers
+def _decode(records, strict: bool = False):
+    """Decode records into a :class:`~repro.core.columnar.ColumnarTrace`;
+    ``strict`` stops at the first garbled event per buffer instead of
+    resynchronizing past damage (``--strict``)."""
+    return decode_records_columnar(records, registry=default_registry(),
+                                   strict=strict)
 
 
 def _ingest(args, path: Optional[str] = None):
@@ -97,7 +93,6 @@ def _ingest(args, path: Optional[str] = None):
 
     return ingest_source(path if path is not None else args.trace,
                          registry=default_registry(), strict=args.strict,
-                         workers=_workers(args),
                          store=getattr(args, "store", False))
 
 
@@ -292,7 +287,7 @@ def cmd_crashdump(args) -> int:
         for issue in dump.issues:
             print(f"dump issue (cpu section {issue.cpu}): {issue.detail}",
                   file=sys.stderr)
-    b = _decode(dump.records, _workers(args), strict=args.strict).batch()
+    b = _decode(dump.records, strict=args.strict).batch()
     rows = np.flatnonzero(~b.control_mask())
     print(f"flight recorder: {len(rows)} events recovered from "
           f"{len(dump.records)} buffers on {dump.ncpus} cpus")
@@ -327,9 +322,8 @@ def cmd_doctor(args) -> int:
               f"looks like an in-progress write, not damage "
               f"(follow it with `repro-trace follow`)")
 
-    strict_trace = _decode(records, _workers(args), strict=True)
-    trace = (strict_trace if args.strict
-             else _decode(records, _workers(args)))
+    strict_trace = _decode(records, strict=True)
+    trace = strict_trace if args.strict else _decode(records)
     report = verify_trace(trace)
     n_strict = len(strict_trace.batch())
     print(report.describe())
@@ -382,7 +376,7 @@ def cmd_pack(args) -> int:
     from repro.store.writer import pack_trace
 
     records = load_records(args.trace, strict=args.strict)
-    trace = _decode(records, _workers(args), strict=args.strict)
+    trace = _decode(records, strict=args.strict)
     res = pack_trace(
         trace, args.output,
         shard_events=args.shard_events,
@@ -393,7 +387,7 @@ def cmd_pack(args) -> int:
             "buffer_words": len(records[0].words) if records else 0,
         },
         force=args.force,
-        workers=_workers(args),
+        workers=args.workers,
     )
     raw = os.path.getsize(args.trace)
     ratio = res.bytes_written / raw if raw else 0.0
@@ -411,8 +405,7 @@ def cmd_query(args) -> int:
     from repro.store.query import aggregate, project
     from repro.tools.listing import format_event
 
-    store = TraceStore(args.store, registry=default_registry(),
-                       workers=_workers(args))
+    store = TraceStore(args.store, registry=default_registry())
     pred = Predicate(
         cpus=tuple(args.cpu) if args.cpu else None,
         nodes=tuple(args.node) if args.node else None,
@@ -761,9 +754,6 @@ def _declare(sp, options) -> None:
 
 #: The read-path flags; a subcommand takes the ones its handler reads.
 _COMMON = {
-    "workers": opt("--workers", type=int, default=1, metavar="N",
-                   help="decode (or read shards) on N worker processes "
-                        "(0 = one per CPU core); output is identical"),
     "strict": opt("--strict", action="store_true",
                   help="stop at the first damage (garbled event, bad "
                        "frame) instead of resynchronizing past it"),
@@ -799,7 +789,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, common="workers strict", **kw):
+    def add(name, fn, common="strict", **kw):
         sp = sub.add_parser(name, **kw)
         sp.set_defaults(fn=fn)
         _declare(sp, (_COMMON[key] for key in common.split()))
@@ -810,7 +800,7 @@ def build_parser() -> argparse.ArgumentParser:
                         choices=FLEET_TOOLS)
         _declare(sp, TOOL_OPTIONS)
 
-    sp = add("info", cmd_info, "workers strict store",
+    sp = add("info", cmd_info, "strict store",
              help="trace file summary")
     sp.add_argument("trace")
 
@@ -819,7 +809,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     for name, row in REPORTS.items():
         sp = add(name, cmd_report,
-                 "workers strict store" if row.store else "workers strict",
+                 "strict store" if row.store else "strict",
                  help=row.help)
         sp.add_argument("trace")
         _declare(sp, row.options)
@@ -840,8 +830,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("trace")
     sp.add_argument("output", help="store directory to create")
     _declare(sp, _STORE_WRITE)
+    sp.add_argument("--workers", type=int, default=1, metavar="N",
+                    help="write shards on N worker processes (0 = one "
+                         "per CPU core); the store is byte-identical")
 
-    sp = add("query", cmd_query, "workers",
+    sp = add("query", cmd_query, "",
              help="query a packed store with predicate pushdown")
     sp.add_argument("store", help="store directory (from repro-trace pack)")
     sp.add_argument("--cpu", type=int, action="append",
@@ -965,7 +958,7 @@ def build_parser() -> argparse.ArgumentParser:
              help="damage report: file issues, anomalies, salvage")
     sp.add_argument("trace")
 
-    sp = add("inject", cmd_inject,
+    sp = add("inject", cmd_inject, "",
              help="deterministically corrupt a trace (fault injection)")
     sp.add_argument("input")
     sp.add_argument("output")

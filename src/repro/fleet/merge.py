@@ -29,8 +29,12 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.columnar import AnomalyColumns, ColumnarTrace, EventBatch
-from repro.core.parallel import decode_records_columnar_parallel
+from repro.core.columnar import (
+    AnomalyColumns,
+    ColumnarTrace,
+    EventBatch,
+    decode_records_columnar,
+)
 from repro.core.registry import EventRegistry, default_registry
 from repro.core.writer import load_records
 from repro.fleet.align import FleetAligner, NodeAnchors
@@ -283,7 +287,6 @@ def ingest_source(
     path: str,
     registry: Optional[EventRegistry] = None,
     strict: bool = False,
-    workers: Optional[int] = 1,
     store: bool = False,
 ) -> Tuple[ColumnarTrace, Dict[str, Any]]:
     """Decode one trace from any supported source shape.
@@ -293,8 +296,8 @@ def ingest_source(
     (auto-detected, or asserted with ``store=True``) is read from its
     shards with no word-stream decode; anything else is a ``.k42`` file.
     Beside the trace come the facts a store manifest keeps about its
-    origin (``frames``, ``buffer_words``).  ``workers`` fans the decode
-    or the shard reads out (``None`` = one per core); same result.
+    origin (``frames``, ``buffer_words``).  Every read runs in this
+    process.
     """
     from repro.store import TraceStore, is_store
 
@@ -308,12 +311,11 @@ def ingest_source(
         finally:
             region.close()
     elif store or is_store(path):
-        st = TraceStore(path, registry=reg, workers=workers)
+        st = TraceStore(path, registry=reg)
         return st.trace(), st.source
     else:
         records = load_records(path, strict=strict)
-    trace = decode_records_columnar_parallel(
-        records, registry=reg, workers=workers, strict=strict)
+    trace = decode_records_columnar(records, registry=reg, strict=strict)
     return trace, {
         "frames": len(records),
         "buffer_words": len(records[0].words) if records else 0,
@@ -324,11 +326,10 @@ def ingest_path(
     path: str,
     registry: Optional[EventRegistry] = None,
     strict: bool = False,
-    workers: Optional[int] = 1,
     store: bool = False,
 ) -> ColumnarTrace:
     """:func:`ingest_source`'s trace alone."""
-    return ingest_source(path, registry, strict, workers, store)[0]
+    return ingest_source(path, registry, strict, store)[0]
 
 
 def write_anchor_sidecar(path: str, node: int, anchors: NodeAnchors,

@@ -37,7 +37,7 @@ from repro.store.query import (
 )
 from repro.store.reader import QueryResult, TraceStore
 from repro.store.stats import ShardStats
-from repro.store.writer import PackResult, pack_file, pack_records, pack_trace
+from repro.store.writer import PackResult, pack_records, pack_trace
 
 __all__ = [
     "CYCLES_PER_SECOND",
@@ -54,7 +54,6 @@ __all__ = [
     "TraceStore",
     "aggregate",
     "is_store",
-    "pack_file",
     "pack_records",
     "pack_trace",
     "project",

@@ -21,7 +21,6 @@ from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core import pool
 from repro.core.columnar import AnomalyColumns, ColumnarTrace, EventBatch
 from repro.core.registry import EventRegistry, default_registry
 from repro.store.cache import shard_cache
@@ -69,18 +68,14 @@ class QueryResult:
 class TraceStore:
     """A packed store directory, opened for reading.
 
-    Shard payloads load lazily (and optionally cache); the manifest —
+    Shard payloads load lazily, in this process, through the
+    process-wide :func:`~repro.store.cache.shard_cache`; the manifest —
     statistics, anomaly ledger, source info — loads once up front.
     """
 
     def __init__(self, path: str,
-                 registry: Optional[EventRegistry] = None,
-                 cache_shards: bool = False,
-                 workers: Optional[int] = 1) -> None:
+                 registry: Optional[EventRegistry] = None) -> None:
         self.path = path
-        #: Shard reads/decompressions fan out over the shared worker
-        #: pool when > 1 (``None``/``0`` = pool default, 1 = inline).
-        self.workers = workers
         self.registry = (registry if registry is not None
                          else default_registry())
         manifest = read_manifest(path)
@@ -100,9 +95,6 @@ class TraceStore:
             for i, doc in enumerate(manifest.get("shards", []))
         ]
         self._anomalies: Dict[str, List[Any]] = manifest.get("anomalies", {})
-        self._cache: Optional[Dict[int, Tuple[EventBatch, np.ndarray,
-                                              np.ndarray]]] = (
-            {} if cache_shards else None)
 
     def __len__(self) -> int:
         return self.events
@@ -125,19 +117,6 @@ class TraceStore:
             return None
         return (os.path.abspath(fpath), st.st_size, st.st_mtime_ns)
 
-    def _build_shard(
-        self, info: ShardInfo, arrays: Dict[str, np.ndarray],
-    ) -> Tuple[EventBatch, np.ndarray, np.ndarray]:
-        batch = EventBatch.from_arrays(arrays, registry=self.registry)
-        pid = np.asarray(arrays["pid"]).astype(np.uint64, copy=False)
-        known = np.asarray(arrays["pid_known"]).astype(bool, copy=False)
-        out = (batch, pid, known)
-        key = self._shard_key(info)
-        if key is not None:
-            nbytes = int(sum(np.asarray(a).nbytes for a in arrays.values()))
-            shard_cache().put(key, out, nbytes)
-        return out
-
     def load_shard(
         self, info: ShardInfo,
     ) -> Tuple[EventBatch, np.ndarray, np.ndarray]:
@@ -147,35 +126,30 @@ class TraceStore:
     def _load_many(
         self, infos: List[ShardInfo],
     ) -> List[Tuple[EventBatch, np.ndarray, np.ndarray]]:
-        """Decoded shards in ``infos`` order, cache-first.
+        """Decoded shards in ``infos`` order: each from the process-wide
+        shard cache, or read with :func:`~repro.store.format.load_shard`
+        and cached.
 
-        Misses are read + decompressed concurrently on the shared
-        worker pool when :attr:`workers` allows; the parent then builds
-        batches (and populates both caches) in shard order, so results
-        — and therefore query/trace output — are identical to the
-        sequential loads.
+        Every shard is looked up before any is read: reading as it went,
+        a scan larger than the cache would evict the cached shards it
+        is about to ask for, and a repeated scan would never hit.
         """
-        out: Dict[int, Tuple[EventBatch, np.ndarray, np.ndarray]] = {}
-        misses: List[ShardInfo] = []
-        for info in infos:
-            if self._cache is not None and info.index in self._cache:
-                out[info.index] = self._cache[info.index]
+        cache = shard_cache()
+        keys = [self._shard_key(info) for info in infos]
+        out = [cache.get(key) if key is not None else None for key in keys]
+        for i, (info, key) in enumerate(zip(infos, keys)):
+            if out[i] is not None:
                 continue
-            key = self._shard_key(info)
-            hit = shard_cache().get(key) if key is not None else None
-            if hit is not None:
-                out[info.index] = hit
-            else:
-                misses.append(info)
-        if misses:
-            paths = [os.path.join(self.path, i.file) for i in misses]
-            arrays_list = pool.run_tasks(load_shard, paths, self.workers)
-            for info, arrays in zip(misses, arrays_list):
-                out[info.index] = self._build_shard(info, arrays)
-        if self._cache is not None:
-            for info in infos:
-                self._cache.setdefault(info.index, out[info.index])
-        return [out[info.index] for info in infos]
+            arrays = load_shard(os.path.join(self.path, info.file))
+            out[i] = (
+                EventBatch.from_arrays(arrays, registry=self.registry),
+                np.asarray(arrays["pid"]).astype(np.uint64, copy=False),
+                np.asarray(arrays["pid_known"]).astype(bool, copy=False),
+            )
+            if key is not None:
+                cache.put(key, out[i], sum(
+                    np.asarray(a).nbytes for a in arrays.values()))
+        return out
 
     def trace(self) -> ColumnarTrace:
         """The full trace, bit-identical to a fresh columnar decode.

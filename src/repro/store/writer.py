@@ -32,7 +32,6 @@ from repro.core.columnar import (
     EventBatch,
 )
 from repro.core.registry import EventRegistry, default_registry
-from repro.core.writer import load_records
 from repro.store.format import (
     STORE_FORMAT,
     STORE_VERSION,
@@ -219,20 +218,3 @@ def pack_records(
                       compress=compress, source=src, force=force,
                       workers=workers)
 
-
-def pack_file(
-    path: str,
-    out_dir: str,
-    registry: Optional[EventRegistry] = None,
-    strict: bool = False,
-    shard_events: int = DEFAULT_SHARD_EVENTS,
-    compress: bool = True,
-    force: bool = False,
-    workers: Optional[int] = 1,
-) -> PackResult:
-    """Pack a ``.k42`` trace file into a store directory."""
-    records = load_records(path, strict=strict)
-    return pack_records(records, out_dir, registry=registry, strict=strict,
-                        shard_events=shard_events, compress=compress,
-                        source={"path": os.path.abspath(path)}, force=force,
-                        workers=workers)

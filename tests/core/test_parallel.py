@@ -327,15 +327,18 @@ class TestEmptyTrace:
         assert _run_tasks([], 4) == []
 
     def test_header_only_file_with_workers(self, tmp_path, capsys):
+        """``pack --workers`` is the CLI's one pooled path."""
         from repro.cli import main
         from repro.core.writer import save_records
 
         path = str(tmp_path / "empty.k42")
+        store = str(tmp_path / "empty.store")
         save_records(path, [], buffer_words=64)
-        assert main(["list", path, "--workers", "4"]) == 0
-        assert main(["info", path, "--workers", "4"]) == 0
+        assert main(["pack", path, store, "--workers", "4"]) == 0
+        assert main(["list", store]) == 0
+        assert main(["info", store]) == 0
         out = capsys.readouterr().out
-        assert "frames: 0" in out
+        assert "events: 0  shards: 0" in out and "frames: 0" in out
 
 
 class TestShardRecords:
@@ -500,15 +503,20 @@ class TestCorruptAnchorValue:
 
 class TestCliWorkers:
     def test_cli_list_workers_matches_sequential(self, tmp_path, capsys):
+        """A store ``pack --workers 3`` wrote lists like the trace."""
         from repro.cli import main
         from repro.core.writer import save_records
 
         records = build_records()
         path = str(tmp_path / "t.k42")
+        store = str(tmp_path / "t.store")
         save_records(path, records)
         assert main(["list", path, "--limit", "50"]) == 0
         seq_out = capsys.readouterr().out
-        assert main(["list", path, "--limit", "50", "--workers", "3"]) == 0
+        assert main(["pack", path, store, "--workers", "3",
+                     "--shard-events", "64"]) == 0
+        capsys.readouterr()
+        assert main(["list", store, "--limit", "50"]) == 0
         par_out = capsys.readouterr().out
         assert par_out == seq_out
         assert "TRC_" in seq_out

@@ -1,10 +1,11 @@
-"""Parallel store pack/query and the shared shard cache.
+"""Parallel store pack, one-process queries and the shared shard cache.
 
-The parallel fast paths buy speed, never different bytes: a pooled
-pack is byte-identical to the sequential one, and a pooled query
-answers every random predicate exactly like the ``workers=1`` store.
-Random-sweep seeds come from ``STORE_SWEEP_SEEDS`` (comma-separated,
-default ``0,1,2``) and each assertion message echoes the seed.
+The pooled pack buys speed, never different bytes: it is byte-identical
+to the sequential one, and its store answers every random predicate
+exactly like the ``workers=1`` store, read cold from disk and warm from
+the shard cache.  Random-sweep seeds come from ``STORE_SWEEP_SEEDS``
+(comma-separated, default ``0,1,2``) and each assertion message echoes
+the seed.
 """
 
 import os
@@ -38,6 +39,13 @@ def contention_records():
 def packed(contention_records, tmp_path_factory):
     out = str(tmp_path_factory.mktemp("parstore") / "s")
     pack_records(contention_records, out, shard_events=512)
+    return out
+
+
+@pytest.fixture(scope="module")
+def pool_packed(contention_records, tmp_path_factory):
+    out = str(tmp_path_factory.mktemp("poolstore") / "s")
+    pack_records(contention_records, out, shard_events=512, workers=2)
     return out
 
 
@@ -107,28 +115,33 @@ def _random_predicate(rng, store):
 
 
 class TestParallelQuery:
+    """Queries of the store the worker pool packed."""
+
     @pytest.mark.parametrize("seed", SEEDS)
-    def test_random_predicate_sweep(self, packed, seed):
-        """workers=2 answers == workers=1 answers, predicate by predicate."""
+    def test_random_predicate_sweep(self, packed, pool_packed, seed):
+        """Pooled-pack answers == workers=1 answers, predicate by
+        predicate, with every shard read cold and then served warm."""
         rng = np.random.default_rng(seed)
-        ref_store = TraceStore(packed, workers=1)
-        par_store = TraceStore(packed, workers=2)
+        ref_store = TraceStore(packed)
+        par_store = TraceStore(pool_packed)
         for i in range(8):
             pred = _random_predicate(rng, ref_store)
             shard_cache().clear()
             ref = ref_store.query(pred)
             shard_cache().clear()
-            got = par_store.query(pred)
+            cold = par_store.query(pred)
+            warm = par_store.query(pred)
             why = (f"seed={seed} predicate #{i}: {pred}; re-run: "
                    f"STORE_SWEEP_SEEDS={seed} PYTHONPATH=src python -m "
                    f"pytest tests/store/test_parallel_store.py -k sweep")
-            assert got.shards_read == ref.shards_read, why
-            assert got.rows_scanned == ref.rows_scanned, why
-            assert _result_key(got) == _result_key(ref), why
+            for got in (cold, warm):
+                assert got.shards_read == ref.shards_read, why
+                assert got.rows_scanned == ref.rows_scanned, why
+                assert _result_key(got) == _result_key(ref), why
 
-    def test_parallel_trace_identical(self, packed):
-        assert (as_comparable(TraceStore(packed, workers=2).trace())
-                == as_comparable(TraceStore(packed, workers=1).trace()))
+    def test_parallel_trace_identical(self, packed, pool_packed):
+        assert (as_comparable(TraceStore(pool_packed).trace())
+                == as_comparable(TraceStore(packed).trace()))
 
 
 class TestShardCache:

@@ -14,6 +14,7 @@ from repro.store import (
     is_store,
     pack_records,
     pack_trace,
+    shard_cache,
 )
 from repro.store.format import MANIFEST_NAME, read_manifest, write_manifest
 from repro.workloads import run_contention
@@ -178,11 +179,14 @@ class TestStoreDirectory:
 
     def test_cache_shards_returns_same_objects(
             self, contention_records, tmp_path):
+        """The process-wide shard cache serves one decoded shard to
+        every reader of the store, not just to the one that read it."""
         pack_records(contention_records, str(tmp_path / "s"))
-        store = TraceStore(str(tmp_path / "s"), cache_shards=True)
+        shard_cache().clear()
+        store = TraceStore(str(tmp_path / "s"))
         info = store.shards[0]
         b1, _, _ = store.load_shard(info)
-        b2, _, _ = store.load_shard(info)
+        b2, _, _ = TraceStore(str(tmp_path / "s")).load_shard(info)
         assert b1 is b2
 
 

@@ -1,11 +1,14 @@
 """CLI front-end tests (repro-trace)."""
 
+import argparse
+
 import pytest
 
 from repro.cli import main
 from repro.core.crashdump import write_dump
 from repro.core.faults import FILE_KINDS
 from repro.core.writer import save_records
+from repro.reports import REPORTS
 from repro.workloads import run_contention, run_multiprog
 
 
@@ -341,9 +344,9 @@ def test_doctor_strict_decodes_once(artifacts, capsys, tmp_path, monkeypatch):
     assert main(["inject", artifacts["trace"], bad,
                  "--kind", "torn-event", "--seed", "5"]) == 0
     capsys.readouterr()
-    real, calls = cli.decode_records_columnar_parallel, []
+    real, calls = cli.decode_records_columnar, []
     monkeypatch.setattr(
-        cli, "decode_records_columnar_parallel",
+        cli, "decode_records_columnar",
         lambda *a, **kw: calls.append(kw["strict"]) or real(*a, **kw))
     assert main(["doctor", bad]) == 1
     loose = capsys.readouterr()
@@ -354,6 +357,63 @@ def test_doctor_strict_decodes_once(artifacts, capsys, tmp_path, monkeypatch):
     assert calls == [True]
     assert "recovery salvaged" not in strict.out and strict.err == ""
     assert strict.out.splitlines()[:4] == loose.out.splitlines()[:4]
+
+
+class _RecordingNamespace(argparse.Namespace):
+    """A namespace that remembers which attributes were read."""
+
+    def __init__(self):
+        object.__setattr__(self, "read", set())
+
+    def __getattribute__(self, name):
+        if not name.startswith("_") and name != "read":
+            object.__getattribute__(self, "read").add(name)
+        return object.__getattribute__(self, name)
+
+
+#: Every subcommand that reads a trace input, with the runs that between
+#: them reach each option (``query`` reads ``--top`` only with
+#: ``--aggregate``, and ``--limit``/``--project`` only without it).
+_READER_RUNS = {
+    **{name: [[name, "TRACE"]] for name in REPORTS},
+    "info": [["info", "TRACE"]],
+    "verify": [["verify", "TRACE"]],
+    "compare": [["compare", "TRACE", "TRACE"]],
+    "crashdump": [["crashdump", "DUMP"]],
+    "doctor": [["doctor", "TRACE"]],
+    "inject": [["inject", "TRACE", "OUT", "--kind", "torn-event"]],
+    "export-ltt": [["export-ltt", "TRACE", "-o", "OUT"]],
+    "pack": [["pack", "TRACE", "OUT"]],
+    "query": [["query", "STORE", "--aggregate", "name"],
+              ["query", "STORE", "--project", "cpu"]],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_READER_RUNS))
+def test_handler_reads_every_declared_option(command, artifacts, capsys,
+                                             tmp_path):
+    """An option the parser declares but the handler never reads is a
+    dead knob: it shows in ``--help`` and ``docs/cli.md`` and changes
+    nothing."""
+    from repro.cli import build_parser
+
+    parser = build_parser()
+    sub = next(a for a in parser._subparsers._group_actions).choices[command]
+    declared = {a.dest for a in sub._actions
+                if not isinstance(a, argparse._HelpAction)}
+    store = str(tmp_path / "t.store")
+    assert main(["pack", artifacts["trace"], store]) == 0
+    read = set()
+    for i, argv in enumerate(_READER_RUNS[command]):
+        names = {"TRACE": artifacts["trace"], "DUMP": artifacts["dump"],
+                 "STORE": store, "OUT": str(tmp_path / f"out{i}")}
+        args = parser.parse_args([names.get(a, a) for a in argv],
+                                 namespace=_RecordingNamespace())
+        args.read.clear()   # what parsing itself looked up
+        assert args.fn(args) in (0, 1)
+        read |= args.read
+    capsys.readouterr()
+    assert declared - read == set(), "declared but never read"
 
 
 def _one_error_line(capsys, path):
@@ -436,17 +496,21 @@ def test_columnar_flag_in_help(command, capsys):
 
 
 @pytest.mark.parametrize("command", _COLUMNAR_COMMANDS)
-def test_columnar_output_identical(command, artifacts, capsys):
-    """The columnar decoder prints the same report in-process and
-    fanned out over a worker pool."""
-    argv = [command, artifacts["trace"]]
-    if command == "breakdown":
-        argv += ["--symbols", artifacts["syms"]]
-    assert main(argv) == 0
-    sequential = capsys.readouterr().out
-    assert main(argv + ["--workers", "2"]) == 0
-    pooled = capsys.readouterr().out
-    assert sequential.strip() and pooled == sequential
+def test_columnar_output_identical(command, artifacts, capsys, tmp_path):
+    """The columnar decoder prints the same report from the trace file
+    and from a store whose shards ``pack --workers 2`` wrote on a worker
+    pool (``info`` prints the path it read, so that line differs)."""
+    store = str(tmp_path / "t.store")
+    assert main(["pack", artifacts["trace"], store, "--workers", "2"]) == 0
+    capsys.readouterr()
+    flags = ["--symbols", artifacts["syms"]] if command == "breakdown" else []
+    assert main([command, artifacts["trace"], *flags]) == 0
+    decoded = capsys.readouterr().out
+    assert main([command, store, *flags]) == 0
+    stored = capsys.readouterr().out
+    if command == "info":
+        decoded = decoded.replace(artifacts["trace"], store)
+    assert decoded.strip() and stored == decoded
 
 
 class TestFleetCli:

@@ -3,7 +3,7 @@
 
 CI runs this once per start method (``REPRO_POOL_START_METHOD=fork``
 and ``spawn``).  A child interpreter exercises every consumer of the
-shared pool — parallel decode, store pack, store query — then calls
+shared pool — parallel decode and store pack — then calls
 ``pool.shutdown()`` and proves from the inside that no worker process
 survived.  The parent then asserts the child exited cleanly with a
 silent stderr: any leaked semaphore or shared-memory segment shows up
@@ -30,7 +30,7 @@ from repro.core import pool
 from repro.core.columnar import ColumnarTraceReader
 from repro.core.parallel import decode_records_columnar_parallel
 from repro.core.writer import load_records, save_records
-from repro.store import Predicate, TraceStore, pack_records
+from repro.store import pack_records
 from repro.workloads import run_contention
 from tests.core.test_parallel import as_comparable
 
@@ -50,11 +50,10 @@ par = decode_records_columnar_parallel(loaded, workers=2)
 seq = ColumnarTraceReader().decode_records(loaded)
 assert as_comparable(par) == as_comparable(seq), "parallel decode differs"
 
-# 2. parallel store pack + parallel query on the same pool.
+# 2. parallel store pack on the same pool.
 store_path = os.path.join(tmp, "t.store")
-pack_records(records, store_path, shard_events=512, workers=2)
-qr = TraceStore(store_path, workers=2).query(Predicate())
-assert len(qr) > 0, "query returned nothing"
+res = pack_records(records, store_path, shard_events=512, workers=2)
+assert res.events > 0, "pack wrote nothing"
 
 kind = pool.pool_kind()
 assert kind is not None, "no pool was ever created"
