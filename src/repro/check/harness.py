@@ -38,8 +38,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.check.coop import CoopRuntime, FAILED, KILLED
 from repro.check.instrument import (
     DoubleWriteError,
@@ -50,7 +48,7 @@ from repro.check.instrument import (
     lane_names,
 )
 from repro.check.mutants import make_logger
-from repro.core.buffers import BufferRecord, TraceControl, decode_commit_word
+from repro.core.buffers import BufferRecord, TraceControl, read_lane
 from repro.core.lane import FIXED_WORDS, LaneStore, lane_words
 from repro.core.majors import Major
 from repro.core.mask import TraceMask
@@ -296,34 +294,13 @@ class CheckedSystem:
     # -- views ---------------------------------------------------------
     def ring_view(self) -> List[BufferRecord]:
         """Records for every buffer touched so far, straight from the
-        ring (wrap-free, so sequence == slot order)."""
+        ring by the production reader (wrap-free, so sequence == slot
+        order), read with no scheduling point."""
         ctl = self.ctl
         raw = self.store.raw
-        index = raw[ctl.index_at]
-        cur_seq = ctl.buffer_of(index)
-        out: List[BufferRecord] = []
-        for seq in range(cur_seq + 1):
-            fill = (
-                ctl.buffer_words if seq < cur_seq
-                else ctl.used_in_buffer(index)
-            )
-            if fill == 0:
-                continue
-            start = ctl.trace_at + ctl.slot_of(seq) * ctl.buffer_words
-            out.append(
-                BufferRecord(
-                    cpu=ctl.cpu,
-                    seq=seq,
-                    words=np.array(raw[start:start + ctl.buffer_words],
-                                   dtype=np.uint64),
-                    committed=decode_commit_word(
-                        seq, raw[ctl.committed_at + ctl.slot_of(seq)]
-                    ),
-                    fill_words=fill,
-                    partial=(seq == cur_seq),
-                )
-            )
-        return out
+        cur_seq = ctl.buffer_of(raw[ctl.index_at])
+        return list(read_lane(raw, ctl.lane_at, ctl.buffer_words,
+                              ctl.num_buffers, ctl.cpu, range(cur_seq + 1)))
 
     # -- invariants ----------------------------------------------------
     def after_step(self, step: int) -> Optional[Violation]:

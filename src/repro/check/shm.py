@@ -361,7 +361,12 @@ class ShmCheckedSystem(CheckedSystem):
 
     # -- views ------------------------------------------------------------
     def ring_view(self) -> List[BufferRecord]:
-        """Records for every buffer touched so far, across all CPUs."""
+        """Records for every buffer touched so far, across all CPUs.
+
+        Deliberately not :func:`~repro.core.buffers.read_lane`: this is
+        the reference the collector's drained output is judged against
+        (``lost-buffer-at-flush``), so it must not be the code under
+        test."""
         lay = self.region.layout
         words = self.region.words
         out: List[BufferRecord] = []

@@ -25,7 +25,8 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, List, Literal, Optional, Tuple
+from typing import (Deque, Iterable, Iterator, List, Literal, NamedTuple,
+                    Optional, Tuple)
 
 import numpy as np
 
@@ -57,26 +58,13 @@ def decode_commit_word(seq: int, word: int) -> int:
     Returns the low-half count when the word's tag matches buffer ``seq``,
     else 0 — the word belongs to a different occupant of the slot (either
     the count was never started for ``seq``, or the slot has been recycled).
-    Shared by :class:`TraceControl` and the crash-dump reader, which sees
-    the same words in a raw memory image.
+    Shared by :meth:`TraceControl.committed_count` and :func:`read_lane`,
+    which reads the same words in a private lane, a shm segment or a
+    crash dump.
     """
     if (word >> COMMIT_SEQ_SHIFT) == (seq & COMMIT_COUNT_MASK):
         return word & COMMIT_COUNT_MASK
     return 0
-
-
-def slot_holds_booked(slot_seq: int, slot: int, num_buffers: int) -> bool:
-    """Whether ring slot ``slot`` holds a sequence that was booked into it.
-
-    Booking sequence ``s`` stores ``s`` as the occupant of slot
-    ``s % num_buffers``.  A slot never booked still holds its initial
-    occupant 0, which maps to slot 0 only: everywhere else it is a
-    phantom, a buffer no writer ever entered.  In a damaged memory image
-    a *nonzero* occupant that maps elsewhere fails the test too; that is
-    damage, not a phantom.  Shared by :meth:`TraceControl.snapshot` and
-    the crash-dump reader, which sees the same words in a raw image.
-    """
-    return slot_seq % num_buffers == slot
 
 
 @dataclass
@@ -99,6 +87,110 @@ class BufferRecord:
 
     def __post_init__(self) -> None:
         self.words = np.asarray(self.words, dtype=np.uint64)
+
+
+#: Re-copy attempts when a laggard writer commits mid-copy.
+_STABLE_COPY_TRIES = 4
+
+
+class LaneAt(NamedTuple):
+    """Word offsets of one lane's pieces in a view of words: the
+    reservation index, the booked sequence, the committed counts, the
+    slot occupants and the trace memory."""
+
+    index: int
+    booked: int
+    committed: int
+    slot_seq: int
+    trace: int
+
+    @classmethod
+    def of(cls, base: int, num_buffers: int) -> "LaneAt":
+        """The offsets of a lane (:mod:`repro.core.lane`) at word ``base``."""
+        committed = base + FIXED_WORDS
+        return cls(base + INDEX, base + BOOKED, committed,
+                   committed + num_buffers, committed + 2 * num_buffers)
+
+
+def read_lane(words, at: LaneAt, buffer_words: int, num_buffers: int,
+              cpu: int, seqs: Optional[Iterable[int]] = None,
+              stats=None) -> Iterator[BufferRecord]:
+    """The buffers of one lane view, as :class:`BufferRecord` copies.
+
+    ``words`` is any run of 64-bit words indexed by ``at``: a
+    :class:`TraceControl`'s ``mem``, a shm segment's words, or a crash
+    dump section.  With ``seqs`` None the ring is read the way the
+    flight recorder reads it (§4.2): each slot's occupant word names its
+    buffer, oldest first.  Occupant 0 outside slot 0 was never booked —
+    a phantom, not emitted; any other occupant is emitted under the
+    sequence as read, even one that maps to another slot (that is
+    damage, and the crash-dump reader reports it).  Given ``seqs`` (a
+    cursor's range), exactly those sequences are read, whatever their
+    slots' occupant words say.
+
+    Either way, the buffer the index is in is partial (``fill_words``
+    is the words reserved in it) and is skipped while nothing is
+    reserved in it; every other buffer is full, so a buffer that ended
+    exactly on the boundary and was never followed by a reservation is
+    full too.  Booking sequence ``b`` with zero-ahead on zeroes the slot
+    of ``b + 1``, which laps ``b + 1 - num_buffers`` a buffer early: when
+    that sequence's words are all zero it is not emitted.
+
+    Each buffer is copied by the stable-copy protocol: read its
+    committed word, copy the words, recheck the index, recheck the
+    committed word, at most ``_STABLE_COPY_TRIES`` times.  Commits trail
+    writes, so a count read before the copy never claims words the copy
+    missed.  A buffer whose slot the index reserved into again during
+    the read (sequence ``seq + num_buffers`` reached, and past where the
+    read began) is lapped and not emitted.  Each re-copy under a racing
+    commit adds one to ``stats.unstable_copies`` when ``stats`` is
+    given.  A quiesced lane passes on the first try.
+    """
+    bw = buffer_words
+    index = words[at.index]
+    cur_seq = index // bw
+    fill = index - cur_seq * bw
+    # With one buffer (a damaged dump's geometry) booking zeroes nothing.
+    zeroed = words[at.booked] + 1 - num_buffers if num_buffers > 1 else -1
+    index_at, committed_at, trace_at = at.index, at.committed, at.trace
+    if seqs is None:
+        occupants = words[at.slot_seq:at.slot_seq + num_buffers]
+        pairs = sorted([(seq, slot) for slot, seq in enumerate(occupants)
+                        if seq or not slot])
+        floor = index
+    else:
+        pairs = [(seq, seq % num_buffers) for seq in seqs]
+        floor = 0
+    for seq, slot in pairs:
+        if seq == cur_seq and not fill:
+            continue  # nothing reserved in it yet
+        c_at = committed_at + slot
+        start = trace_at + slot * bw
+        lap_at = (seq + num_buffers) * bw
+        if lap_at < floor:
+            lap_at = floor
+        word = words[c_at]
+        tries = _STABLE_COPY_TRIES
+        while True:
+            # np.array copies: no view of the lane outlives the call.
+            payload = np.array(words[start:start + bw], dtype=np.uint64)
+            if words[index_at] > lap_at:
+                payload = None
+                break
+            recheck = words[c_at]
+            if recheck == word:
+                break
+            word = recheck
+            if stats is not None:
+                stats.unstable_copies += 1
+            tries -= 1
+            if not tries:
+                break
+        if payload is None or (seq == zeroed and not payload.any()):
+            continue
+        partial = seq == cur_seq
+        yield BufferRecord(cpu, seq, payload, decode_commit_word(seq, word),
+                           fill if partial else bw, partial)
 
 
 class TraceControl:
@@ -170,7 +262,7 @@ class TraceControl:
         self.slot_seq_at = self.committed_at + num_buffers
         self.trace_at = self.slot_seq_at + num_buffers
 
-        #: Completed-buffer descriptors (slot, seq) awaiting write-out
+        #: Completed buffer sequences awaiting write-out
         #: (writeout mode only).  Payloads are copied out only once the
         #: queue exceeds ``num_buffers - 2`` — an emulated write-out
         #: daemon with slack, giving preempted writers almost a full
@@ -199,11 +291,15 @@ class TraceControl:
         """The reservation index now."""
         return self.mem[self.index_at]
 
-    def slot_words(self, slot: int) -> np.ndarray:
-        """A copy of the trace words of ring slot ``slot``."""
-        start = self.trace_at + slot * self.buffer_words
-        return np.array(self.mem[start:start + self.buffer_words],
-                        dtype=np.uint64)
+    @property
+    def lane_at(self) -> LaneAt:
+        """This lane's word offsets, for :func:`read_lane`."""
+        return LaneAt(self.index_at, self.booked_at, self.committed_at,
+                      self.slot_seq_at, self.trace_at)
+
+    def _read(self, seqs=None) -> List[BufferRecord]:
+        return list(read_lane(self.mem, self.lane_at, self.buffer_words,
+                              self.num_buffers, self.cpu, seqs))
 
     # -- geometry helpers --------------------------------------------------
     def slot_of(self, seq: int) -> int:
@@ -266,33 +362,26 @@ class TraceControl:
         self.stats_buffers_completed += 1
         if self.mode != "writeout":
             return
-        self.completed.append((self.slot_of(seq), seq))
+        self.completed.append(seq)
         while len(self.completed) > self._high_water:
             self._writeout_one()
 
     def _writeout_one(self) -> None:
         """Copy the oldest completed buffer out of the ring.
 
-        A descriptor whose slot was already recycled by a newer buffer
-        counts as dropped — the write-out side failed to keep up, the
-        same data-loss mode a real system has.
+        A buffer the ring already lapped counts as dropped — the
+        write-out side failed to keep up, the same data-loss mode a real
+        system has.
         """
         try:
-            slot, seq = self.completed.popleft()
+            seq = self.completed.popleft()
         except IndexError:
             return
-        if self.mem[self.slot_seq_at + slot] != seq:
+        record = self._read((seq,))
+        if not record:
             self.stats_dropped_buffers += 1
             return
-        self._written.append(
-            BufferRecord(
-                cpu=self.cpu,
-                seq=seq,
-                words=self.slot_words(slot),
-                committed=self.committed_count(seq),
-                fill_words=self.buffer_words,
-            )
-        )
+        self._written.extend(record)
         if self.max_pending is not None:
             while len(self._written) > self.max_pending:
                 self._written.popleft()
@@ -307,82 +396,32 @@ class TraceControl:
         return out
 
     def flush(self) -> List[BufferRecord]:
-        """Drain completed buffers plus the current partial buffer.
+        """Drain completed buffers plus those never completed.
 
-        Only meaningful once logging has quiesced; the partial record is
-        marked so readers know not to expect a filler at its end.  A
-        buffer whose last event ended exactly on the boundary with no
-        subsequent reservation (so its completion bookkeeping never ran)
-        is emitted here too — otherwise its events would be lost.
+        Only meaningful once logging has quiesced.  A buffer is completed
+        when the next one is booked, so what the write-out queue never
+        saw runs from the booked sequence to the index: the current
+        partial buffer, marked so readers know not to expect a filler at
+        its end, or a buffer whose last event ended exactly on the
+        boundary with no reservation after it — otherwise its events
+        would be lost.
         """
         records = self.drain()
-        index = self.index()
-        fill = self.used_in_buffer(index)
-        seq = self.buffer_of(index)
-        if fill > 0:
-            records.append(
-                BufferRecord(
-                    cpu=self.cpu,
-                    seq=seq,
-                    words=self.slot_words(self.slot_of(seq)),
-                    committed=self.committed_count(seq),
-                    fill_words=fill,
-                    partial=True,
-                )
-            )
-        elif index > 0 and self.mem[self.booked_at] < seq:
-            # Exact fill at quiescence: buffer seq-1 is complete but was
-            # never booked (no reservation followed it).
-            prev = seq - 1
-            records.append(
-                BufferRecord(
-                    cpu=self.cpu,
-                    seq=prev,
-                    words=self.slot_words(self.slot_of(prev)),
-                    committed=self.committed_count(prev),
-                    fill_words=self.buffer_words,
-                )
-            )
+        cur_seq = self.index() // self.buffer_words
+        records.extend(self._read(range(self.mem[self.booked_at],
+                                        cur_seq + 1)))
         return records
 
     def snapshot(self) -> List[BufferRecord]:
         """Flight-recorder snapshot: the most recent buffers, oldest first.
 
-        Reconstructs records straight from the ring; the currently-active
-        buffer is included as partial.  Only slots whose occupant was
-        booked (:func:`slot_holds_booked`) leave the ring: a slot the
-        index never reached holds no event, and emitting it would only
-        hand the decoder a buffer of zero words to call garbled.  Usable
+        Reconstructs records straight from the ring (:func:`read_lane`);
+        the currently-active buffer is included as partial.  A slot the
+        index never reached holds no event and is not emitted.  Usable
         in either mode (in writeout mode it duplicates data already
         queued).
         """
-        index = self.index()
-        cur_seq = self.buffer_of(index)
-        fill = self.used_in_buffer(index)
-        cur_slot = self.slot_of(cur_seq)
-        ahead_slot = self.slot_of(cur_seq + 1)
-        records: List[BufferRecord] = []
-        for slot in range(self.num_buffers):
-            seq = self.mem[self.slot_seq_at + slot]
-            if not slot_holds_booked(seq, slot, self.num_buffers):
-                continue  # never booked: a phantom
-            if seq == cur_seq and fill == 0:
-                continue  # fresh, nothing reserved yet
-            if self.zero_ahead and slot == ahead_slot and slot != cur_slot:
-                continue  # zero-ahead destroyed this slot's old contents
-            partial = seq == cur_seq
-            records.append(
-                BufferRecord(
-                    cpu=self.cpu,
-                    seq=seq,
-                    words=self.slot_words(slot),
-                    committed=self.committed_count(seq),
-                    fill_words=fill if partial else self.buffer_words,
-                    partial=partial,
-                )
-            )
-        records.sort(key=lambda r: r.seq)
-        return records
+        return self._read()
 
     def zero_slot(self, slot: int) -> None:
         start = self.trace_at + slot * self.buffer_words

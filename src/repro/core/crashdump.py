@@ -27,17 +27,12 @@ from __future__ import annotations
 import io
 import struct
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import BinaryIO, List, Union
 
-import numpy as np
-
-from repro.core.buffers import (
-    BufferRecord,
-    TraceControl,
-    decode_commit_word,
-    slot_holds_booked,
-)
-from repro.core.writer import scan_for_magic, words_from_bytes
+from repro.core.buffers import BufferRecord, LaneAt, TraceControl, read_lane
+from repro.core.lane import cast_words
+from repro.core.writer import scan_for_magic
 
 DUMP_MAGIC = b"K42CRASH"
 DUMP_VERSION = 1
@@ -112,13 +107,16 @@ def _read_exact(fh: BinaryIO, n: int, what: str) -> bytes:
 def read_dump(source: Union[bytes, BinaryIO]) -> CrashDump:
     """Reconstruct flight-recorder records from a memory image.
 
-    Mirrors :meth:`TraceControl.snapshot`, but works from raw bytes and
-    survives corruption: a damaged CPU section is reported as an issue,
-    the reader scans forward for the next section magic and resumes
-    there, and geometry fields are sanity-checked before use.  Only when
-    no later section magic exists does parsing stop early.  Like the
-    snapshot, a slot never booked is not emitted; a slot whose occupant
-    sequence maps to another slot is kept and reported as an issue.
+    Reads each CPU section with :func:`~repro.core.buffers.read_lane`,
+    the reader behind :meth:`TraceControl.snapshot`, so a dump yields
+    what a snapshot taken at the crash would have.  It survives
+    corruption: a damaged CPU section is reported as an issue, the
+    reader scans forward for the next section magic and resumes there,
+    and geometry fields — and the bytes a section declares against the
+    bytes the image still holds — are checked before use.  Only when no
+    later section magic exists does parsing stop early.  A slot whose
+    occupant sequence maps to another slot is kept and reported as an
+    issue.
     """
     fh = io.BytesIO(source) if isinstance(source, (bytes, bytearray)) else source
     header = fh.read(_IMG_HEADER.size)
@@ -131,31 +129,31 @@ def read_dump(source: Union[bytes, BinaryIO]) -> CrashDump:
         raise ValueError(f"unsupported crash dump version {version}")
 
     dump = CrashDump(ncpus=ncpus)
-    parsed = 0
     pos = fh.tell()
+    end = fh.seek(0, io.SEEK_END)
+    parsed = 0
     while parsed < ncpus:
         fh.seek(pos)
         try:
             raw = _read_exact(fh, _SEC_HEADER.size, f"cpu section {parsed}")
             (sec_magic, cpu, buffer_words, num_buffers,
-             index, booked_seq) = _SEC_HEADER.unpack(raw)
+             _index, _booked) = _SEC_HEADER.unpack(raw)
             if sec_magic != SECTION_MAGIC:
                 raise ValueError(f"bad section magic {sec_magic:#x}")
             if not (0 < buffer_words <= MAX_BUFFER_WORDS):
                 raise ValueError(f"implausible buffer_words {buffer_words}")
             if not (0 < num_buffers <= MAX_NUM_BUFFERS):
                 raise ValueError(f"implausible num_buffers {num_buffers}")
-            slot_seq = np.frombuffer(
-                _read_exact(fh, num_buffers * 8, "slot_seq"), dtype="<u8"
-            )
-            committed = np.frombuffer(
-                _read_exact(fh, num_buffers * 8, "committed"), dtype="<u8"
-            )
-            total = buffer_words * num_buffers
-            # A zero-copy view on little-endian hosts; the per-record
-            # slices below then alias this one buffer, copy-free.
-            memory = words_from_bytes(
-                _read_exact(fh, total * 8, "trace memory"))
+            # Plausible fields can still declare more than the image
+            # holds: check before asking for the bytes.
+            body = 8 * num_buffers * (2 + buffer_words)
+            left = end - pos - _SEC_HEADER.size
+            if body > left:
+                raise EOFError(
+                    f"truncated dump: cpu section {parsed} declares "
+                    f"{body} bytes past its header, {left} left")
+            section = bytearray(raw)
+            section += fh.read(body)
         except (ValueError, EOFError) as exc:
             dump.issues.append(DumpIssue(parsed, str(exc)))
             # Framing is lost at this point, but sections carry their
@@ -178,33 +176,24 @@ def read_dump(source: Union[bytes, BinaryIO]) -> CrashDump:
         parsed += 1
         pos = fh.tell()
 
-        cur_seq = index // buffer_words
-        fill = index % buffer_words
+        # The section is a lane view: its header's index and booked
+        # sequence are words 2 and 3, then slot_seq, committed, memory.
+        words = cast_words(section)
+        slot_seq = _SEC_HEADER.size // 8
+        at = LaneAt(index=2, booked=3, committed=slot_seq + num_buffers,
+                    slot_seq=slot_seq, trace=slot_seq + 2 * num_buffers)
         for slot in range(num_buffers):
-            seq = int(slot_seq[slot])
-            if not slot_holds_booked(seq, slot, num_buffers):
-                if seq == 0:
-                    continue  # never booked: a phantom, no event in it
+            seq = words[slot_seq + slot]
+            if seq and seq % num_buffers != slot:
                 # A booked occupant always maps to its own slot, so this
                 # sequence word was damaged.  The words may still hold
-                # events: keep them, under the sequence as read.
+                # events: the reader keeps them, under the sequence as
+                # read.
                 dump.issues.append(DumpIssue(
                     cpu, f"cpu {cpu} slot {slot}: occupant sequence {seq} "
                          f"belongs in slot {seq % num_buffers}; kept as "
                          f"read"))
-            if seq == cur_seq and fill == 0:
-                continue
-            partial = seq == cur_seq
-            start = slot * buffer_words
-            dump.records.append(
-                BufferRecord(
-                    cpu=cpu,
-                    seq=seq,
-                    words=memory[start : start + buffer_words],
-                    committed=decode_commit_word(seq, int(committed[slot])),
-                    fill_words=fill if partial else buffer_words,
-                    partial=partial,
-                )
-            )
-    dump.records.sort(key=lambda r: (r.cpu, r.seq))
+        dump.records.extend(read_lane(words, at, buffer_words, num_buffers,
+                                      cpu))
+    dump.records.sort(key=attrgetter("cpu", "seq"))
     return dump

@@ -36,16 +36,11 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, Iterator, List, Optional
 
-import numpy as np
-
-from repro.core.buffers import BufferRecord, decode_commit_word
+from repro.core.buffers import BufferRecord, LaneAt, read_lane
 from repro.core.writer import TraceFileWriter
 from repro.shm.region import ShmTraceRegion
-
-#: Re-copy attempts when a laggard writer commits mid-copy.
-_STABLE_COPY_TRIES = 4
 
 
 @dataclass
@@ -82,55 +77,21 @@ class ShmCollector:
         self.stats = DrainStats()
         lay = region.layout
         self._next_seq = {cpu: 0 for cpu in range(lay.ncpus)}
-        #: The segment's words, and per CPU the word offsets of its
-        #: index, committed counts and trace memory.
+        #: The segment's words and each CPU's lane offsets in them.
         self._words = region.words
-        self._index = {cpu: lay.index_word(cpu) for cpu in range(lay.ncpus)}
-        self._committed = {cpu: lay.committed_words(cpu)
-                           for cpu in range(lay.ncpus)}
-        self._trace = {cpu: lay.trace_words(cpu) for cpu in range(lay.ncpus)}
-        # (cpu, seq) pairs already counted on stats.held: a slow writer
-        # holds the same buffer across many polls, but it is one
+        self._at = [LaneAt.of(lay.cpu_base(cpu), lay.num_buffers)
+                    for cpu in range(lay.ncpus)]
+        # Per CPU, the sequence last counted on stats.held: a slow
+        # writer holds the same buffer across many polls, but it is one
         # deferred emission, not one per poll.
-        self._held_seen: set = set()
-
-    # -- copying one buffer ----------------------------------------------
-    def _copy_buffer(self, cpu: int, seq: int) -> Optional[BufferRecord]:
-        """Copy buffer ``seq`` out of CPU ``cpu``'s ring, or None if lapped.
-
-        Order matters: committed count first, payload second, index
-        recheck last.  Commits trail writes in the protocol, so a count
-        read before the copy can never claim words the copy missed; the
-        index recheck catches the ring recycling the slot mid-copy.
-        Re-reads until the committed word is stable across the copy so a
-        laggard committer does not make a clean buffer look garbled.
-        """
-        lay = self.region.layout
-        bw = lay.buffer_words
-        slot = seq % lay.num_buffers
-        start = self._trace[cpu] + slot * bw
-        mem = self._words
-        committed_at = self._committed[cpu] + slot
-        committed_word = mem[committed_at]
-        for attempt in range(_STABLE_COPY_TRIES):
-            # np.array copies: no view of the segment outlives the call.
-            words = np.array(mem[start:start + bw], dtype=np.uint64)
-            if mem[self._index[cpu]] // bw - seq >= lay.num_buffers:
-                return None  # lapped mid-copy; the slot holds a newer buffer
-            recheck = mem[committed_at]
-            if recheck == committed_word:
-                break
-            committed_word = recheck
-            self.stats.unstable_copies += 1
-        return BufferRecord(
-            cpu=cpu,
-            seq=seq,
-            words=words,
-            committed=decode_commit_word(seq, committed_word),
-            fill_words=bw,
-        )
+        self._held: Dict[int, int] = {}
 
     # -- sweeps ------------------------------------------------------------
+    def _read(self, cpu: int, seqs: range) -> Iterator[BufferRecord]:
+        lay = self.region.layout
+        return read_lane(self._words, self._at[cpu], lay.buffer_words,
+                         lay.num_buffers, cpu, seqs, self.stats)
+
     def poll(self, lag: Optional[int] = None, *,
              force: bool = False) -> List[BufferRecord]:
         """One sweep: emit every newly-completed buffer on every CPU.
@@ -142,41 +103,39 @@ class ShmCollector:
         """
         lag = self.lag if lag is None else lag
         lay = self.region.layout
+        bw, nb = lay.buffer_words, lay.num_buffers
+        stats = self.stats
         records: List[BufferRecord] = []
-        self.stats.polls += 1
+        stats.polls += 1
         mem = self._words
-        for cpu in range(lay.ncpus):
-            cur_seq = mem[self._index[cpu]] // lay.buffer_words
+        for cpu, at in enumerate(self._at):
+            cur_seq = mem[at.index] // bw
             next_seq = self._next_seq[cpu]
             # Ring already lapped the cursor: the oldest sequences are
             # unrecoverable — account for them and move the cursor up.
-            oldest_alive = cur_seq - lay.num_buffers + 1
+            oldest_alive = cur_seq - nb + 1
             if next_seq < oldest_alive:
-                self.stats.dropped += oldest_alive - next_seq
+                stats.dropped += oldest_alive - next_seq
                 next_seq = oldest_alive
-            while next_seq < cur_seq - lag:
-                if not force:
-                    word = mem[self._committed[cpu]
-                               + next_seq % lay.num_buffers]
-                    if decode_commit_word(next_seq, word) < lay.buffer_words:
-                        # Reserved past it, but not every event inside is
-                        # committed yet: its writer is still (or was, when
-                        # it died) filling in.  Hold; emission stays in
-                        # sequence order, so later buffers wait too.
-                        if (cpu, next_seq) not in self._held_seen:
-                            self._held_seen.add((cpu, next_seq))
-                            self.stats.held += 1
-                        break
-                rec = self._copy_buffer(cpu, next_seq)
-                if rec is None:
-                    self.stats.dropped += 1
-                else:
-                    records.append(rec)
-                    self.stats.frames += 1
-                self._held_seen.discard((cpu, next_seq))
-                next_seq += 1
-            self._next_seq[cpu] = next_seq
-            self.stats.next_seq[cpu] = next_seq
+            stop = max(next_seq, cur_seq - lag)
+            before = len(records)
+            for rec in self._read(cpu, range(next_seq, stop)):
+                if rec.committed < bw and not force:
+                    # Reserved past it, but not every event inside is
+                    # committed yet: its writer is still (or was, when
+                    # it died) filling in.  Hold; emission stays in
+                    # sequence order, so later buffers wait too.
+                    if self._held.get(cpu) != rec.seq:
+                        self._held[cpu] = rec.seq
+                        stats.held += 1
+                    stop = rec.seq
+                    break
+                records.append(rec)
+            emitted = len(records) - before
+            stats.frames += emitted
+            # Whatever the reader skipped below the stop was lapped.
+            stats.dropped += stop - next_seq - emitted
+            self._next_seq[cpu] = stats.next_seq[cpu] = stop
         return records
 
     def finalize(self) -> List[BufferRecord]:
@@ -189,24 +148,19 @@ class ShmCollector:
         completion is inferred from the index, not from the booking.
         """
         records = self.poll(lag=0, force=True)
-        lay = self.region.layout
-        for cpu in range(lay.ncpus):
-            index = self._words[self._index[cpu]]
-            fill = index & (lay.buffer_words - 1)
-            seq = index // lay.buffer_words
+        bw = self.region.layout.buffer_words
+        for cpu, at in enumerate(self._at):
+            seq, fill = divmod(self._words[at.index], bw)
             if fill == 0 or self._next_seq[cpu] > seq:
                 continue
-            rec = self._copy_buffer(cpu, seq)
-            if rec is None:
+            partial = list(self._read(cpu, range(seq, seq + 1)))
+            if not partial:
                 self.stats.dropped += 1
                 continue
-            rec.fill_words = fill
-            rec.partial = True
-            records.append(rec)
+            records.extend(partial)
             self.stats.frames += 1
             self.stats.partial_frames += 1
-            self._next_seq[cpu] = seq + 1
-            self.stats.next_seq[cpu] = self._next_seq[cpu]
+            self._next_seq[cpu] = self.stats.next_seq[cpu] = seq + 1
         return records
 
     # -- the long-running drain loop ---------------------------------------

@@ -5,7 +5,13 @@ import io
 import numpy as np
 import pytest
 
-from repro.core.crashdump import dump_bytes, read_dump, write_dump
+from repro.core.crashdump import (
+    MAX_BUFFER_WORDS,
+    MAX_NUM_BUFFERS,
+    dump_bytes,
+    read_dump,
+    write_dump,
+)
 from repro.core.facility import TraceFacility
 from repro.core.majors import Major
 from repro.core.registry import default_registry
@@ -13,10 +19,11 @@ from repro.core.stream import TraceReader
 from repro.core.timestamps import ManualClock
 
 
-def crashed_facility(n_events=700):
+def crashed_facility(n_events=700, zero_ahead=False):
     """A facility mid-run, as a crash would find it."""
     fac = TraceFacility(ncpus=2, buffer_words=64, num_buffers=4,
-                        mode="flight", clock=ManualClock())
+                        mode="flight", zero_ahead=zero_ahead,
+                        clock=ManualClock())
     fac.enable_all()
     for i in range(n_events):
         fac.clock.advance(3)
@@ -44,10 +51,7 @@ def test_dump_and_recover_recent_events():
         assert values == list(range(values[0], 700, 2))
 
 
-def test_dump_matches_live_snapshot():
-    """The dump tool reconstructs exactly what the live debugger hook
-    (snapshot) would have printed."""
-    fac = crashed_facility()
+def assert_dump_matches_live_snapshot(fac):
     live = fac.snapshot()
     dumped = read_dump(dump_bytes(fac.controls)).records
     assert len(live) == len(dumped)
@@ -56,6 +60,27 @@ def test_dump_matches_live_snapshot():
         assert (a.cpu, a.seq, a.committed, a.fill_words, a.partial) == \
             (b.cpu, b.seq, b.committed, b.fill_words, b.partial)
         assert np.array_equal(a.words, b.words)
+    for records in (live, dumped):
+        assert fac.decode(records).anomalies == []
+
+
+def test_dump_matches_live_snapshot():
+    """The dump tool reconstructs exactly what the live debugger hook
+    (snapshot) would have printed, and both read intact buffers only."""
+    assert_dump_matches_live_snapshot(crashed_facility())
+
+
+@pytest.mark.parametrize("zero_ahead", [False, True])
+@pytest.mark.parametrize("n_events", [295, 300, 700])
+def test_dump_matches_live_snapshot_with_zero_ahead(n_events, zero_ahead):
+    """With zero-ahead on, the slot booking zeroed is not emitted; at an
+    exact boundary (295 and 300 events leave cpu 0 and cpu 1 on one,
+    the next buffer not yet booked) the slot after it is."""
+    fac = crashed_facility(n_events, zero_ahead)
+    assert [c.cpu for c in fac.controls
+            if c.index() % c.buffer_words == 0] == \
+        {295: [0], 300: [1], 700: []}[n_events]
+    assert_dump_matches_live_snapshot(fac)
 
 
 def test_damaged_slot_sequence_is_reported_and_kept():
@@ -151,6 +176,30 @@ def test_implausible_geometry_rejected_per_section():
     dump = read_dump(bytes(image))
     assert not dump.intact
     assert any("implausible" in i.detail for i in dump.issues)
+
+
+def oversized_section_image(fac):
+    """``fac``'s dump, cpu 0's section declaring the largest geometry the
+    bounds allow, padded to 1.5 MB: the section's slot arrays (1 MB)
+    fit, its 2**45 bytes of trace memory do not."""
+    image = bytearray(dump_bytes(fac.controls))
+    image[24:28] = MAX_BUFFER_WORDS.to_bytes(4, "little")
+    image[28:32] = MAX_NUM_BUFFERS.to_bytes(4, "little")
+    return bytes(image + bytes((3 << 19) - len(image)))
+
+
+def test_section_larger_than_the_image_rejected(tmp_path):
+    """Geometry within the bounds can still declare far more bytes than
+    the image holds: the section is refused before its bytes are asked
+    for, and the reader resyncs to the next one."""
+    path = tmp_path / "oversized.k42crash"
+    path.write_bytes(oversized_section_image(crashed_facility(100)))
+    with open(path, "rb") as fh:
+        dump = read_dump(fh)
+    assert [i.cpu for i in dump.issues] == [0, 0]
+    assert dump.issues[0].detail.startswith("truncated dump: cpu section 0")
+    assert "resynchronized" in dump.issues[1].detail
+    assert {r.cpu for r in dump.records} == {1}
 
 
 def test_writeout_mode_controls_also_dumpable():

@@ -1,5 +1,6 @@
 """Unified facility tests: one infrastructure, many uses (§2 goals)."""
 
+import numpy as np
 import pytest
 
 from repro.core.buffers import BufferRecord
@@ -163,7 +164,8 @@ def test_trace_file_with_phantom_frames_decodes_to_the_same_events(
     ctl = fac.controls[0]
     booked = fac.snapshot()
     phantoms = [
-        BufferRecord(cpu=0, seq=0, words=ctl.slot_words(slot),
+        BufferRecord(cpu=0, seq=0,
+                     words=np.zeros(ctl.buffer_words, dtype=np.uint64),
                      committed=ctl.committed_count(0),
                      fill_words=ctl.buffer_words)
         for slot in range(len(booked), ctl.num_buffers)]

@@ -165,6 +165,23 @@ def test_crashdump(artifacts, capsys):
     assert "flight recorder" in out
 
 
+def test_crashdump_oversized_section_is_one_issue_line(tmp_path, capsys):
+    """A section declaring more bytes than the image holds is one issue
+    line and exit 1, not a MemoryError traceback."""
+    from repro.core.facility import TraceFacility
+    from tests.core.test_crashdump import oversized_section_image
+
+    fac = TraceFacility(ncpus=1, buffer_words=64, num_buffers=4,
+                        mode="flight")
+    fac.enable_all()
+    path = tmp_path / "oversized.k42crash"
+    path.write_bytes(oversized_section_image(fac))
+    assert main(["crashdump", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1, err
+    assert err.startswith("dump issue (cpu section 0): truncated dump: ")
+
+
 def test_export_ltt(artifacts, capsys):
     out_path = str(artifacts["dir"] / "cpu0.ltt")
     assert main(["export-ltt", artifacts["trace"], "--cpu", "0",
