@@ -10,10 +10,11 @@ a multi-CPU event stream merges into correct global order only after
 interpolation.
 """
 
+import numpy as np
 import pytest
 
+from repro.core.clockmap import ClockMap, measured_skew
 from repro.core.timestamps import DriftingTscClock
-from repro.ltt import TscInterpolator, max_pairwise_skew, take_anchors
 from result_tables import write_result
 
 RUN_NS = 2 * 10**9  # a 2-second trace window
@@ -28,19 +29,27 @@ def drifting_setup():
         rates=[1.0, 1.00021, 0.99979, 1.00005],   # ~200 ppm spread
         base=lambda: base[0],
     )
-    anchors = take_anchors(clock, 0, RUN_NS)
-    return clock, base, TscInterpolator(anchors)
+    cmap = ClockMap(range(NCPUS), clock.anchors(0, RUN_NS))
+    return clock, base, cmap
+
+
+def tsc_at(clock, cpu, t):
+    return int(clock.offsets[cpu] + clock.rates[cpu] * t)
+
+
+def readings(clock, points):
+    """Every CPU's tsc at each true instant, index-aligned."""
+    return {c: [tsc_at(clock, c, t) for t in points] for c in range(NCPUS)}
 
 
 def test_tsc_sync_skew(benchmark, drifting_setup):
-    clock, base, interp = drifting_setup
+    clock, base, cmap = drifting_setup
     points = list(range(0, RUN_NS, RUN_NS // 50))
     raw_skews = []
     for t in points:
-        vals = [int(clock.offsets[c] + clock.rates[c] * t)
-                for c in range(NCPUS)]
+        vals = [tsc_at(clock, c, t) for c in range(NCPUS)]
         raw_skews.append(max(vals) - min(vals))
-    corrected = max_pairwise_skew(interp, clock, points)
+    corrected = measured_skew(cmap, readings(clock, points))
     lines = [
         "cross-CPU timestamp skew over a 2 s window",
         f"raw tsc skew:          {min(raw_skews):,} .. {max(raw_skews):,} ns",
@@ -52,21 +61,26 @@ def test_tsc_sync_skew(benchmark, drifting_setup):
     write_result("tsc_sync", "\n".join(lines))
     assert max(raw_skews) > 100_000, "drift must be a real problem"
     assert corrected <= 4, "interpolation must reduce skew to rounding"
-    benchmark(lambda: max_pairwise_skew(interp, clock, points[:10]))
+    assert corrected <= cmap.skew_bound(), "skew must stay within the bound"
+    first = readings(clock, points[:10])
+    benchmark(lambda: measured_skew(cmap, first))
 
 
 def test_tsc_sync_restores_event_order(benchmark, drifting_setup):
     """Events generated in a known global order across CPUs must merge
-    back into that order after interpolation — and generally not before."""
-    clock, base, interp = drifting_setup
+    back into that order after interpolation — and generally not before.
+
+    Checked twice: one scalar ``to_wall`` per event, and the column
+    form — each CPU's tsc column re-based with ``rebase``, then one
+    stable argsort of the merged wall times."""
+    clock, base, cmap = drifting_setup
     true_order = []
     stamped = []
     t = 1000
     k = 0
     while t < RUN_NS:
         cpu = k % NCPUS
-        tsc = int(clock.offsets[cpu] + clock.rates[cpu] * t)
-        stamped.append((cpu, tsc, k))
+        stamped.append((cpu, tsc_at(clock, cpu, t), k))
         true_order.append(k)
         k += 1
         t += RUN_NS // 997
@@ -74,7 +88,19 @@ def test_tsc_sync_restores_event_order(benchmark, drifting_setup):
     raw_sorted = [i for _, _, i in sorted(stamped, key=lambda x: x[1])]
     assert raw_sorted != true_order, "raw tsc order must be scrambled"
 
-    corrected = sorted(stamped, key=lambda x: interp.to_wall(x[0], x[1]))
+    corrected = sorted(stamped, key=lambda x: cmap.to_wall(x[0], x[1]))
     assert [i for _, _, i in corrected] == true_order
-    benchmark(lambda: sorted(stamped,
-                             key=lambda x: interp.to_wall(x[0], x[1])))
+
+    cpu = np.array([c for c, _, _ in stamped])
+    tsc = np.array([v for _, v, _ in stamped], dtype=np.int64)
+    timed = np.ones(len(tsc), dtype=bool)
+
+    def rebased_order():
+        wall = np.empty_like(tsc)
+        for c in range(NCPUS):
+            rows = cpu == c
+            wall[rows] = cmap.rebase(c, tsc[rows], timed[rows])
+        return np.argsort(wall, kind="stable")
+
+    assert rebased_order().tolist() == true_order
+    benchmark(rebased_order)

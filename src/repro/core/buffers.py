@@ -309,10 +309,6 @@ class TraceControl:
         """Buffer sequence number containing ``index``."""
         return index // self.buffer_words
 
-    def used_in_buffer(self, index: int) -> int:
-        """Words already reserved in the buffer containing ``index``."""
-        return index & (self.buffer_words - 1)
-
     # -- committed counts (traceCommit) ------------------------------------
     def commit(self, seq: int, length: int) -> None:
         """traceCommit: add ``length`` to buffer ``seq``'s committed count.

@@ -86,9 +86,6 @@ class TraceDomains:
                 **self._fac_kw,
             )
 
-    def is_privileged(self, pid: int) -> bool:
-        return self._privileged.get(pid, False)
-
     def facility_for(self, pid: int) -> TraceFacility:
         """The facility whose buffers are mapped into ``pid``'s space."""
         if pid not in self._privileged:

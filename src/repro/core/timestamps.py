@@ -15,7 +15,9 @@ model; it does not affect wall-clock behaviour of the source itself.
 from __future__ import annotations
 
 import time
-from typing import Callable, Protocol, Sequence
+from typing import Callable, Dict, Protocol, Sequence
+
+from repro.core.clockmap import ClockAnchors
 
 
 class ClockSource(Protocol):
@@ -97,7 +99,8 @@ class DriftingTscClock:
     Each CPU sees ``offset[cpu] + rate[cpu] * base()`` where ``base`` is
     the true underlying time.  Rates differ by parts-per-million the way
     real crystal oscillators do, so per-CPU streams cannot be merged until
-    :mod:`repro.ltt.tscsync` interpolates them onto a common axis.
+    a :class:`~repro.core.clockmap.ClockMap` keyed by CPU interpolates
+    them onto a common axis between the two :meth:`anchors` pairs.
     """
 
     cost_cycles = 12
@@ -129,3 +132,22 @@ class DriftingTscClock:
 
     def now(self, cpu: int = 0) -> int:
         return int(self.offsets[cpu] + self.rates[cpu] * self._base())
+
+    def anchors(self, base_start: int,
+                base_end: int) -> Dict[int, ClockAnchors]:
+        """Every CPU's anchor pairs, sampled at two true times.
+
+        ``base_start``/``base_end`` are the instants at which the
+        expensive synchronized clock was read (the two ``gettimeofday``
+        calls of a live system); each CPU's tsc read at those instants
+        forms its pair.
+        """
+        return {
+            cpu: ClockAnchors(
+                local_start=int(off + rate * base_start),
+                wall_start=base_start,
+                local_end=int(off + rate * base_end),
+                wall_end=base_end,
+            )
+            for cpu, (off, rate) in enumerate(zip(self.offsets, self.rates))
+        }

@@ -57,17 +57,6 @@ _LITTLE_ENDIAN = sys.byteorder == "little"
 PathOrFile = Union[str, BinaryIO]
 
 
-def words_from_bytes(payload) -> np.ndarray:
-    """The 64-bit words of a little-endian payload buffer.
-
-    On little-endian hosts (``<u8`` *is* the native uint64) this is a
-    zero-copy, read-only view of ``payload``; big-endian hosts pay the
-    byte-swapping copy they always did.
-    """
-    words = np.frombuffer(payload, dtype="<u8")
-    return words if _LITTLE_ENDIAN else words.astype(np.uint64)
-
-
 def scan_for_magic(fh: BinaryIO, token: bytes, start: int,
                    chunk: int = 1 << 16) -> Optional[int]:
     """Find the next occurrence of ``token`` at or after byte ``start``.

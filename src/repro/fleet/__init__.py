@@ -4,17 +4,16 @@ The paper targets one multiprocessor; a production fleet is many.  Each
 node logs events on its own cheap local timebase — exactly the §4.1
 x86-tsc situation, one level up: what drifting per-CPU counters are to
 one machine, drifting per-node clocks are to a cluster.  So the same
-LTT cure applies, generalized from CPUs to nodes: every node carries
-two ``(local_ts, wall)`` anchor pairs, a per-node linear map re-bases
-its events onto the common fleet clock, and the re-based per-node
-traces merge into one unified columnar view whose
+LTT cure applies, with nodes for streams: every node carries two
+``(local_ts, wall)`` anchor pairs, the one
+:class:`~repro.core.clockmap.ClockMap` (keyed by node id here, by CPU
+for §4.1) re-bases its events onto the common fleet clock within a
+provable residual-skew bound, and the re-based per-node traces merge
+into one unified columnar view whose
 :class:`~repro.core.columnar.EventBatch` carries a ``node`` column.
 
 Pieces:
 
-* :mod:`repro.fleet.align` — :class:`NodeAnchors` /
-  :class:`FleetAligner`, the per-node generalization of
-  :mod:`repro.ltt.tscsync`, with a provable residual-skew bound.
 * :mod:`repro.fleet.merge` — ingest per-node traces (``.k42`` files,
   store directories, drained shm regions), build a :class:`FleetView`
   (per-node originals + unified merged batch), pack it into a
@@ -24,11 +23,6 @@ Pieces:
   sidecars.
 """
 
-from repro.fleet.align import (
-    FleetAligner,
-    NodeAnchors,
-    measured_fleet_skew,
-)
 from repro.fleet.merge import (
     ANCHORS_SUFFIX,
     FleetView,
@@ -49,9 +43,6 @@ from repro.fleet.launch import (
 )
 
 __all__ = [
-    "NodeAnchors",
-    "FleetAligner",
-    "measured_fleet_skew",
     "ANCHORS_SUFFIX",
     "NodeSource",
     "FleetView",

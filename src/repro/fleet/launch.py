@@ -21,9 +21,9 @@ import random
 from dataclasses import asdict, dataclass
 from typing import Any, Dict, List, Optional, Sequence
 
+from repro.core.clockmap import ClockAnchors
 from repro.core.timestamps import ClockSource
 from repro.core.writer import save_records
-from repro.fleet.align import NodeAnchors
 from repro.fleet.merge import (
     ANCHORS_SUFFIX,
     FleetView,
@@ -130,7 +130,7 @@ def node_main(spec_doc: Dict[str, Any], trace_path: str) -> None:
     # Pad the end anchor past the last event far enough that the local
     # reading strictly increases even for rates < 1.
     wall_end = clock.base_now() + int(2.0 / spec.clock_rate) + 1
-    anchors = NodeAnchors(
+    anchors = ClockAnchors(
         local_start=int(spec.clock_offset
                         + spec.clock_rate * wall_start),
         wall_start=wall_start,

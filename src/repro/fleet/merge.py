@@ -3,7 +3,7 @@
 A :class:`FleetView` holds two things per node: the node's *original*
 decoded trace — untouched, on its own local timebase, so any tool run
 against it is bit-identical to analyzing that node's trace alone — and
-the :class:`~repro.fleet.align.FleetAligner` that re-bases those local
+the :class:`~repro.core.clockmap.ClockMap` that re-bases those local
 timestamps onto the common fleet clock.  The unified :meth:`batch
 <FleetView.batch>` concatenates the re-based per-node streams (in node
 order) and sorts them with the node-aware total order ``(time | -1,
@@ -29,6 +29,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.core.clockmap import ClockAnchors, ClockMap
 from repro.core.columnar import (
     AnomalyColumns,
     ColumnarTrace,
@@ -37,7 +38,6 @@ from repro.core.columnar import (
 )
 from repro.core.registry import EventRegistry, default_registry
 from repro.core.writer import load_records
-from repro.fleet.align import FleetAligner, NodeAnchors
 from repro.store.format import (
     MANIFEST_NAME,
     STORE_FORMAT,
@@ -63,7 +63,7 @@ class NodeSource:
 
     node: int
     trace: ColumnarTrace
-    anchors: Optional[NodeAnchors] = None
+    anchors: Optional[ClockAnchors] = None
 
 
 class FleetView:
@@ -80,16 +80,16 @@ class FleetView:
     def __init__(
         self,
         traces: Dict[int, ColumnarTrace],
-        aligner: FleetAligner,
+        clock_map: ClockMap,
         registry: Optional[EventRegistry] = None,
     ) -> None:
         if not traces:
             raise ValueError("a fleet view needs at least one node")
-        missing = sorted(set(traces) - set(aligner.nodes))
+        missing = sorted(set(traces) - set(clock_map.streams))
         if missing:
-            raise ValueError(f"aligner has no map for nodes {missing}")
+            raise ValueError(f"no map for nodes {missing} in the clock map")
         self._traces = dict(traces)
-        self.aligner = aligner
+        self.clock_map = clock_map
         self.registry = (registry if registry is not None
                          else next((t.registry for t in traces.values()
                                     if t.registry is not None), None))
@@ -117,7 +117,7 @@ class FleetView:
             b = self._traces[node].cpu_batch(cpu)
             per_node[cpu] = _with_columns(
                 b,
-                time=self.aligner.rebase(node, b.time, b.timed),
+                time=self.clock_map.rebase(node, b.time, b.timed),
                 node=np.full(len(b), int(node), dtype=np.int64),
             )
         return per_node[cpu]
@@ -186,7 +186,7 @@ class FleetView:
 
     # -- reporting -------------------------------------------------------
     def skew_bound(self, jitter: int = 0) -> int:
-        return self.aligner.skew_bound(jitter)
+        return self.clock_map.skew_bound(jitter)
 
     def summary(self) -> Dict[str, Any]:
         """Per-node and fleet-level counts for CLI/manifest reporting."""
@@ -197,7 +197,7 @@ class FleetView:
                 "events": len(t.batch()),
                 "cpus": t.cpus,
                 "anomalies": len(t.anomaly_columns),
-                "aligned": node in self.aligner.anchors,
+                "aligned": node in self.clock_map.anchors,
             }
         return {
             "nodes": self.nodes,
@@ -272,15 +272,14 @@ def merge_traces(
     if not sources:
         raise ValueError("nothing to merge")
     traces: Dict[int, ColumnarTrace] = {}
-    anchors: Dict[int, NodeAnchors] = {}
+    anchors: Dict[int, ClockAnchors] = {}
     for src in sources:
         if src.node in traces:
             raise ValueError(f"duplicate node id {src.node}")
         traces[src.node] = src.trace
         if src.anchors is not None:
             anchors[src.node] = src.anchors
-    aligner = FleetAligner.for_nodes(sorted(traces), anchors)
-    return FleetView(traces, aligner, registry=registry)
+    return FleetView(traces, ClockMap(traces, anchors), registry=registry)
 
 
 def ingest_source(
@@ -332,7 +331,7 @@ def ingest_path(
     return ingest_source(path, registry, strict, store)[0]
 
 
-def write_anchor_sidecar(path: str, node: int, anchors: NodeAnchors,
+def write_anchor_sidecar(path: str, node: int, anchors: ClockAnchors,
                          meta: Optional[Dict[str, Any]] = None) -> str:
     """Write ``path``'s anchor sidecar; returns the sidecar path."""
     side = path + ANCHORS_SUFFIX
@@ -348,14 +347,14 @@ def write_anchor_sidecar(path: str, node: int, anchors: NodeAnchors,
 
 def read_anchor_sidecar(
     path: str,
-) -> Optional[Tuple[int, NodeAnchors]]:
+) -> Optional[Tuple[int, ClockAnchors]]:
     """The ``(node, anchors)`` of ``path``'s sidecar, or None."""
     side = path + ANCHORS_SUFFIX
     if not os.path.exists(side):
         return None
     with open(side, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    return int(doc["node"]), NodeAnchors.from_json(doc)
+    return int(doc["node"]), ClockAnchors.from_json(doc)
 
 
 def merge_paths(
@@ -494,7 +493,7 @@ def pack_fleet_view(
         "nodes": view.nodes,
         "fleet": {
             "skew_bound": view.skew_bound(),
-            "anchors": view.aligner.to_json(),
+            "anchors": view.clock_map.to_json(),
             "cpus_by_node": cpus_by_node,
         },
     }

@@ -23,9 +23,6 @@ class Cpu:
         self.context_switches = 0
         self.migrations_in = 0
 
-    def queue_len(self) -> int:
-        return len(self.run_queue)
-
     def note_busy(self, now: int) -> None:
         if self.idle:
             self.total_idle += now - self.idle_since

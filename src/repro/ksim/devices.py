@@ -106,11 +106,6 @@ class BlockDevice:
         yield BlockOn(key)
         return req
 
-    @property
-    def queue_depth_now(self) -> int:
-        """Requests pending at this instant (including in service)."""
-        return self.inflight
-
     def stats(self) -> Tuple[int, float, int]:
         """(requests, mean latency, max latency) over completed I/Os."""
         if not self.completed:

@@ -4,8 +4,10 @@ The paper reports an order-of-magnitude improvement when K42's
 technology was applied to LTT, from three changes: lockless logging,
 per-processor buffers, and cheaper timestamp acquisition.  This package
 provides each configuration so the ablation benchmark can isolate each
-factor, plus the x86 TSC-interpolation scheme LTT adopted for machines
-without a synchronized cheap clock.
+factor.  The x86 TSC-interpolation scheme LTT adopted for machines
+without a synchronized cheap clock is :class:`repro.core.clockmap.ClockMap`
+keyed by CPU, with anchors from
+:meth:`repro.core.timestamps.DriftingTscClock.anchors`.
 """
 
 from repro.ltt.configs import (
@@ -15,16 +17,7 @@ from repro.ltt.configs import (
     original_ltt,
     k42_ltt,
 )
-from repro.ltt.tscsync import (
-    TscAnchors,
-    TscInterpolator,
-    max_pairwise_skew,
-    synchronize_tsc_traces,
-    take_anchors,
-)
 
 __all__ = [
     "LttConfig", "LTT_CONFIGS", "build_logger_set", "original_ltt", "k42_ltt",
-    "TscAnchors", "TscInterpolator", "synchronize_tsc_traces",
-    "take_anchors", "max_pairwise_skew",
 ]

@@ -43,10 +43,6 @@ class SyscallRow:
     faults: int = 0
 
     @property
-    def total_us(self) -> float:
-        return self.total_cycles / CYCLES_PER_US
-
-    @property
     def compute_us(self) -> float:
         """Time in the call minus attributed IPC and fault service."""
         return max(0, self.total_cycles - self.ipc_cycles - self.fault_cycles) / CYCLES_PER_US

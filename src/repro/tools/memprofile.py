@@ -38,10 +38,6 @@ class ProcessMemoryStats:
     tlb_misses: int = 0
     samples: int = 0
 
-    def mpk(self, total_cycles: int) -> float:
-        """Misses per kilocycle of the whole run (hotness measure)."""
-        return self.l2_misses / max(1, total_cycles) * 1_000
-
 
 @dataclass
 class MemoryReport:

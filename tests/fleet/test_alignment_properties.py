@@ -1,8 +1,8 @@
-"""Fresh-seed property suite for fleet clock alignment (randomized).
+"""Fresh-seed property suite for clock alignment (randomized).
 
 Every node gets an independently random clock — offset, drift rate,
 and bounded integer jitter, exactly the model
-:meth:`repro.fleet.align.FleetAligner.skew_bound` derives its bound
+:meth:`repro.core.clockmap.ClockMap.skew_bound` derives its bound
 for — and the suite asserts the three alignment contracts:
 
 * re-basing never reorders a stream (round-trip monotonicity),
@@ -10,6 +10,11 @@ for — and the suite asserts the three alignment contracts:
   bound, and
 * the merged unified view is bit-identical under any permutation of
   node ingest order.
+
+The per-CPU leg runs the first two on §4.1's use of the same map:
+streams keyed by CPU within one node, each a random drifting tsc of a
+:class:`~repro.core.timestamps.DriftingTscClock`, anchored by its
+``anchors`` method.
 
 Seeds come from ``FLEET_FUZZ_SEEDS`` (comma-separated, default
 ``0,1,2``) so CI can roll fresh ones per push; every assertion message
@@ -23,17 +28,12 @@ import random
 import numpy as np
 import pytest
 
+from repro.core.clockmap import ClockAnchors, ClockMap, measured_skew
 from repro.core.columnar import ColumnarTraceReader
 from repro.core.facility import TraceFacility
 from repro.core.registry import default_registry
-from repro.core.timestamps import ManualClock
-from repro.fleet import (
-    FleetAligner,
-    NodeAnchors,
-    NodeSource,
-    measured_fleet_skew,
-    merge_traces,
-)
+from repro.core.timestamps import DriftingTscClock, ManualClock
+from repro.fleet import NodeSource, merge_traces
 
 SEEDS = [int(s) for s in
          os.environ.get("FLEET_FUZZ_SEEDS", "0,1,2").split(",")]
@@ -70,7 +70,7 @@ class ModelClock:
 
 
 def _random_fleet(seed):
-    """Anchored aligner + index-aligned readings for a random fleet."""
+    """Anchored node map + index-aligned readings for a random fleet."""
     rng = random.Random(seed)
     nnodes = rng.randint(2, 5)
     wall_end = rng.randrange(10**6, 10**8)
@@ -86,37 +86,78 @@ def _random_fleet(seed):
         local_start = clock.read(0)
         readings[node] = [clock.read(t) for t in sample_ts]
         local_end = clock.read(wall_end)
-        anchors[node] = NodeAnchors(
+        anchors[node] = ClockAnchors(
             local_start=local_start, wall_start=0,
             local_end=local_end, wall_end=wall_end,
         )
         jitters[node] = clock.jitter
-    aligner = FleetAligner.for_nodes(range(nnodes), anchors)
-    return aligner, jitters, readings
+    return ClockMap(range(nnodes), anchors), jitters, readings
+
+
+def _random_cpus(seed):
+    """Anchored CPU map + index-aligned tsc readings for one random
+    node: offset and ppm-level drift per CPU, no jitter (a tsc read is
+    exact; only its integer truncation counts)."""
+    rng = random.Random(seed)
+    ncpus = rng.randint(2, 8)
+    wall_end = rng.randrange(10**6, 10**10)
+    sample_ts = sorted(rng.sample(range(1, wall_end), 200))
+    base = [0]
+    clock = DriftingTscClock(
+        offsets=[rng.randrange(0, 10**12) for _ in range(ncpus)],
+        rates=[rng.uniform(0.9995, 1.0005) for _ in range(ncpus)],
+        base=lambda: base[0],
+    )
+    readings = {cpu: [] for cpu in range(ncpus)}
+    for t in sample_ts:
+        base[0] = t
+        for cpu in range(ncpus):
+            readings[cpu].append(clock.now(cpu))
+    cmap = ClockMap(range(ncpus), clock.anchors(0, wall_end))
+    return cmap, {cpu: 0 for cpu in range(ncpus)}, readings
+
+
+def _assert_rebase_monotone(cmap, readings, seed, key):
+    for stream, vals in readings.items():
+        t = np.array(vals, dtype=np.int64)
+        rb = cmap.rebase(stream, t, np.ones(len(t), dtype=bool))
+        assert np.all(np.diff(rb) >= 0), \
+            f"{key} {stream} stream reordered after rebase; {_why(seed)}"
+        # The vectorized path must agree with the exact scalar map.
+        scalar = [cmap.to_wall(stream, v) for v in vals]
+        assert rb.tolist() == scalar, (
+            f"vectorized rebase != scalar map on {key} {stream}; "
+            f"{_why(seed)}")
+
+
+def _assert_skew_within_bound(cmap, jitters, readings, seed):
+    bound = cmap.skew_bound(jitter=jitters)
+    measured = measured_skew(cmap, readings)
+    assert measured <= bound, (
+        f"measured residual skew {measured} exceeds reported bound "
+        f"{bound} (jitters {jitters}); {_why(seed)}")
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_rebase_is_monotone_per_stream(seed):
-    aligner, _jitters, readings = _random_fleet(seed)
-    for node, vals in readings.items():
-        t = np.array(vals, dtype=np.int64)
-        rb = aligner.rebase(node, t, np.ones(len(t), dtype=bool))
-        assert np.all(np.diff(rb) >= 0), \
-            f"node {node} stream reordered after rebase; {_why(seed)}"
-        # The vectorized path must agree with the exact scalar map.
-        scalar = [aligner.to_fleet(node, v) for v in vals]
-        assert rb.tolist() == scalar, \
-            f"vectorized rebase != scalar map on node {node}; {_why(seed)}"
+    cmap, _jitters, readings = _random_fleet(seed)
+    _assert_rebase_monotone(cmap, readings, seed, "node")
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_measured_skew_within_reported_bound(seed):
-    aligner, jitters, readings = _random_fleet(seed)
-    bound = aligner.skew_bound(jitter=jitters)
-    measured = measured_fleet_skew(aligner, readings)
-    assert measured <= bound, (
-        f"measured residual skew {measured} exceeds reported bound "
-        f"{bound} (jitters {jitters}); {_why(seed)}")
+    _assert_skew_within_bound(*_random_fleet(seed), seed)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_cpu_rebase_is_monotone_per_stream(seed):
+    cmap, _jitters, readings = _random_cpus(seed)
+    _assert_rebase_monotone(cmap, readings, seed, "cpu")
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_cpu_skew_within_reported_bound(seed):
+    _assert_skew_within_bound(*_random_cpus(seed), seed)
 
 
 def _node_records(seed, offset, ncpus=2):
@@ -145,7 +186,7 @@ def test_merged_view_invariant_under_ingest_permutation(seed):
         wall_start = rng.randrange(0, 10**6)
         sources.append(NodeSource(
             node=node, trace=trace,
-            anchors=NodeAnchors(
+            anchors=ClockAnchors(
                 local_start=offset, wall_start=wall_start,
                 local_end=offset + span,
                 wall_end=wall_start
@@ -179,9 +220,9 @@ def test_unified_view_keeps_per_stream_order(seed):
         span = local_end - offset + 50
         sources.append(NodeSource(
             node=node, trace=trace,
-            anchors=NodeAnchors(offset, 0, offset + span,
-                                max(1, round(span
-                                             * rng.uniform(0.97, 1.03))))))
+            anchors=ClockAnchors(offset, 0, offset + span,
+                                 max(1, round(span
+                                              * rng.uniform(0.97, 1.03))))))
     b = merge_traces(sources, registry=reg).batch()
     node_col = b.node_column()
     for node in np.unique(node_col).tolist():

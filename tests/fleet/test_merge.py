@@ -15,15 +15,13 @@ The load-bearing contracts:
 import numpy as np
 import pytest
 
+from repro.core.clockmap import ClockAnchors, ClockMap, measured_skew
 from repro.core.majors import Major
 from repro.core.registry import default_registry
 from repro.core.writer import load_records
 from repro.fleet import (
-    FleetAligner,
-    NodeAnchors,
     NodeSource,
     ingest_path,
-    measured_fleet_skew,
     merge_paths,
     merge_traces,
     pack_fleet_view,
@@ -69,7 +67,7 @@ class TestLauncher:
         assert len(result.view) > 0
 
     def test_distinct_node_clocks(self, fleet):
-        a = {n: fleet.view.aligner.anchors[n] for n in fleet.view.nodes}
+        a = {n: fleet.view.clock_map.anchors[n] for n in fleet.view.nodes}
         assert a[0].local_start != a[1].local_start
         assert a[0].rate != a[1].rate
 
@@ -93,7 +91,7 @@ class TestLauncher:
 class TestMerge:
     def test_sidecar_roundtrip(self, tmp_path):
         path = str(tmp_path / "n.k42")
-        anchors = NodeAnchors(100, 0, 1100, 990)
+        anchors = ClockAnchors(100, 0, 1100, 990)
         side = write_anchor_sidecar(path, 7, anchors, meta={"seed": 3})
         assert side.endswith(".anchors.json")
         got = read_anchor_sidecar(path)
@@ -161,20 +159,19 @@ class TestMerge:
             region.unlink()
 
     def test_measured_skew_edge_cases(self):
-        aligner = FleetAligner.identity([0])
-        assert aligner.skew_bound() == 0
-        assert measured_fleet_skew(aligner, {0: [1, 2, 3]}) == 0
-        two = FleetAligner.identity([0, 1])
+        cmap = ClockMap([0], {})
+        assert cmap.skew_bound() == 0
+        assert measured_skew(cmap, {0: [1, 2, 3]}) == 0
+        two = ClockMap([0, 1], {})
         with pytest.raises(ValueError, match="index-aligned"):
-            measured_fleet_skew(two, {0: [1, 2], 1: [1]})
+            measured_skew(two, {0: [1, 2], 1: [1]})
 
     def test_aligner_rejects_uncovered_nodes(self, fleet):
         from repro.fleet.merge import FleetView
 
-        aligner = FleetAligner.identity([0])
         with pytest.raises(ValueError, match="no map for nodes \\[1\\]"):
             FleetView({n: fleet.view.node_trace(n)
-                       for n in fleet.view.nodes}, aligner)
+                       for n in fleet.view.nodes}, ClockMap([0], {}))
 
 
 def _port_case(tool):
