@@ -16,12 +16,15 @@ Modules
 -------
 coop        deterministic cooperative runtime (one task at a time)
 instrument  stepped lane store and stepped clock
-harness     builds a checked system and runs one schedule
+harness     the one checked system — its lanes private or the CPUs of a
+            real shm segment — and one schedule run over it
 explore     exhaustive (bounded-DFS) and randomized (PCT) exploration
 shrink      counterexample minimization
 script      JSON schedule scripts (save / load / replay)
-mutants     deliberately broken loggers the checker must catch
-oracle      the word-at-a-time reference decoder the checker trusts
+mutants     deliberately broken loggers, collector, lane owner and attach
+            geometry the checker must catch, in one table
+oracle      the word-at-a-time reference ring walk and decoder the
+            checker trusts
 
 Entry point: ``repro-trace check`` (see :mod:`repro.cli`).
 """

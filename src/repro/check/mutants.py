@@ -1,12 +1,12 @@
-"""Deliberately broken loggers that validate the checker itself.
+"""Deliberately broken code that validates the checker itself.
 
 A model checker that never finds anything proves nothing: these mutants
 re-introduce, one at a time, the races the lockless protocol exists to
-prevent.  Each is a :class:`~repro.core.logger.TraceLogger` subclass
-overriding exactly one decision, and each must be caught by the checker
-with a minimized, replayable counterexample (the test suite enforces
-this).  They document, executably, *why* each line of Figure 2 is the
-way it is:
+prevent, and each must be caught by the checker with a minimized,
+replayable counterexample (the test suite enforces this).  Five are
+:class:`~repro.core.logger.TraceLogger` subclasses overriding exactly
+one decision; they document, executably, *why* each line of Figure 2
+is the way it is:
 
 ``non-atomic-reserve``
     Advances the reservation index with a load + store instead of
@@ -36,13 +36,33 @@ way it is:
     Writes the boundary filler but never commits its length.  The
     buffer's committed count comes up short, so a perfectly clean
     buffer is reported garbled — no preemption needed at all.
+
+Three more break the shared-memory seam around the logger instead (they
+need ``shm=True``); each replaces one production class of that seam:
+
+``missed-flush-on-death``
+    A collector whose finalize never emits the in-progress partial
+    buffers — caught as a buffer lost at flush.
+
+``stale-attach-offset``
+    An attach whose geometry maps its trace memory at CPU 0's region
+    while its control words are its own CPU's — caught as a double
+    write across attaches.
+
+``unlocked-lane-claim``
+    A lane claim that loads the owner word and then plainly stores it:
+    two claimers both win — caught as a lane owned twice.
+
+Every spec names the seam its class replaces (:data:`SEAMS`), and the
+checked system asks :func:`seam_class` for each seam's class.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
+from repro.core.buffers import BufferRecord
 from repro.core.constants import (
     EXTENDED_FILLER_LENGTH,
     MAX_EVENT_WORDS,
@@ -52,6 +72,9 @@ from repro.core.constants import (
 from repro.core.header import pack_header
 from repro.core.logger import TraceLogger
 from repro.core.majors import ControlMinor, Major
+from repro.shm.collector import ShmCollector
+from repro.shm.lanes import LaneOwner
+from repro.shm.region import ShmLayout
 
 
 class NonAtomicReserveLogger(TraceLogger):
@@ -183,18 +206,71 @@ class SkipFillerCommitLogger(TraceLogger):
         self._maybe_book(seq + 1, exact=False)
 
 
+class MissedFlushCollector(ShmCollector):
+    """Finalize trusts only index-completed buffers.
+
+    A plausible-looking collector bug: on quiescence (or a writer's
+    death) it drains what the index says is complete and never emits
+    the in-progress partial buffers — so every event in the final
+    partial buffer of each CPU is silently lost, and a killed writer's
+    torn partial buffer never reaches the reader's heuristics at all.
+    """
+
+    def finalize(self) -> List[BufferRecord]:
+        return self.poll(lag=0)  # BUG: partial buffers never flushed
+
+
+class StaleAttachLayout(ShmLayout):
+    """Every CPU's trace memory where CPU 0's is.
+
+    The geometry of an attach that computed its trace-memory offset
+    from stale values: it maps CPU 0's region while its control words
+    are its own CPU's.
+    """
+
+    def trace_words(self, cpu: int) -> int:
+        return super().trace_words(0)  # BUG: stale offset
+
+
+class UnlockedClaimOwner(LaneOwner):
+    """The lane claim loads the owner word, then plainly stores.
+
+    Two claimers that load the same owner word both win: each believes
+    it owns the lane and logs under the thread lock alone.
+    """
+
+    def _take(self, word, cur: int, new: int) -> bool:
+        word.store(new)  # BUG: a claim between the load and here is lost
+        return True
+
+
+#: The seams a mutant class can replace, each with its production class.
+LOGGER = "logger"
+COLLECTOR = "collector"
+LANE_OWNER = "lane owner"
+ATTACH_GEOMETRY = "attach geometry"
+SEAMS: Dict[str, type] = {
+    LOGGER: TraceLogger,
+    COLLECTOR: ShmCollector,
+    LANE_OWNER: LaneOwner,
+    ATTACH_GEOMETRY: ShmLayout,
+}
+
+
 @dataclass
 class MutantSpec:
-    """A registered mutant: its class, what it breaks, how to catch it."""
+    """A registered mutant: its class, the seam that class replaces,
+    what it breaks, how to catch it."""
 
     name: str
+    seam: str
     cls: type
     summary: str
     #: Invariant ids a counterexample for this mutant may legitimately
     #: trip (the checker stops at the first violation it meets).
     expected: Tuple[str, ...]
     #: Config overrides that make the bug reachable quickly.
-    config: Dict[str, int]
+    config: Dict[str, object]
 
 
 MUTANTS: Dict[str, MutantSpec] = {
@@ -202,6 +278,7 @@ MUTANTS: Dict[str, MutantSpec] = {
     for spec in (
         MutantSpec(
             "non-atomic-reserve",
+            LOGGER,
             NonAtomicReserveLogger,
             "index bumped with load+store instead of CAS",
             ("double-write",),
@@ -209,6 +286,7 @@ MUTANTS: Dict[str, MutantSpec] = {
         ),
         MutantSpec(
             "commit-before-copy",
+            LOGGER,
             CommitBeforeCopyLogger,
             "traceCommit runs before the event words are written",
             ("reader-garble-in-covered-buffer", "reader-fabricated-event",
@@ -218,6 +296,7 @@ MUTANTS: Dict[str, MutantSpec] = {
         ),
         MutantSpec(
             "stale-timestamp",
+            LOGGER,
             StaleTimestampLogger,
             "timestamp read once before the CAS retry loop",
             ("timestamp-order", "clean-decode-anomaly"),
@@ -225,6 +304,7 @@ MUTANTS: Dict[str, MutantSpec] = {
         ),
         MutantSpec(
             "reset-on-book",
+            LOGGER,
             ResetOnBookLogger,
             "committed count reset during buffer-start bookkeeping",
             ("clean-decode-anomaly", "partial-commit-mismatch"),
@@ -232,31 +312,59 @@ MUTANTS: Dict[str, MutantSpec] = {
         ),
         MutantSpec(
             "skip-filler-commit",
+            LOGGER,
             SkipFillerCommitLogger,
             "boundary filler written but never committed",
             ("clean-decode-anomaly", "partial-commit-mismatch"),
             {"writers": 1, "events": 2, "data_words": 2,
              "preemption_bound": 0},
         ),
+        MutantSpec(
+            "missed-flush-on-death",
+            COLLECTOR,
+            MissedFlushCollector,
+            "collector finalize never emits in-progress partial buffers",
+            ("lost-buffer-at-flush", "lost-or-reordered-events",
+             "torn-not-flagged"),
+            {"shm": True, "writers": 1, "events": 1,
+             "preemption_bound": 0},
+        ),
+        MutantSpec(
+            "stale-attach-offset",
+            ATTACH_GEOMETRY,
+            StaleAttachLayout,
+            "attacher maps its trace memory at another CPU's region",
+            ("double-write",),
+            {"shm": True, "shm_cpus": 2, "writers": 2, "events": 1,
+             "preemption_bound": 1},
+        ),
+        MutantSpec(
+            "unlocked-lane-claim",
+            LANE_OWNER,
+            UnlockedClaimOwner,
+            "lane claim loads the owner word, then stores it without a CAS",
+            ("lane-owned-twice",),
+            {"shm": True, "writers": 1, "events": 1, "rivals": 2,
+             "preemption_bound": 2},
+        ),
     )
 }
 
 
-def make_logger(
-    mutant: Optional[str],
-    control,
-    mask,
-    clock,
-    logger_factory: Optional[Callable] = None,
-) -> TraceLogger:
-    """Build the system under test: the real logger, or a mutant."""
-    if logger_factory is not None:
-        return logger_factory(control, mask, clock)
-    if mutant is None:
-        return TraceLogger(control, mask, clock)
-    spec = MUTANTS.get(mutant)
-    if spec is None:
-        raise KeyError(
-            f"unknown mutant {mutant!r}; known: {sorted(MUTANTS)}"
-        )
-    return spec.cls(control, mask, clock)
+def seam_class(mutant: Optional[str], seam: str) -> type:
+    """The class at ``seam``: ``mutant``'s if it replaces that seam,
+    the production class otherwise."""
+    if mutant is not None:
+        spec = MUTANTS.get(mutant)
+        if spec is None:
+            raise KeyError(
+                f"unknown mutant {mutant!r}; known: {sorted(MUTANTS)}"
+            )
+        if spec.seam == seam:
+            return spec.cls
+    return SEAMS[seam]
+
+
+def make_logger(mutant: Optional[str], control, mask, clock) -> TraceLogger:
+    """Build the system under test: the real logger, or a logger mutant."""
+    return seam_class(mutant, LOGGER)(control, mask, clock)

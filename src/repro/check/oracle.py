@@ -1,4 +1,5 @@
-"""The reference decoder: a word-at-a-time walk the checker trusts.
+"""The reference ring walk and decoder: word-at-a-time code the checker
+trusts.
 
 The production decoder (:func:`repro.core.columnar.decode_records_columnar`)
 unpacks a buffer's header fields in one batch of numpy operations and
@@ -14,13 +15,21 @@ only things it shares with the production walk are ``sdelta32`` and the
 anchor-header predicate.  :func:`find_resync` here is the word-at-a-time
 statement of the resync rules that the array-predicate
 :func:`repro.core.stream.find_resync` is held to.
+
+:func:`reference_ring` is the same kind of ground truth one step
+earlier: it lists a lane's buffers straight from the index and the
+committed counts, without the production reader
+(:func:`repro.core.buffers.read_lane`), so the collector's drained
+output can be judged against it.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from repro.core.buffers import BufferRecord
+import numpy as np
+
+from repro.core.buffers import BufferRecord, LaneAt, decode_commit_word
 from repro.core.constants import EXTENDED_FILLER_LENGTH
 from repro.core.header import unpack_header
 from repro.core.majors import ControlMinor, Major
@@ -91,6 +100,36 @@ def find_resync(fields, start: int, limit: int,
             if nxt == limit or _plausible_header(fields, nxt, limit, ts):
                 return o
     return None
+
+
+def reference_ring(words, at: LaneAt, buffer_words: int, num_buffers: int,
+                   cpu: int) -> List[BufferRecord]:
+    """Every buffer of a wrap-free lane that holds reserved words.
+
+    Deliberately not :func:`~repro.core.buffers.read_lane`: no occupant
+    words, no stable copy, just sequences ``0..index // buffer_words``
+    at ``seq % num_buffers``, the last one partial.
+    """
+    index = words[at.index]
+    cur_seq = index // buffer_words
+    out: List[BufferRecord] = []
+    for seq in range(cur_seq + 1):
+        fill = (buffer_words if seq < cur_seq
+                else index & (buffer_words - 1))
+        if fill == 0:
+            continue
+        slot = seq % num_buffers
+        start = at.trace + slot * buffer_words
+        out.append(BufferRecord(
+            cpu=cpu,
+            seq=seq,
+            words=np.array(words[start:start + buffer_words],
+                           dtype=np.uint64),
+            committed=decode_commit_word(seq, words[at.committed + slot]),
+            fill_words=fill,
+            partial=(seq == cur_seq),
+        ))
+    return out
 
 
 def reference_decode(

@@ -369,6 +369,16 @@ def cmd_inject(args) -> int:
     return 0
 
 
+def _source_name(path: str) -> str:
+    """How a store's manifest names an input: its basename (``shm:NAME``
+    as given), so a store does not depend on where it was made."""
+    import os
+
+    if path.startswith("shm:"):
+        return path
+    return os.path.basename(os.path.normpath(path))
+
+
 def cmd_pack(args) -> int:
     """Pack a trace into a persistent columnar store directory."""
     import os
@@ -382,7 +392,7 @@ def cmd_pack(args) -> int:
         shard_events=args.shard_events,
         compress=not args.no_compress,
         source={
-            "path": os.path.abspath(args.trace),
+            "path": _source_name(args.trace),
             "frames": len(records),
             "buffer_words": len(records[0].words) if records else 0,
         },
@@ -465,8 +475,6 @@ def _print_fleet_summary(view) -> None:
 
 def cmd_merge(args) -> int:
     """Merge N per-node traces into one clock-aligned fleet view."""
-    import os
-
     from repro.fleet.merge import merge_paths, pack_fleet_view
 
     view = merge_paths(args.traces, registry=default_registry(),
@@ -480,9 +488,7 @@ def cmd_merge(args) -> int:
             view, args.output,
             shard_events=args.shard_events,
             compress=not args.no_compress,
-            source={"paths": [p if p.startswith("shm:")
-                              else os.path.abspath(p)
-                              for p in args.traces]},
+            source={"paths": [_source_name(p) for p in args.traces]},
             force=args.force,
         )
         print(f"packed fleet store: {res.path} "
@@ -532,15 +538,16 @@ def cmd_check(args) -> int:
         save_script,
     )
     from repro.check.harness import ConfigError, ReplayDivergence
+    from repro.check.mutants import LOGGER
     from repro.check.script import ScheduleScript
-    from repro.check.shm import SHM_MUTANTS
 
+    # Logger mutants first, then those of the shm seams around it.
+    listed = sorted(MUTANTS.values(),
+                    key=lambda m: (m.seam != LOGGER, m.name))
     if args.list_mutants:
-        for name, spec in sorted(MUTANTS.items()):
-            print(f"{name:<22} {spec.summary}")
-            print(f"{'':<22} expected: {', '.join(spec.expected)}")
-        for name, spec in sorted(SHM_MUTANTS.items()):
-            print(f"{name:<22} {spec.summary} [shm seam]")
+        for spec in listed:
+            seam = "" if spec.seam == LOGGER else " [shm seam]"
+            print(f"{spec.name:<22} {spec.summary}{seam}")
             print(f"{'':<22} expected: {', '.join(spec.expected)}")
         return 0
 
@@ -572,11 +579,10 @@ def cmd_check(args) -> int:
     # recommended settings, which beat the built-in defaults.
     spec = None
     if args.mutant is not None:
-        spec = MUTANTS.get(args.mutant) or SHM_MUTANTS.get(args.mutant)
+        spec = MUTANTS.get(args.mutant)
         if spec is None:
-            known = sorted(MUTANTS) + sorted(SHM_MUTANTS)
             print(f"unknown mutant {args.mutant!r}; known: "
-                  f"{', '.join(known)}", file=sys.stderr)
+                  f"{', '.join(m.name for m in listed)}", file=sys.stderr)
             return 2
     defaults = {
         "writers": 2, "events": 2, "data_words": 1, "buffer_words": 8,

@@ -185,8 +185,10 @@ class FleetView:
         return self._rollup
 
     # -- reporting -------------------------------------------------------
-    def skew_bound(self, jitter: int = 0) -> int:
-        return self.clock_map.skew_bound(jitter)
+    def skew_bound(self) -> int:
+        """The clock map's bound, for node clocks read without jitter
+        (the anchor sidecars record none)."""
+        return self.clock_map.skew_bound()
 
     def summary(self) -> Dict[str, Any]:
         """Per-node and fleet-level counts for CLI/manifest reporting."""

@@ -28,10 +28,11 @@ Pieces:
 * :mod:`repro.shm.procs` — writer/collector OS-process entry points and
   the workload runner behind ``repro-trace shm-demo``.
 
-The model checker extends across this seam in :mod:`repro.check.shm`:
-its stepped store wraps the segment's lane stores, so the attach/drain
-logic is explored under adversarial interleavings exactly like the
-core protocol.
+The model checker covers this seam with its one checked system
+(:class:`repro.check.harness.CheckedSystem` with ``shm=True``): its
+lanes are a segment's CPUs, its stepped store wraps their lane stores,
+so the attach/drain logic is explored under adversarial interleavings
+by the same invariants as the core protocol.
 """
 
 from repro.shm.atomics import SegmentLock, SegmentStore

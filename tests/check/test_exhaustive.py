@@ -13,6 +13,23 @@ import pytest
 from repro.check import CheckConfig, explore_exhaustive, explore_random
 from repro.check.script import ScheduleScript
 
+#: The private proof configurations: overrides, preemption bound, and
+#: the (schedules, steps) the exhaustive search explores for them.
+PROOFS = {
+    "2x2-pb2": ({"writers": 2, "events": 2}, 2, (774, 36700)),
+    "2x2-bw16-pb2": ({"writers": 2, "events": 2, "buffer_words": 16}, 2,
+                     (422, 13364)),
+    "3x1-pb1": ({"writers": 3, "events": 1}, 1, (132, 5412)),
+    "2x2-kills1-pb1": ({"writers": 2, "events": 2, "kills": 1}, 1,
+                       (1972, 71868)),
+    "2x2-reader-pb1": ({"writers": 2, "events": 2, "reader": True}, 1,
+                       (224, 11312)),
+}
+
+
+def _space(result):
+    return result.schedules, result.steps
+
 
 def _explain(result, cmd: str) -> str:
     v = result.violation
@@ -39,7 +56,7 @@ class TestExhaustiveProofs:
         )
         assert not result.truncated
         # the space is non-trivial: hundreds of distinct interleavings
-        assert result.schedules > 100
+        assert _space(result) == PROOFS["2x2-pb2"][2]
 
     def test_wider_buffer_pb2(self):
         cfg = CheckConfig(writers=2, events=2, buffer_words=16)
@@ -49,6 +66,7 @@ class TestExhaustiveProofs:
             "PYTHONPATH=src python -m repro.cli check --writers 2 "
             "--events 2 --buffer-words 16 --preemption-bound 2",
         )
+        assert _space(result) == PROOFS["2x2-bw16-pb2"][2]
 
     def test_three_writers_pb1(self):
         cfg = CheckConfig(writers=3, events=1, num_buffers=8)
@@ -58,6 +76,7 @@ class TestExhaustiveProofs:
             "PYTHONPATH=src python -m repro.cli check --writers 3 "
             "--events 1 --preemption-bound 1",
         )
+        assert _space(result) == PROOFS["3x1-pb1"][2]
 
     def test_kills_pb1(self):
         """Killed writers: torn buffers flagged, clean buffers not."""
@@ -68,6 +87,7 @@ class TestExhaustiveProofs:
             "PYTHONPATH=src python -m repro.cli check --writers 2 "
             "--events 2 --kills 1 --preemption-bound 1",
         )
+        assert _space(result) == PROOFS["2x2-kills1-pb1"][2]
 
     def test_concurrent_reader_pb1(self):
         """A reader sees only consistent data in committed-covered buffers."""
@@ -78,12 +98,32 @@ class TestExhaustiveProofs:
             "PYTHONPATH=src python -m repro.cli check --writers 2 "
             "--events 2 --reader --preemption-bound 1",
         )
+        assert _space(result) == PROOFS["2x2-reader-pb1"][2]
 
     def test_max_schedules_reports_truncation(self):
         cfg = CheckConfig(writers=2, events=2)
         result = explore_exhaustive(cfg, preemption_bound=2, max_schedules=5)
         assert result.passed and result.truncated
         assert result.schedules == 5
+
+
+class TestBackendEquivalence:
+    @pytest.mark.parametrize("name", sorted(PROOFS))
+    def test_shm_lane_explores_the_private_space(self, name):
+        """One shm CPU is the private system over a real segment: the
+        same scheduling points, so the same schedules and steps."""
+        overrides, bound, space = PROOFS[name]
+        cfg = CheckConfig(shm=True, shm_cpus=1, **overrides)
+        result = explore_exhaustive(cfg, preemption_bound=bound)
+        flags = " ".join(
+            f"--{k.replace('_', '-')}" + ("" if v is True else f" {v}")
+            for k, v in overrides.items())
+        assert result.passed, _explain(
+            result,
+            f"PYTHONPATH=src python -m repro.cli check --shm {flags} "
+            f"--preemption-bound {bound}",
+        )
+        assert _space(result) == space
 
 
 class TestRandomMode:

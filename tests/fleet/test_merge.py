@@ -28,7 +28,7 @@ from repro.fleet import (
     read_anchor_sidecar,
     write_anchor_sidecar,
 )
-from repro.cli import build_parser, fleet_report
+from repro.cli import build_parser, fleet_report, main
 from repro.fleet.launch import fleet_run
 from repro.reports import FLEET_TOOLS, REPORTS
 from repro.store import Predicate, TraceStore
@@ -271,3 +271,42 @@ class TestFleetStore:
         an = doc["anomalies"]
         assert len(an["node"]) == len(an["kind"])
         assert set(an["node"]) <= {0, 1}
+
+
+def _tree(root):
+    """Every file under ``root`` by relative path, with its bytes."""
+    import os
+
+    out = {}
+    for dirpath, _dirs, files in os.walk(root):
+        for name in files:
+            path = os.path.join(dirpath, name)
+            with open(path, "rb") as f:
+                out[os.path.relpath(path, root)] = f.read()
+    return out
+
+
+def test_stores_do_not_depend_on_where_their_inputs_were(
+        fleet, tmp_path, capsys):
+    """The same node traces, packed and merged from two directories,
+    give identical stores (``diff -r``): a manifest names each input by
+    its basename, not by an absolute path."""
+    import os
+    import shutil
+
+    made = []
+    for where in ("a", os.path.join("b", "deeper")):
+        d = tmp_path / where
+        d.mkdir(parents=True)
+        traces = []
+        for r in fleet.node_results:
+            for src in (r.trace_path, r.anchors_path):
+                shutil.copy(src, d / os.path.basename(src))
+            traces.append(str(d / os.path.basename(r.trace_path)))
+        assert main(["pack", traces[0], str(d / "node.store")]) == 0
+        assert main(["merge", *traces, "-o", str(d / "fleet.store")]) == 0
+        made.append(d)
+    capsys.readouterr()
+    for store in ("node.store", "fleet.store"):
+        first, second = (_tree(d / store) for d in made)
+        assert first and first == second, store

@@ -1,30 +1,22 @@
 """The model checker must cover the shared-memory seam.
 
-Same contract as ``tests/check/test_mutants.py``, one layer down: the
-stepped store wraps each writer's lane store over the real segment
+With ``shm=True`` the one checked system's lanes are the CPUs of a real
+segment: the stepped store wraps each writer's lane store over it
 (control words, committed counts, trace words), clean configurations pass
-exhaustive exploration, each shm-specific mutant is provably caught
-with a minimized, deterministically replayable counterexample, and a
-run leaves no shared-memory segment behind.
+exhaustive exploration, the lane-ownership cases are proved, and a run
+leaves no shared-memory segment behind.  The three seam mutants are
+caught and replayed with the logger mutants in
+``tests/check/test_mutants.py``.
 """
 
 import pytest
 
 from repro.check import CheckConfig, explore_exhaustive
 from repro.check.coop import READY
-from repro.check.mutants import MUTANTS
-from repro.check.script import ScheduleScript
-from repro.check.shm import SHM_MUTANTS, ShmCheckedSystem
+from repro.check.harness import CheckedSystem, ConfigError
+from repro.check.mutants import LOGGER, MUTANTS
 from repro.shm.lanes import GENERATION_SHIFT, PID_MASK
 from tests.shm.test_multiproc import shm_segments
-
-
-def _explore_shm_mutant(name):
-    spec = SHM_MUTANTS[name]
-    overrides = dict(spec.config)
-    bound = overrides.pop("preemption_bound", 2)
-    cfg = CheckConfig(mutant=name, **overrides)
-    return spec, explore_exhaustive(cfg, preemption_bound=bound)
 
 
 class TestCleanConfigurations:
@@ -48,39 +40,18 @@ class TestCleanConfigurations:
 
 
 class TestShmMutants:
-    @pytest.mark.parametrize("name", sorted(SHM_MUTANTS))
-    def test_mutant_is_caught(self, name):
-        spec, result = _explore_shm_mutant(name)
-        assert not result.passed, (
-            f"shm mutant {name!r} survived {result.schedules} schedules; "
-            f"re-run: PYTHONPATH=src python -m repro.cli check --mutant {name}"
-        )
-        assert result.violation.invariant in spec.expected, (
-            f"shm mutant {name!r} tripped {result.violation.invariant!r}, "
-            f"expected one of {spec.expected}: {result.violation.detail}"
-        )
-
-    @pytest.mark.parametrize("name", sorted(SHM_MUTANTS))
-    def test_counterexample_is_minimized_and_replays(self, name):
-        _, result = _explore_shm_mutant(name)
-        mini = result.counterexample
-        assert mini.steps <= result.original.steps
-        script = ScheduleScript.from_outcome(mini)
-        first = script.replay()
-        second = script.replay()
-        assert first.violation is not None
-        assert first.violation.invariant == result.violation.invariant
-        assert first.choices == second.choices
-        assert first.violation.detail == second.violation.detail
-
     def test_registry_disjoint_from_logger_mutants(self):
-        assert set(SHM_MUTANTS) == {"stale-attach-offset",
-                                    "missed-flush-on-death",
-                                    "unlocked-lane-claim"}
-        assert not set(SHM_MUTANTS) & set(MUTANTS)
-        for spec in SHM_MUTANTS.values():
-            assert spec.config.get("shm") is not False
+        seams = {n: s for n, s in MUTANTS.items() if s.seam != LOGGER}
+        assert {n: s.seam for n, s in seams.items()} == {
+            "missed-flush-on-death": "collector",
+            "stale-attach-offset": "attach geometry",
+            "unlocked-lane-claim": "lane owner",
+        }
+        for name, spec in seams.items():
+            assert spec.config.get("shm") is True
             assert spec.summary
+            with pytest.raises(ConfigError, match="needs shm=True"):
+                CheckConfig(mutant=name).validate()
 
 
 class TestComposition:
@@ -107,7 +78,7 @@ class _Drive:
     """One hand-picked schedule over a checked system, steps checked."""
 
     def __init__(self, **overrides):
-        self.system = ShmCheckedSystem(CheckConfig(shm=True, **overrides))
+        self.system = CheckedSystem(CheckConfig(shm=True, **overrides))
         self.killed = []
 
     def run(self, tid, until=None):
@@ -147,7 +118,7 @@ class TestOwnerLanes:
         _proves(1, writers=1, events=2, kills=1, rivals=1)
         drive = _Drive(writers=1, events=2, rivals=1)
         drive.run(0, until="cpu0.committed[0].load").kill(0)
-        assert drive.system.probes[0].torn_seqs(0) == {0}
+        assert drive.system.lanes[0].probe.torn_seqs(0) == {0}
         drive.run(1)
         assert drive.owner() == (0, 2)  # taken at gen + 1, then released
         assert drive.system.silent == set()
