@@ -26,7 +26,7 @@ N_EVENTS = 30_000
 def fill(buffer_words, commit_counts=True, n_events=None):
     control = TraceControl(buffer_words=buffer_words,
                            num_buffers=max(4, 2**15 // buffer_words),
-                           max_pending=8)
+                           mode="flight")
     mask = TraceMask()
     mask.enable_all()
     clock = ManualClock()

@@ -26,7 +26,7 @@ from result_tables import write_result
 
 def make_logger(enabled=True, buffer_words=16 * 1024, num_buffers=8):
     control = TraceControl(buffer_words=buffer_words, num_buffers=num_buffers,
-                           max_pending=4)
+                           mode="flight")
     mask = TraceMask()
     if enabled:
         mask.enable_all()

@@ -8,17 +8,19 @@ writer tasks (and optionally a concurrent reader task) under the
 cooperative scheduler, one shared-memory operation at a time.
 
 There is one checked system, :class:`CheckedSystem`, over a list of
-lanes.  A private system has one lane in process memory.  With
-``shm=True`` the lanes are the CPUs of a *real*
-:class:`~repro.shm.region.ShmTraceRegion` segment, each writer holds its
-own attach of it (its own mapping, exactly as a separate process would),
-and a real :class:`~repro.shm.collector.ShmCollector`'s drained output —
-not the ring — is what the final invariants judge.  The writers are
-still cooperative tasks in one process (determinism requires it), but
-every load, CAS and trace-word store goes through the same segment words,
-stores and locks separate OS processes use; the only cross-process
-effect this cannot exercise is a torn 8-byte store, which the platform
-(and the paper's hardware) rules out anyway.
+lanes.  A private system has one write-out lane in process memory,
+built as a facility builds it.  With ``shm=True`` the lanes are the CPUs
+of a *real* :class:`~repro.shm.region.ShmTraceRegion` segment, and each
+writer holds its own attach of it (its own mapping, exactly as a
+separate process would).  Either way the final invariants judge the
+drained output of the one collector production uses
+(:class:`~repro.core.buffers.Collector`: the lane's own, or a real
+:class:`~repro.shm.collector.ShmCollector`), not the ring.  The writers
+are still cooperative tasks in one process (determinism requires it),
+but every load, CAS and trace-word store goes through the same segment
+words, stores and locks separate OS processes use; the only
+cross-process effect this cannot exercise is a torn 8-byte store, which
+the platform (and the paper's hardware) rules out anyway.
 
 Invariants are checked at three moments, on every lane:
 
@@ -31,13 +33,13 @@ Invariants are checked at three moments, on every lane:
   buffer must be one the harness actually issued, in per-writer order
   (the committed count is the validity gate of §3.1: the checker
   verifies it gates *correctly*);
-* **at quiescence** — the judged view (the production reader's
-  :func:`~repro.core.buffers.read_lane` copy of each lane, or the
-  collector's drain) of a clean run must decode identically on the
-  production decoder and the reference walk (:mod:`repro.check.oracle`)
-  and with no anomalies in strict and recovering modes, with every
-  issued payload present exactly once in per-writer order and per-CPU
-  timestamps strictly increasing; a run with killed writers must flag
+* **at quiescence** — the judged view (the collector's drain: a private
+  write-out lane's :meth:`~repro.core.buffers.TraceControl.flush`, or
+  the shm collector's polls and finalize) of a clean run must decode
+  identically on the production decoder and the reference walk
+  (:mod:`repro.check.oracle`) and with no anomalies in strict and
+  recovering modes, with every issued payload present exactly once in
+  per-writer order and per-CPU timestamps strictly increasing; a run with killed writers must flag
   every buffer the kill tore (committed-mismatch or garble) and must
   flag *only* those buffers.
 
@@ -91,7 +93,7 @@ from repro.check.mutants import (
     seam_class,
 )
 from repro.check.oracle import reference_decode, reference_ring
-from repro.core.buffers import BufferRecord, LaneAt, TraceControl, read_lane
+from repro.core.buffers import BufferRecord, LaneAt, TraceControl
 from repro.core.columnar import decode_records_columnar
 from repro.core.constants import COMMIT_COUNT_MASK
 from repro.core.lane import FIXED_WORDS, LaneStore, lane_words
@@ -372,8 +374,10 @@ class CheckedSystem:
             watch=TraceWatch(self.runtime, probe, trace_at,
                              trace_at + bw * nb, label_at=trace_at),
         )
+        # Write-out, as a facility builds it: its collector is what the
+        # final invariants judge.
         ctl = TraceControl(cpu=0, buffer_words=bw, num_buffers=nb,
-                           mode="flight", store=store)
+                           store=store)
         self.lanes.append(CheckedLane.of(ctl, probe))
         # Sequential setup: anchor events for buffer 0 (yields no-op on
         # the main thread, so this is deterministic straight-line code).
@@ -535,18 +539,6 @@ class CheckedSystem:
         return fn
 
     # -- views -----------------------------------------------------------
-    def lane_view(self) -> List[BufferRecord]:
-        """Every buffer touched so far, lane by lane, as the production
-        reader (:func:`~repro.core.buffers.read_lane`) copies it
-        (wrap-free, so sequence == slot order)."""
-        bw, nb = self.config.buffer_words, self.config.num_buffers
-        out: List[BufferRecord] = []
-        for lane in self.lanes:
-            cur_seq = lane.words[lane.at.index] // bw
-            out.extend(read_lane(lane.words, lane.at, bw, nb, lane.cpu,
-                                 range(cur_seq + 1)))
-        return out
-
     def reference_view(self) -> List[BufferRecord]:
         """The same buffers by the independent walk
         (:func:`~repro.check.oracle.reference_ring`): what the reader
@@ -694,7 +686,7 @@ class CheckedSystem:
                               key=lambda r: (r.cpu, r.seq))
                 self._check_collector(view)
             else:
-                view = self.lane_view()
+                view = self.lanes[0].ctl.flush()
             if killed:
                 self._final_with_kills(view, killed)
             else:

@@ -11,22 +11,23 @@ The reservation ``index`` is a monotonically increasing word counter;
 the trace memory.  Buffer *sequence* ``index // buffer_words`` increases
 forever; sequence ``s`` occupies slot ``s % num_buffers``.
 
-Two modes:
-
-* ``writeout`` — each completed buffer is copied into a
-  :class:`BufferRecord` and queued for the sink ("available to be
-  written out", §3.1).
-* ``flight`` — no copies; the ring overwrites itself and
-  :meth:`TraceControl.snapshot` reconstructs the most recent history
-  (the "flight recorder" of §4.2).
+Completed buffers have one consumer, :class:`Collector`: a cursor per
+lane that turns every buffer the index has moved past into a
+:class:`BufferRecord` ("available to be written out", §3.1), counting
+what the ring lapped before the cursor got there.  The shm collector
+(:mod:`repro.shm.collector`) is this collector over a segment's lanes.
+A :class:`TraceControl` is a ``flight`` ring — no copies; the ring
+overwrites itself and :meth:`TraceControl.snapshot` reconstructs the
+most recent history (the "flight recorder" of §4.2) — or a
+``writeout`` one: the same ring plus a collector over its one lane.
 """
 
 from __future__ import annotations
 
-from collections import deque
+import threading
 from dataclasses import dataclass, field
-from typing import (Deque, Iterable, Iterator, List, Literal, NamedTuple,
-                    Optional, Tuple)
+from typing import (Dict, Iterable, Iterator, List, Literal, NamedTuple,
+                    Optional, Sequence, Tuple)
 
 import numpy as np
 
@@ -193,6 +194,142 @@ def read_lane(words, at: LaneAt, buffer_words: int, num_buffers: int,
                            fill if partial else bw, partial)
 
 
+@dataclass
+class DrainStats:
+    """What one collector saw over its lifetime."""
+
+    frames: int = 0            # records emitted (full + partial)
+    partial_frames: int = 0    # of which partial (finalize only)
+    dropped: int = 0           # buffers lost to ring lapping
+    polls: int = 0             # sweeps over the lanes
+    unstable_copies: int = 0   # copies re-done under a racing commit
+    #: distinct buffers whose emission was deferred for an uncovered
+    #: committed count — each (cpu, seq) counts once, no matter how many
+    #: polls re-observed it, so the stat is comparable across poll rates
+    held: int = 0
+    #: the cursor: per lane's CPU, the next sequence to emit
+    next_seq: Dict[int, int] = field(default_factory=dict)
+
+
+#: One lane a :class:`Collector` reads: its CPU, a view of words that
+#: holds it, and its offsets in them.
+Lane = Tuple[int, object, LaneAt]
+
+
+class Collector:
+    """The consumer of completed buffers: a read-only cursor per lane.
+
+    ``lanes`` share one geometry.  Buffer ``s`` of a lane is complete
+    once its index has moved past it, the way K42's write-out daemon
+    watched the per-CPU control structures: no writer cooperates, and
+    no lock is taken.  The cursor (``stats.next_seq``) emits each
+    sequence at most once, as :func:`read_lane` copies.
+
+    The index advances at reserve time, before the copy-in, so it cannot
+    prove a buffer's words are there; its committed count can (§3.1's
+    validity gate).  A gated :meth:`poll` emits a full buffer only once
+    its count, read before the copy, covers ``buffer_words``.  A buffer
+    whose writer was preempted or killed is held back until the ring
+    laps the cursor (counted in ``stats.dropped``) or a forced poll —
+    :meth:`finalize` at quiescence, or a consumer that cannot wait —
+    emits it flagged by its short count.  ``lag`` holds back the most
+    recent completed buffers as well.
+    """
+
+    def __init__(self, lanes: Sequence[Lane], buffer_words: int,
+                 num_buffers: int, lag: int = 1) -> None:
+        if lag < 0:
+            raise ValueError("lag must be >= 0")
+        self.lanes = list(lanes)
+        self.buffer_words = buffer_words
+        self.num_buffers = num_buffers
+        self.lag = lag
+        self.stats = DrainStats(
+            next_seq={cpu: 0 for cpu, _words, _at in self.lanes})
+        # Per CPU, the sequence last counted on stats.held: a slow
+        # writer holds the same buffer across many polls, but it is one
+        # deferred emission, not one per poll.
+        self._held: Dict[int, int] = {}
+
+    def poll(self, lag: Optional[int] = None, *,
+             force: bool = False) -> List[BufferRecord]:
+        """One sweep: emit every newly-completed buffer of every lane.
+
+        ``force`` drops the committed-count gate: buffers are emitted
+        covered or not.  Only a consumer that cannot wait should force —
+        a live poll that forces can capture a buffer mid-write and emit
+        it as garbage that the quiesced ring would have emitted clean.
+        """
+        lag = self.lag if lag is None else lag
+        bw, nb = self.buffer_words, self.num_buffers
+        stats = self.stats
+        cursor = stats.next_seq
+        records: List[BufferRecord] = []
+        stats.polls += 1
+        for cpu, words, at in self.lanes:
+            index = words[at.index]
+            cur_seq = index // bw
+            next_seq = cursor[cpu]
+            # Ring already lapped the cursor: the oldest sequences are
+            # unrecoverable — account for them and move the cursor up.
+            # A slot is lapped once the index reserves into it again
+            # (read_lane's rule), so an index exactly on a boundary has
+            # not yet lapped the buffer ``num_buffers`` behind it.
+            oldest_alive = (index - 1) // bw - nb + 1
+            if next_seq < oldest_alive:
+                stats.dropped += oldest_alive - next_seq
+                next_seq = oldest_alive
+            stop = max(next_seq, cur_seq - lag)
+            before = len(records)
+            for rec in read_lane(words, at, bw, nb, cpu,
+                                 range(next_seq, stop), stats):
+                if rec.committed < bw and not force:
+                    # Reserved past it, but not every event inside is
+                    # committed yet: its writer is still (or was, when
+                    # it died) filling in.  Hold; emission stays in
+                    # sequence order, so later buffers wait too.
+                    if self._held.get(cpu) != rec.seq:
+                        self._held[cpu] = rec.seq
+                        stats.held += 1
+                    stop = rec.seq
+                    break
+                records.append(rec)
+            emitted = len(records) - before
+            stats.frames += emitted
+            # Whatever the reader skipped below the stop was lapped.
+            stats.dropped += stop - next_seq - emitted
+            cursor[cpu] = stop
+        return records
+
+    def finalize(self) -> List[BufferRecord]:
+        """Final sweep after writers quiesce: no lag, no gate, plus each
+        in-progress buffer with words reserved in it, as a partial
+        record (readers then expect no filler at its end).  The cursor
+        stays on the in-progress buffer: it is not complete, so a later
+        sweep emits it again, as it then is.
+
+        A full buffer whose completion bookkeeping never ran (its last
+        event ended exactly on the boundary) needs nothing special:
+        completion is inferred from the index, not from the booking.
+        """
+        records = self.poll(lag=0, force=True)
+        stats = self.stats
+        for cpu, words, at in self.lanes:
+            seq, fill = divmod(words[at.index], self.buffer_words)
+            if fill == 0:
+                continue
+            partial = list(read_lane(words, at, self.buffer_words,
+                                     self.num_buffers, cpu,
+                                     range(seq, seq + 1), stats))
+            if not partial:
+                stats.dropped += 1
+                continue
+            records.extend(partial)
+            stats.frames += 1
+            stats.partial_frames += 1
+        return records
+
+
 class TraceControl:
     """Per-CPU trace control structure and trace memory.
 
@@ -222,7 +359,6 @@ class TraceControl:
         num_buffers: int = DEFAULT_NUM_BUFFERS,
         mode: Mode = "writeout",
         zero_ahead: bool = False,
-        max_pending: Optional[int] = None,
         store: Optional[LaneStore] = None,
         base: int = 0,
     ) -> None:
@@ -237,9 +373,7 @@ class TraceControl:
         self.num_buffers = num_buffers
         self.total_words = buffer_words * num_buffers
         self.index_mask = self.total_words - 1
-        self.mode: Mode = mode
         self.zero_ahead = zero_ahead
-        self.max_pending = max_pending
 
         need = lane_words(buffer_words, num_buffers)
         if store is None:
@@ -262,26 +396,30 @@ class TraceControl:
         self.slot_seq_at = self.committed_at + num_buffers
         self.trace_at = self.slot_seq_at + num_buffers
 
-        #: Completed buffer sequences awaiting write-out
-        #: (writeout mode only).  Payloads are copied out only once the
-        #: queue exceeds ``num_buffers - 2`` — an emulated write-out
+        #: Writeout mode's consumer (None in flight mode): a
+        #: :class:`Collector` over this one lane.  The booker of a new
+        #: buffer moves the cursor once more than ``num_buffers - 2`` (at
+        #: least one) completed buffers wait — an emulated write-out
         #: daemon with slack, giving preempted writers almost a full
         #: ring's time to finish filling in their events ("the process
         #: will run again soon and finish filling in the event before
         #: another entity notices", §3.1) while still copying before the
-        #: ring can recycle the slot.
-        self.completed: Deque[tuple] = deque()
-        # A deque: max_pending eviction drops from the front, and
-        # list.pop(0) is O(n) per drop where popleft is O(1).
-        self._written: Deque[BufferRecord] = deque()
-        self._high_water = max(1, num_buffers - 2)
+        #: ring can recycle the slot.  A booker cannot wait for a writer,
+        #: so it forces: a buffer short of commits goes out flagged by
+        #: its count.
+        self.collector = (Collector([(cpu, self.mem, self.lane_at)],
+                                    buffer_words, num_buffers)
+                          if mode == "writeout" else None)
+        self._slack = max(1, num_buffers - 2)
+        #: What the bookers copied, until :meth:`drain` or :meth:`flush`.
+        self._copied: List[BufferRecord] = []
+        self._copy_lock = threading.Lock()  # one cursor, many bookers
 
         # Statistics (plain ints: updated under the GIL, read for reporting;
         # exactness is not required and K42 kept these unsynchronized too).
         self.stats_fillers = 0
         self.stats_filler_words = 0
         self.stats_buffers_completed = 0
-        self.stats_dropped_buffers = 0
         self.stats_events_logged = 0
         self.stats_words_logged = 0
         self.stats_cas_retries = 0
@@ -349,63 +487,47 @@ class TraceControl:
 
     # -- completion --------------------------------------------------------
     def complete_buffer(self, seq: int) -> None:
-        """Queue buffer ``seq`` for write-out.
+        """Count buffer ``seq`` complete; in writeout mode, copy out what
+        has waited past the slack.
 
         Called by the (single) thread that claimed the start-of-buffer
-        bookkeeping for ``seq + 1``; in flight mode the ring is the
-        recorder and nothing is queued.
+        bookkeeping for ``seq + 1``.  Whether to copy is decided from
+        the cursor alone, without reading a lane word; in flight mode
+        the ring is the recorder and nothing is copied.
         """
         self.stats_buffers_completed += 1
-        if self.mode != "writeout":
+        collector = self.collector
+        if collector is None:
             return
-        self.completed.append(seq)
-        while len(self.completed) > self._high_water:
-            self._writeout_one()
-
-    def _writeout_one(self) -> None:
-        """Copy the oldest completed buffer out of the ring.
-
-        A buffer the ring already lapped counts as dropped — the
-        write-out side failed to keep up, the same data-loss mode a real
-        system has.
-        """
-        try:
-            seq = self.completed.popleft()
-        except IndexError:
-            return
-        record = self._read((seq,))
-        if not record:
-            self.stats_dropped_buffers += 1
-            return
-        self._written.extend(record)
-        if self.max_pending is not None:
-            while len(self._written) > self.max_pending:
-                self._written.popleft()
-                self.stats_dropped_buffers += 1
+        if seq - collector.stats.next_seq[self.cpu] >= self._slack:
+            with self._copy_lock:
+                self._copied += collector.poll(self._slack, force=True)
 
     def drain(self) -> List[BufferRecord]:
-        """Write out everything completed so far and return it."""
-        while self.completed:
-            self._writeout_one()
-        out = list(self._written)
-        self._written.clear()
-        return out
+        """Write out every buffer completed so far and return them
+        (writeout mode; a flight ring returns none)."""
+        if self.collector is None:
+            return []
+        with self._copy_lock:
+            records = self._copied + self.collector.poll(0, force=True)
+            self._copied = []
+        return records
 
     def flush(self) -> List[BufferRecord]:
         """Drain completed buffers plus those never completed.
 
-        Only meaningful once logging has quiesced.  A buffer is completed
-        when the next one is booked, so what the write-out queue never
-        saw runs from the booked sequence to the index: the current
-        partial buffer, marked so readers know not to expect a filler at
-        its end, or a buffer whose last event ended exactly on the
-        boundary with no reservation after it — otherwise its events
-        would be lost.
+        Only meaningful once logging has quiesced.  In writeout mode this
+        is the collector's :meth:`~Collector.finalize`.  A flight ring
+        has no cursor: it returns what runs from the booked sequence to
+        the index — the current partial buffer, or a buffer whose last
+        event ended exactly on the boundary with no reservation after it.
         """
-        records = self.drain()
-        cur_seq = self.index() // self.buffer_words
-        records.extend(self._read(range(self.mem[self.booked_at],
-                                        cur_seq + 1)))
+        if self.collector is None:
+            cur_seq = self.index() // self.buffer_words
+            return self._read(range(self.mem[self.booked_at], cur_seq + 1))
+        with self._copy_lock:
+            records = self._copied + self.collector.finalize()
+            self._copied = []
         return records
 
     def snapshot(self) -> List[BufferRecord]:
@@ -414,8 +536,8 @@ class TraceControl:
         Reconstructs records straight from the ring (:func:`read_lane`);
         the currently-active buffer is included as partial.  A slot the
         index never reached holds no event and is not emitted.  Usable
-        in either mode (in writeout mode it duplicates data already
-        queued).
+        in either mode (in writeout mode it duplicates data the collector
+        copies).
         """
         return self._read()
 

@@ -157,7 +157,7 @@ class TraceFacility:
 
     # -- data extraction --------------------------------------------------
     def drain(self) -> List[BufferRecord]:
-        """Completed buffers queued so far (writeout mode)."""
+        """Completed buffers not yet written out (writeout mode)."""
         out: List[BufferRecord] = []
         for control in self.controls:
             out.extend(control.drain())
@@ -193,14 +193,12 @@ class TraceFacility:
 
     # -- statistics ---------------------------------------------------------
     def stats(self) -> Dict[str, int]:
-        keys = (
-            "stats_events_logged", "stats_words_logged", "stats_fillers",
-            "stats_filler_words", "stats_buffers_completed",
-            "stats_dropped_buffers", "stats_cas_retries",
-            "stats_exact_boundary",
-        )
-        totals = {k.removeprefix("stats_"): 0 for k in keys}
-        for control in self.controls:
-            for k in keys:
-                totals[k.removeprefix("stats_")] += getattr(control, k)
+        """Writer counters summed over the CPUs, and ``dropped_buffers``:
+        what their write-out collectors lost to ring lapping."""
+        keys = ("events_logged", "words_logged", "fillers", "filler_words",
+                "buffers_completed", "cas_retries", "exact_boundary")
+        totals = {k: sum(getattr(c, "stats_" + k) for c in self.controls)
+                  for k in keys}
+        totals["dropped_buffers"] = sum(
+            c.collector.stats.dropped for c in self.controls if c.collector)
         return totals

@@ -22,8 +22,9 @@ Pieces:
   monotonic clock.
 * :mod:`repro.shm.lanes` — lane ownership: one process binds each CPU's
   lane, and an owned lane's compare-and-store skips the ``fcntl`` lock.
-* :mod:`repro.shm.collector` — drains committed buffers out of the
-  shared ring into :class:`~repro.core.buffers.BufferRecord` frames /
+* :mod:`repro.shm.collector` — the one consumer of completed buffers
+  (:class:`~repro.core.buffers.Collector`) over the segment's lanes,
+  draining them into :class:`~repro.core.buffers.BufferRecord` frames /
   ``.k42`` trace files.
 * :mod:`repro.shm.procs` — writer/collector OS-process entry points and
   the workload runner behind ``repro-trace shm-demo``.

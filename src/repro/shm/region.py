@@ -440,9 +440,9 @@ class ShmTraceRegion:
         """A :class:`TraceControl` over ``cpu``'s lane of the segment.
 
         Defaults to flight mode: a cross-process writer has no local
-        write-out queue — the collector process infers completed buffers
-        from the shared index instead, so nothing writer-side may depend
-        on in-process completion callbacks.  ``store`` substitutes
+        collector — the collector process infers completed buffers from
+        the shared index instead, so nothing writer-side may depend on
+        in-process completion callbacks.  ``store`` substitutes
         :meth:`lane_store` (the model checker's stepped store).
         """
         return TraceControl(

@@ -222,17 +222,6 @@ class TestFlightRecorder:
         assert control.drain() == []
 
 
-class TestWriteoutPressure:
-    def test_max_pending_drops_oldest(self):
-        logger, control, _ = make_logger(
-            buffer_words=32, num_buffers=4, max_pending=2
-        )
-        for i in range(2000):
-            logger.log1(Major.TEST, 1, i)
-        assert control.stats_dropped_buffers > 0
-        assert len(control.completed) <= 2
-
-
 class TestNullLogger:
     def test_null_logger_does_nothing(self):
         n = NullTraceLogger()

@@ -1,7 +1,8 @@
 """Reading a ring costs a fixed number of calls per buffer, never per word.
 
 Every reader of a lane — the flight-recorder snapshot, the crash-dump
-reader and the shm collector's poll — goes through one function,
+reader and the collector's poll (the shm collector's, and the one a
+write-out lane's booker drives) — goes through one function,
 :func:`repro.core.buffers.read_lane`.  Its work is counted here the way
 ``tests/core/test_decode_budget.py`` counts the decoder's: Python-level
 calls, functions and builtins both, which say the same on any machine.
@@ -27,6 +28,11 @@ SLOTS = 16
 #: copies before it paid 9, 6 and 9.
 PER_BUFFER = {"snapshot": 6, "read_dump": 6, "poll": 7}
 FIXED = {"snapshot": 15, "read_dump": 29, "poll": 9}
+#: Calls a write-out lane's logging pays per buffer its booker copies
+#: out, over what a flight lane pays to log the same events.  Measured
+#: when the copy became the collector's (17); the write-out queue
+#: before it paid 21.35.
+WRITEOUT_PER_COPY = 17
 
 
 def count_calls(fn):
@@ -58,16 +64,21 @@ def fill(logger, clock, buffers):
         i += 1
 
 
-def private_ring(buffer_words, buffers):
+def private_logger(buffer_words, num_buffers=SLOTS, mode="flight"):
     mask = TraceMask()
     mask.enable_all()
     clock = ManualClock()
-    control = TraceControl(buffer_words=buffer_words, num_buffers=SLOTS,
-                           mode="flight")
+    control = TraceControl(buffer_words=buffer_words,
+                           num_buffers=num_buffers, mode=mode)
     logger = TraceLogger(control, mask, clock)
     logger.start()
+    return logger, clock
+
+
+def private_ring(buffer_words, buffers):
+    logger, clock = private_logger(buffer_words)
     fill(logger, clock, buffers)
-    return control
+    return logger.control
 
 
 def read(reader, buffer_words, buffers):
@@ -115,3 +126,22 @@ def test_read_calls_per_buffer(reader):
     assert counts[256, 4] == counts[1024, 4]
     assert counts[256, 12] == counts[1024, 12]
     assert counts[256, 12] - counts[256, 4] <= 8 * PER_BUFFER[reader]
+
+
+def test_writeout_copy_calls_per_buffer():
+    """The booker's copy-out is the collector's poll: a fixed number of
+    calls per buffer copied, flat in ``buffer_words``."""
+    extra = {}
+    for buffer_words in (64, 256):
+        calls = {}
+        for mode in ("flight", "writeout"):
+            logger, clock = private_logger(buffer_words, 8, mode)
+            _, calls[mode], copies = count_calls(
+                lambda: fill(logger, clock, 40))
+            assert logger.control.stats_buffers_completed == 40
+        # Past the slack of num_buffers - 2 waiting buffers, every
+        # completion copies one out.
+        assert copies == 40 - 6
+        extra[buffer_words] = (calls["writeout"] - calls["flight"]) / copies
+        assert extra[buffer_words] <= WRITEOUT_PER_COPY, extra
+    assert extra[64] == extra[256]
